@@ -1,18 +1,11 @@
 """Low-level kernels for dense integer polynomials (truncated power series).
 
 A polynomial/series is a plain ``list[int]`` of coefficients indexed by
-exponent.  Everything here is exact integer arithmetic.  Multiplication
-switches between schoolbook convolution (small operands) and Kronecker
-substitution: coefficients are packed into one big Python integer with
-fixed-width slots, multiplied once in C, and unpacked with signed-digit
-borrow propagation.  CPython's subquadratic bigint multiplication then does
-the heavy lifting.
+exponent.  Everything here is exact integer arithmetic: truncated schoolbook
+multiplication, valuation, and long division by a unit-constant denominator.
 """
 
 from __future__ import annotations
-
-# Below this many coefficient products, schoolbook beats pack/unpack overhead.
-_SCHOOLBOOK_CUTOFF = 2048
 
 
 def valuation(coeffs: list[int]) -> int | None:
@@ -25,88 +18,13 @@ def valuation(coeffs: list[int]) -> int | None:
 
 def mul(a: list[int], b: list[int], n_out: int) -> list[int]:
     """Product of coefficient lists, truncated to exponents 0..n_out."""
-    va = valuation(a)
-    vb = valuation(b)
-    if va is None or vb is None or va + vb > n_out:
-        return [0] * (n_out + 1)
-    ta = a[va:min(len(a), n_out + 1 - vb)]
-    tb = b[vb:min(len(b), n_out + 1 - va)]
-    if len(ta) * len(tb) <= _SCHOOLBOOK_CUTOFF:
-        prod = _mul_schoolbook(ta, tb, n_out - va - vb)
-    else:
-        prod = _mul_kronecker(ta, tb, n_out - va - vb)
     out = [0] * (n_out + 1)
-    out[va + vb:va + vb + len(prod)] = prod
-    return out
-
-
-def _mul_schoolbook(a: list[int], b: list[int], n_out: int) -> list[int]:
-    out = [0] * (min(n_out, len(a) + len(b) - 2) + 1)
-    for i, ca in enumerate(a):
-        if not ca or i > n_out:
+    for i, ca in enumerate(a[:n_out + 1]):
+        if not ca:
             continue
-        hi = min(len(b), n_out + 1 - i)
-        for j in range(hi):
-            cb = b[j]
+        for j, cb in enumerate(b[:n_out + 1 - i]):
             if cb:
                 out[i + j] += ca * cb
-    return out
-
-
-def _mul_kronecker(a: list[int], b: list[int], n_out: int) -> list[int]:
-    ma = max(map(abs, a))
-    mb = max(map(abs, b))
-    bound = ma * mb * min(len(a), len(b))
-    slot = ((bound.bit_length() + 2 + 7) // 8) * 8
-    prod = pack(a, slot) * pack(b, slot)
-    count = min(n_out, len(a) + len(b) - 2) + 1
-    return unpack_signed(prod, slot, count)
-
-
-def pack(coeffs: list[int], slot_bits: int) -> int:
-    """Pack coefficients into one integer, little-endian slots of slot_bits."""
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << slot_bits) + c
-    return v
-
-
-def unpack_signed(v: int, slot_bits: int, count: int) -> list[int]:
-    """Recover `count` signed slot values from a packed integer.
-
-    Valid as long as every true coefficient satisfies |c| < 2**(slot_bits-1);
-    borrows are propagated upward while reading.
-    """
-    if v == 0:
-        return [0] * count
-    neg = v < 0
-    if neg:
-        v = -v
-    nbytes = slot_bits // 8
-    raw = v.to_bytes(max(nbytes * count + 16, (v.bit_length() + 7) // 8 + 1), "little")
-    full = 1 << slot_bits
-    half = full >> 1
-    out = []
-    carry = 0
-    for i in range(count):
-        d = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") + carry
-        carry = 0
-        if d >= full:
-            d -= full
-            carry = 1
-        if d >= half:
-            d -= full
-            carry += 1
-        out.append(-d if neg else d)
-    return out
-
-
-def add(a: list[int], b: list[int], n_out: int) -> list[int]:
-    out = [0] * (n_out + 1)
-    for i in range(min(len(a), n_out + 1)):
-        out[i] = a[i]
-    for i in range(min(len(b), n_out + 1)):
-        out[i] += b[i]
     return out
 
 

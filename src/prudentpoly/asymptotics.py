@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf, mpmathify, matrix, lu_solve
 
-from .enumeration import CountTable, pa3_scaled_float, pa3_series, pa4_series
+from .enumeration import CountTable, pa3_series, pa4_series
 from .series import FloatSeries1
 
 _GUARD_DPS = 12
@@ -445,30 +445,43 @@ def _check_near_half(q) -> None:
             f"(need |1-2q| <= 0.2, got {abs(1 - 2 * q)})")
 
 
-def pi_eval(w, q, dps: int = 40, k_max: int | None = None):
+def pi_eval(w, q, dps: int = 40, k_max: int | None = None,
+            truncation_scale: float = 1.0):
     """The oscillation factor Pi(w) = sum_k p_k e^{-2 i k pi w},
     p_k = pi/sin(pi gamma + 2 i k pi^2 / log(1/q)).
 
     The p_k decay like exp(-2 k pi^2/log(1/q)) (~4.3e-13 per step at
-    q = 1/2); k_max is chosen adaptively from that bound unless given.
+    q = 1/2), but for complex w the factor e^{-+2 i k pi w} grows
+    geometrically on one side.  Unless k_max is given, harmonics are added
+    until both the +k and the -k term are below the target, then
+    ``truncation_scale`` times as long; terms that stop decaying raise
+    DomainError.
     """
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
         w = mpmathify(w)
         v = (1 - q + q * q) / (1 - q)
-        gamma = mp.log(v) / mp.log(1 / q)
-        if k_max is None:
-            decay = mp.e ** (-2 * mp.pi ** 2 / abs(mp.log(1 / q)))
-            k_max = 1
-            bound = decay
-            while bound > _eps(dps):
-                k_max += 1
-                bound *= decay
+        log_q = mp.log(1 / q)
+        gamma = mp.log(v) / log_q
+        eps = _eps(dps)
         total = mp.pi / mp.sin(mp.pi * gamma)
-        for k in range(1, k_max + 1):
-            for sk in (k, -k):
-                pk = mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / mp.log(1 / q))
-                total += pk * mp.e ** (-2j * sk * mp.pi * w)
+        k = 0
+        met = size = None
+        while k_max is None or k < k_max:
+            k += 1
+            terms = [mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / log_q)
+                     * mp.e ** (-2j * sk * mp.pi * w) for sk in (k, -k)]
+            total += terms[0] + terms[1]
+            if k_max is not None:
+                continue
+            prev, size = size, max(abs(t) for t in terms)
+            if prev is not None and size >= prev:
+                raise DomainError(
+                    f"Pi(w) harmonics stop decaying at k = {k} (w = {w})")
+            if met is None and size < eps:
+                met = k
+            if met is not None and k >= truncation_scale * met:
+                break
         return total
 
 
@@ -476,7 +489,8 @@ def _gf_singular(q, dps, scale):
     b = base_quantities(q, dps=dps, truncation_scale=scale)
     _check_near_half(q)
     t = b.t
-    T = (t ** (-b.gamma) * pi_eval(mp.log(t) / mp.log(1 / q), q, dps=dps)
+    T = (t ** (-b.gamma) * pi_eval(mp.log(t) / mp.log(1 / q), q, dps=dps,
+                                   truncation_scale=scale)
          * U_eval(q, dps=dps, truncation_scale=scale)
          + V_eval(q, dps=dps, truncation_scale=scale))
     pref = (q * q * b.A
@@ -533,7 +547,8 @@ def h_representation(j: int, t, q, v, dps: int = 40,
             raise DomainError("representation r-sum needs |t| < q^2 to contract")
         gamma = mp.log(v) / mp.log(1 / q)
         sing = ((-1) ** j * v * q ** (3 * gamma - 2 * j - 2) / mp.log(1 / q)
-                * t ** (j - gamma) * pi_eval(mp.log(t) / mp.log(1 / q), q, dps=dps))
+                * t ** (j - gamma) * pi_eval(mp.log(t) / mp.log(1 / q), q, dps=dps,
+                                             truncation_scale=truncation_scale))
 
         def terms():
             r = 0
@@ -584,7 +599,8 @@ def kappa0(dps: int = 40) -> mpf:
 def oscillation_amplitude(dps: int = 40, harmonics: int = 3):
     """(2|kappa_1|, max_u |kappa(u)|) -- the two readings of "amplitude".
 
-    They differ only at the |kappa_2|/|kappa_1| ~ 1e-12 level.
+    They differ at the 1e-7 to 1e-6 relative level: |kappa_2|/|kappa_1| is
+    ~1.6e-7, and the maximum is read off 2000 samples of u.
     """
     with mp.workdps(dps + _GUARD_DPS):
         ks = [kappa(k, dps=dps) for k in range(1, harmonics + 1)]
@@ -602,14 +618,17 @@ def oscillation_amplitude(dps: int = 40, harmonics: int = 3):
 def poles(k_max: int, dps: int = 40) -> list:
     """Roots z_k in (1/2, 1) of 1 - 2x + x^{k+2}, k = 1..k_max.
 
-    Bisection to 1e-3 then Newton; the derivative -2 + (k+2) x^{k+1} is
-    well-conditioned on the interval.
+    z_k = 1/2 + delta_k with delta_k ~ 2^-(k+3).  The polynomial is positive
+    at delta = 0 and negative at delta = 2^-(k+2) for every k, so bisection
+    in that bracket finds z_k and never the trivial root x = 1; Newton then
+    polishes it.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    half = mpf(1) / 2
     return [_poly_root(lambda x, k=k: 1 - 2 * x + x ** (k + 2),
                        lambda x, k=k: -2 + (k + 2) * x ** (k + 1),
-                       mpf(1) / 2, mpf(1), dps)
+                       half, half + mpf(2) ** -(k + 2), dps)
             for k in range(1, k_max + 1)]
 
 
@@ -621,11 +640,17 @@ def theta_root(dps: int = 40) -> mpf:
 
 
 def _poly_root(f, fp, lo, hi, dps: int) -> mpf:
+    """The root of f in [lo, hi], where f changes sign exactly once.
+
+    Bisection to 1/1000 of the bracket, then Newton; the result leaves
+    |f| < 10^-dps or an AssertionError is raised.
+    """
     with mp.workdps(dps + _GUARD_DPS):
-        lo = mpf(lo) + mpf(10) ** -9
-        hi = mpf(hi) - mpf(10) ** -9
+        lo = mpf(lo)
+        hi = mpf(hi)
+        width = (hi - lo) / 1000
         flo = f(lo)
-        while hi - lo > mpf(10) ** -3:
+        while hi - lo > width:
             mid = (lo + hi) / 2
             if f(mid) * flo > 0:
                 lo = mid
@@ -638,6 +663,11 @@ def _poly_root(f, fp, lo, hi, dps: int) -> mpf:
             x -= step
             if abs(step) < mpf(10) ** (-dps - 5):
                 break
+        else:
+            raise AssertionError("Newton iteration did not converge")
+        if abs(f(x)) >= mpf(10) ** -dps:
+            raise AssertionError(
+                f"root leaves a residual of {mp.nstr(abs(f(x)), 3)}")
         return x
 
 
@@ -740,36 +770,29 @@ class ResidualTable:
         raise KeyError(n)
 
 
-# Above this order the residual pipeline switches from exact counts to the
-# fixed-point float mode (exact bigint coefficients get ~0.27 n bits wide).
-FLOAT_MODE_CROSSOVER = 1500
-
-
 def residuals(max_n: int, terms: int = 5, dps: int = 40,
               counts=None, min_n: int = 2) -> ResidualTable:
     """Scaled counts and their deviation from the T-term model.
 
     ``counts`` may be a CountTable (exact) or FloatSeries1 (scaled float
-    counts); by default exact counts are used up to FLOAT_MODE_CROSSOVER and
-    the float pipeline beyond.
+    counts) reaching at least ``max_n``; by default the exact theorem-route
+    counts are computed.
     """
     if max_n < min_n:
         raise ValueError("max_n must be >= min_n")
-    source = "exact"
     if counts is None:
-        if max_n > FLOAT_MODE_CROSSOVER:
-            counts = pa3_scaled_float(max_n, precision=dps)
-            source = "float"
-        else:
-            counts = pa3_series(max_n, "theorem")
-    elif isinstance(counts, FloatSeries1):
-        source = "float"
+        counts = pa3_series(max_n, "theorem")
+    source = "float" if isinstance(counts, FloatSeries1) else "exact"
+    available = counts.order if source == "float" else counts.max_area
+    if available < max_n:
+        raise DomainError(
+            f"counts reach n = {available}, residuals need n up to {max_n}")
     coeffs = omega_coefficients(terms, dps=dps)
     with mp.workdps(dps + _GUARD_DPS):
         g = mp.log(3) / mp.log(2)
         rows = []
         for n in range(min_n, max_n + 1):
-            if isinstance(counts, FloatSeries1):
+            if source == "float":
                 scaled = mpf(counts.mantissas[n]) / mpf(2) ** counts.scale_bits
             else:
                 scaled = mpf(counts.count(n)) / mpf(2) ** n

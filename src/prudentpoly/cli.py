@@ -43,15 +43,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_digits() -> int:
+def _digits(text: str) -> int:
     try:
-        return int(os.environ.get("PRUDENTPOLY_DIGITS", "40"))
+        value = int(text)
+        if value >= 1:
+            return value
     except ValueError:
-        return 40
+        pass
+    raise argparse.ArgumentTypeError(
+        f"digits must be a positive integer (got {text!r} from --digits "
+        "or PRUDENTPOLY_DIGITS)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--digits", type=int, default=_default_digits(),
+    # a string default goes through _digits too, so a bad environment value
+    # is a usage error unless --digits overrides it
+    p.add_argument("--digits", type=_digits,
+                   default=os.environ.get("PRUDENTPOLY_DIGITS", "40"),
                    help="working precision in significant digits")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
@@ -261,10 +269,7 @@ def _cmd_fit(args) -> int:
             counts = enumeration.pa2_series(args.max_n)
             reference = mpf(0)
         elif k == 3:
-            if args.max_n > asymptotics.FLOAT_MODE_CROSSOVER:
-                counts = enumeration.pa3_scaled_float(args.max_n, precision=d)
-            else:
-                counts = enumeration.pa3_series(args.max_n, "theorem")
+            counts = enumeration.pa3_series(args.max_n, "theorem")
             reference = mp.log(3) / mp.log(2)
         else:
             counts = enumeration.pa4_series(args.max_n)

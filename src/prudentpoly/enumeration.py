@@ -14,8 +14,9 @@ Routes implemented:
 * 4-sided: joint q-adic fixed point of the three trivariate functional
   equations coupling the row/column-addition classes X, Y, Z; returns
   8*(X+Y+Z) at u=v=1.
-* 3-sided float mode: the theorem route in the scaled variable x = 2q on
-  fixed-point mantissas, for orders where exact integers get too wide.
+
+``pa3_scaled_float`` converts the exact theorem-route counts to the scaled
+variable x = 2q; it is a view of those counts, not a separate route.
 """
 
 from __future__ import annotations
@@ -440,90 +441,11 @@ def pa4_series(order: int) -> CountTable:
     return CountTable(4, s.coeffs[1:], "functional")
 
 
-# ---------------------------------------------------------------------------
-# Float mode (x = 2q) for large orders.
-# ---------------------------------------------------------------------------
-
-# Partial terms of the theorem sum cancel against each other at ~0.272 bits
-# per order (the alternating (1-2q)^-m pile-up); mantissas carry that margin.
-_CANCELLATION_BITS_PER_ORDER = 0.29
-
-
 def pa3_scaled_float(order: int, precision: int = 40) -> FloatSeries1:
-    """Theorem route in x = 2q on fixed-point mantissas.
+    """The exact theorem-route counts in x = 2q, on fixed-point mantissas.
 
     Coefficient n of the result approximates PA_n * 2^-n to the requested
     number of significant digits.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    n = order
-    out_bits = FloatSeries1.scale_bits_for(precision)
-    work = out_bits + 64 + int(_CANCELLATION_BITS_PER_ORDER * n) + 1
-    one = 1 << work
-
-    term = [0] * (n + 1)
-    if n >= 2:
-        term[2] = -(one >> 2)                      # -q^2 = -x^2/4
-        for i in range(3, n + 1):                  # / (1-x)
-            term[i] += term[i - 1]
-        for i in range(3, n + 1):                  # / (1-x/2-x^2/4)
-            term[i] += (term[i - 1] >> 1) + (term[i - 2] >> 2)
-    total = term[:]
-    m = 1
-    while 2 * (m + 1) <= n:
-        nxt = [0] * (n + 1)
-        for i in range(n, 1, -1):
-            v = term[i - 2] >> 2
-            if i - 3 >= 0:
-                v -= term[i - 3] >> 3
-            if i - 2 - m >= 0:
-                v -= term[i - 2 - m] >> (2 + m)
-            if i - 3 - m >= 0:
-                v += term[i - 3 - m] >> (3 + m)
-            if i - 4 - m >= 0:
-                v -= term[i - 4 - m] >> (4 + m)
-            nxt[i] = -v
-        for i in range(1, n + 1):
-            nxt[i] += nxt[i - 1]
-        md = m + 2
-        for i in range(1, n + 1):
-            v = nxt[i - 1] >> 1
-            if i - md >= 0:
-                v += nxt[i - md] >> md
-            nxt[i] += v
-        term = nxt
-        m += 1
-        for i in range(2 * m, n + 1):
-            total[i] += term[i]
-    # prefactor -2q^3(1-q)^2/(1-2q)^2 = (-x^3/4)(1 - x + x^2/4)/(1-x)^2
-    out = [0] * (n + 1)
-    for i in range(n, 2, -1):
-        v = total[i - 3] >> 2
-        if i - 4 >= 0:
-            v -= total[i - 4] >> 2
-        if i - 5 >= 0:
-            v += total[i - 5] >> 4
-        out[i] = -v
-    for _ in range(2):
-        for i in range(1, n + 1):
-            out[i] += out[i - 1]
-    # + 2q(3-10q+9q^2-q^3)/((1-2q)^2(1-q)) = (3x-5x^2+9x^3/4-x^4/8)/((1-x)^2(1-x/2))
-    rat = [0] * (n + 1)
-    if n >= 1:
-        rat[1] = 3 * one
-    if n >= 2:
-        rat[2] = -5 * one
-    if n >= 3:
-        rat[3] = (9 * one) >> 2
-    if n >= 4:
-        rat[4] = -(one >> 3)
-    for _ in range(2):
-        for i in range(1, n + 1):
-            rat[i] += rat[i - 1]
-    for i in range(1, n + 1):
-        rat[i] += rat[i - 1] >> 1
-
-    drop = work - out_bits
-    return FloatSeries1([(out[i] + rat[i]) >> drop for i in range(n + 1)],
-                        out_bits, precision)
+    return FloatSeries1.from_series1(
+        Series1((0,) + pa3_series(order).counts), precision)

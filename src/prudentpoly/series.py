@@ -1,14 +1,14 @@
 """Truncated power series in the area variable q, exact over Z.
 
-Three exact shapes, plus a fixed-precision float mirror:
+Three exact shapes, plus a fixed-precision scaled view:
 
 * ``Series1``      -- univariate in q, coefficients 0..N.
 * ``Series2``      -- one catalytic variable u; coefficient of q^n u^i kept
                       only for i <= n (a polygon of area n has width <= n).
 * ``Series3``      -- two catalytic variables u, v with the same cap.
 * ``FloatSeries1`` -- univariate in the scaled variable x = 2q with
-                      fixed-point high-precision coefficients, used by the
-                      large-order pipelines where exact integers get too wide.
+                      fixed-point high-precision coefficients, converted from
+                      an exact series (coefficient n is c_n 2^-n).
 
 All values are immutable after construction; every operation returns a new
 series truncated to the smaller operand order.

@@ -7,7 +7,7 @@ from mpmath import mp, mpc, mpf
 
 from prudentpoly import asymptotics as asy
 from prudentpoly.asymptotics import DomainError
-from prudentpoly.enumeration import pa2_series, pa3_series
+from prudentpoly.enumeration import pa2_series, pa3_scaled_float, pa3_series
 
 mp.dps = 60
 
@@ -122,10 +122,11 @@ class TestGfRoutes:
         assert abs(ref - asy.gf_eval(q, "singular")) < 1e-12
 
     def test_meromorphic_vs_singular_sector(self):
-        for theta_num in (2, 3, 4):
+        for theta_num in (1, 2, 3, 4):
             q = mpf(1) / 2 + mpf("0.03") * mp.e ** (1j * mp.pi * theta_num / 3)
-            d = abs(asy.gf_eval(q, "meromorphic") - asy.gf_eval(q, "singular"))
-            assert d < 1e-8, (theta_num, d)
+            ref = asy.gf_eval(q, "meromorphic")
+            d = abs(ref - asy.gf_eval(q, "singular"))
+            assert d < mpf("1e-35") * abs(ref), (theta_num, d)
 
     def test_small_q_limit(self):
         for method in ("taylor", "meromorphic"):
@@ -242,8 +243,12 @@ class TestPoles:
         assert all(mpf(1) / 2 < z <= zs[0] for z in zs)
 
     def test_residuals_tiny(self):
-        for k, z in enumerate(asy.poles(8, dps=40), 1):
+        # z_k - 1/2 ~ 2^-(k+3) falls below 1e-9 from k = 27 on
+        zs = asy.poles(40, dps=40)
+        for k, z in enumerate(zs, 1):
+            assert mpf(1) / 2 < z
             assert abs(1 - 2 * z + z ** (k + 2)) < 1e-30
+        assert all(zs[i] > zs[i + 1] for i in range(len(zs) - 1))
 
     def test_theta(self):
         th = asy.theta_root()
@@ -302,6 +307,11 @@ class TestResidualPipeline:
             asy.fourier_extract(table, 1, (3, 4))     # too short
         with pytest.raises(DomainError):
             asy.fourier_extract(table, 1, (9, 12))    # not covered
+
+    @pytest.mark.parametrize("make", [pa3_series, pa3_scaled_float])
+    def test_short_counts_are_a_domain_error(self, make):
+        with pytest.raises(DomainError, match="n up to 60"):
+            asy.residuals(60, counts=make(50))
 
 
 class TestOmegaPredictionError:

@@ -128,6 +128,18 @@ class TestEnvPrecision:
         args = parser.parse_args(["enumerate", "--k", "2", "--max-area", "2"])
         assert args.digits == 17
 
+    def test_non_integer_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PRUDENTPOLY_DIGITS", "abc")
+        code, out, err = run(["constants", "--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert "PRUDENTPOLY_DIGITS" in err
+
+    def test_digits_below_one_is_usage_error(self, capsys):
+        code, out, err = run(["constants", "--digits", "0",
+                              "--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert "positive integer" in err
+
 
 class TestGfCheck:
     def test_route_pair(self, capsys):
