@@ -27,10 +27,7 @@ from .series import (
     Series1,
     Series2,
     Series3,
-    eval_catalytic,
     expand_rational,
-    subst_scale,
-    swap_catalytics,
 )
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "bargraph_series",
     "classify_walk",
     "enumerate_prudent_polygons",
-    "eval_catalytic",
     "expand_rational",
     "pa2_series",
     "pa3_scaled_float",
@@ -51,8 +47,6 @@ __all__ = [
     "pa4_series",
     "pa4_system_solution",
     "polygon_area",
-    "subst_scale",
-    "swap_catalytics",
     "w_series",
 ]
 

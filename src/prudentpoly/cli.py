@@ -12,8 +12,9 @@ Subcommands
 Output is CSV (default) or JSON ({config, columns, rows}).  Every run echoes
 its resolved configuration; reruns are byte-identical except the timestamp
 header, which --no-timestamp suppresses.  Exit codes: 0 success, 1 usage,
-2 domain error, 3 verification mismatch.  PRUDENTPOLY_DIGITS overrides the
-default precision (40 digits).
+2 domain error, 3 verification mismatch, including a failed internal
+self-check (reported as "internal error: ..." on stderr).
+PRUDENTPOLY_DIGITS overrides the default precision (40 digits).
 """
 
 from __future__ import annotations
@@ -142,16 +143,19 @@ def _num(x, digits: int) -> str:
     return mp.nstr(mpf(x), digits, strip_zeros=False)
 
 
+def _series_for(k: int, max_area: int, method: str = "theorem"):
+    if k == 2:
+        return enumeration.pa2_series(max_area)
+    if k == 3:
+        return enumeration.pa3_series(max_area, method)
+    return enumeration.pa4_series(max_area)
+
+
 def _cmd_enumerate(args) -> int:
     method = args.method
     if method is not None and args.k != 3:
         raise UsageError("--method applies to --k 3 only")
-    if args.k == 2:
-        table = enumeration.pa2_series(args.max_area)
-    elif args.k == 3:
-        table = enumeration.pa3_series(args.max_area, method or "theorem")
-    else:
-        table = enumeration.pa4_series(args.max_area)
+    table = _series_for(args.k, args.max_area, method or "theorem")
     config = {"command": "enumerate", "k": args.k, "max_area": args.max_area,
               "method": table.method}
     rows = [[n, table.count(n)] for n in range(1, args.max_area + 1)]
@@ -167,14 +171,6 @@ def _cmd_oracle(args) -> int:
     rows = [[n, table.count(n)] for n in range(1, args.max_area + 1)]
     _emit(args, config, ["n", "count"], rows)
     return EXIT_OK
-
-
-def _series_for(k: int, max_area: int):
-    if k == 2:
-        return enumeration.pa2_series(max_area)
-    if k == 3:
-        return enumeration.pa3_series(max_area, "theorem")
-    return enumeration.pa4_series(max_area)
 
 
 def _cmd_verify(args) -> int:
@@ -265,15 +261,9 @@ def _cmd_fit(args) -> int:
     d = args.digits
     k = args.k
     with mp.workdps(d + 10):
-        if k == 2:
-            counts = enumeration.pa2_series(args.max_n)
-            reference = mpf(0)
-        elif k == 3:
-            counts = enumeration.pa3_series(args.max_n, "theorem")
-            reference = mp.log(3) / mp.log(2)
-        else:
-            counts = enumeration.pa4_series(args.max_n)
-            reference = 1 + mp.log(3) / mp.log(2)
+        counts = _series_for(k, args.max_n)
+        g = mp.log(3) / mp.log(2)
+        reference = {2: mpf(0), 3: g, 4: 1 + g}[k]
         fitted = asymptotics.exponent_fit(counts, dps=d)
         rows = [[k, args.max_n, _num(fitted, d), _num(reference, d)]]
     config = {"command": "fit", "k": k, "max_n": args.max_n}
@@ -313,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except AssertionError as exc:
+        # a failed self-check of a fixed point or a Newton solve
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

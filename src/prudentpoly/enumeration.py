@@ -22,6 +22,7 @@ variable x = 2q; it is a view of those counts, not a separate route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import _intpoly
 from .series import FloatSeries1, Series1, Series2, Series3, expand_rational
@@ -289,116 +290,39 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
 # construction; Z: row added along the bottom plus the height-(height+1)
 # column construction.  In Y the variables are (u=height, v=width), in Z the
 # width is carried as u = width-1, which is where the asymmetric factors come
-# from.  The solution is the q-adic fixed point, iterated on updates.
+# from.  The solution is the q-adic fixed point, iterated on updates with
+# Series3 shifts, substitutions, swaps and 1/(1-q) alone.
 # ---------------------------------------------------------------------------
 
 
-def _t3_subst_u(s, n):
-    out = {}
-    for (i, j), row in s.items():
-        if i > n:
-            continue
-        nr = row[:n + 1 - i]
-        if any(nr):
-            out[(i, j)] = [0] * i + nr
-    return out
+def _qv_1mq(s: Series3) -> Series3:
+    """qv (s(q,u,v) - s(q,qu,v))/(1-q)."""
+    return (s - s.subst_scale("u")).div_1mq().mul_monomial(dq=1, dv=1)
 
 
-def _t3_subst_v(s, n):
-    out = {}
-    for (i, j), row in s.items():
-        if j > n:
-            continue
-        nr = row[:n + 1 - j]
-        if any(nr):
-            out[(i, j)] = [0] * j + nr
-    return out
-
-
-def _t3_swap(s):
-    return {(j, i): row for (i, j), row in s.items()}
-
-
-def _t3_mono(s, n, dq=0, du=0, dv=0):
-    out = {}
-    for (i, j), row in s.items():
-        ni, nj = i + du, j + dv
-        if ni > n or nj > n:
-            continue
-        nr = [0] * dq + row[:n + 1 - dq]
-        if any(nr):
-            out[(ni, nj)] = nr + [0] * (n + 1 - len(nr))
-    return out
-
-
-def _t3_sub(a, b, n):
-    out = {k: r[:] for k, r in a.items()}
-    for key, row in b.items():
-        cur = out.get(key)
-        if cur is None:
-            out[key] = [-c for c in row]
-        else:
-            for idx in range(n + 1):
-                if row[idx]:
-                    cur[idx] -= row[idx]
-    return out
-
-
-def _t3_add_into(dst, src, n):
-    for key, row in src.items():
-        cur = dst.get(key)
-        if cur is None:
-            dst[key] = row[:]
-        else:
-            for idx in range(n + 1):
-                if row[idx]:
-                    cur[idx] += row[idx]
-
-
-def _t3_div_1mq(s, n):
-    for row in s.values():
-        for i in range(1, n + 1):
-            row[i] += row[i - 1]
-    return s
-
-
-def _t3_clean(s):
-    return {k: r for k, r in s.items() if any(r)}
-
-
-def _pa4_linear_map(x, y, z, n):
+def _pa4_linear_map(x: Series3, y: Series3, z: Series3):
     """One application of the linear part of the X/Y/Z system."""
-    ys = _t3_swap(y)
-    zs = _t3_swap(z)
-    xs = _t3_swap(x)
+    xs = x.swap_catalytics()
+    ys = y.swap_catalytics()
+    zs = z.swap_catalytics()
 
-    xn: dict = {}
-    _t3_add_into(xn, _t3_mono(_t3_div_1mq(
-        _t3_sub(x, _t3_subst_u(x, n), n), n), n, dq=1, dv=1), n)
-    _t3_add_into(xn, _t3_mono(_t3_div_1mq(
-        _t3_sub(ys, _t3_subst_u(ys, n), n), n), n, dq=1, dv=1), n)
-    z_qu = _t3_mono(_t3_subst_u(z, n), n, dq=1)
-    _t3_add_into(xn, _t3_mono(_t3_div_1mq(
-        _t3_sub(z, z_qu, n), n), n, dq=1, du=1, dv=1), n)
+    xn = (_qv_1mq(x)
+          + _qv_1mq(ys)
+          + (z - z.subst_scale("u").mul_monomial(dq=1))
+          .div_1mq().mul_monomial(dq=1, du=1, dv=1))
 
-    yn: dict = {}
-    _t3_add_into(yn, _t3_mono(_t3_div_1mq(
-        _t3_sub(y, _t3_subst_u(y, n), n), n), n, dq=1, dv=1), n)
-    _t3_add_into(yn, _t3_mono(_t3_div_1mq(
-        _t3_sub(zs, _t3_subst_u(zs, n), n), n), n, dq=1, dv=2), n)
-    inner: dict = {}
-    _t3_add_into(inner, _t3_subst_v(xs, n), n)                       # X(q,qv,u)
-    _t3_add_into(inner, _t3_subst_v(y, n), n)                        # Y(q,u,qv)
-    _t3_add_into(inner, _t3_mono(_t3_subst_v(zs, n), n, dq=1, dv=1), n)  # qv Z(q,qv,u)
-    _t3_add_into(yn, _t3_mono(inner, n, dq=1, du=1, dv=1), n)
+    yn = (_qv_1mq(y)
+          + (zs - zs.subst_scale("u")).div_1mq().mul_monomial(dq=1, dv=2)
+          + (xs.subst_scale("v")                              # X(q,qv,u)
+             + y.subst_scale("v")                             # Y(q,u,qv)
+             + zs.subst_scale("v").mul_monomial(dq=1, dv=1))  # qv Z(q,qv,u)
+          .mul_monomial(dq=1, du=1, dv=1))
 
-    zn: dict = {}
-    _t3_add_into(zn, _t3_mono(_t3_div_1mq(
-        _t3_sub(z, _t3_subst_u(z, n), n), n), n, dq=1, dv=1), n)
-    _t3_add_into(zn, _t3_mono(_t3_subst_v(ys, n), n, dq=1, dv=1), n)  # qv Y(q,qv,u)
-    _t3_add_into(zn, _t3_mono(_t3_subst_v(z, n), n, dq=1, du=1, dv=1), n)  # quv Z(q,u,qv)
+    zn = (_qv_1mq(z)
+          + ys.subst_scale("v").mul_monomial(dq=1, dv=1)        # qv Y(q,qv,u)
+          + z.subst_scale("v").mul_monomial(dq=1, du=1, dv=1))  # quv Z(q,u,qv)
 
-    return _t3_clean(xn), _t3_clean(yn), _t3_clean(zn)
+    return xn, yn, zn
 
 
 def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
@@ -411,27 +335,26 @@ def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
     if order < 1:
         raise ValueError("order must be >= 1")
     n = order
-    seed = {(1, 1): [0, 1] + [0] * (n - 1)}
-    x: dict = {}
-    y: dict = {k: r[:] for k, r in seed.items()}
-    z: dict = {}
-    dx, dy, dz = {}, {k: r[:] for k, r in seed.items()}, {}
+    deltas = (Series3.zero(n), Series3.monomial(n, 1, dq=1, du=1, dv=1),
+              Series3.zero(n))
+    totals = [{k: list(r) for k, r in d.blocks().items()} for d in deltas]
     sweep = 1
-    while dx or dy or dz:
+    while not all(d.is_zero() for d in deltas):
         sweep += 1
         if sweep > n + 2:
             raise AssertionError("4-sided fixed point failed to stabilize")
-        dx, dy, dz = _pa4_linear_map(dx, dy, dz, n)
-        for d in (dx, dy, dz):
-            for row in d.values():
-                v = _intpoly.valuation(row)
-                if v is not None and v < sweep:
-                    raise AssertionError(
-                        f"sweep {sweep} contributed below q-valuation {sweep}")
-        _t3_add_into(x, dx, n)
-        _t3_add_into(y, dy, n)
-        _t3_add_into(z, dz, n)
-    return (Series3(n, x), Series3(n, y), Series3(n, z))
+        deltas = _pa4_linear_map(*deltas)
+        for d, total in zip(deltas, totals):
+            if not d.is_zero() and d.valuation() < sweep:
+                raise AssertionError(
+                    f"sweep {sweep} contributed below q-valuation {sweep}")
+            for key, row in d.blocks().items():
+                cur = total.get(key)
+                if cur is None:
+                    total[key] = list(row)
+                else:
+                    cur[:] = map(add, cur, row)
+    return tuple(Series3(n, total) for total in totals)
 
 
 def pa4_series(order: int) -> CountTable:

@@ -5,7 +5,8 @@ Three exact shapes, plus a fixed-precision scaled view:
 * ``Series1``      -- univariate in q, coefficients 0..N.
 * ``Series2``      -- one catalytic variable u; coefficient of q^n u^i kept
                       only for i <= n (a polygon of area n has width <= n).
-* ``Series3``      -- two catalytic variables u, v with the same cap.
+* ``Series3``      -- two catalytic variables u, v with the same cap; the
+                      4-sided fixed point runs on its linear operations.
 * ``FloatSeries1`` -- univariate in the scaled variable x = 2q with
                       fixed-point high-precision coefficients, converted from
                       an exact series (coefficient n is c_n 2^-n).
@@ -16,6 +17,8 @@ series truncated to the smaller operand order.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from mpmath import mp, mpf
 
@@ -256,7 +259,10 @@ class Series2:
 class Series3:
     """Trivariate series sum c[n][i][j] q^n u^i v^j with i, j <= n <= order.
 
-    Stored as a mapping (i, j) -> dense q-row; absent blocks are zero.
+    Stored as a mapping (i, j) -> q-row, a tuple of order+1 ints; absent
+    blocks are zero and no stored row is all zero.  Only the constructor
+    converts and checks its input: the linear operations build on rows
+    already checked and re-check the cap only where a shift can break it.
     """
 
     __slots__ = ("_order", "_blocks")
@@ -276,6 +282,12 @@ class Series3:
             if any(row):
                 clean[(i, j)] = row
         self._blocks = clean
+
+    @classmethod
+    def _built(cls, order: int, blocks: dict) -> "Series3":
+        s = object.__new__(cls)
+        s._order, s._blocks = order, blocks
+        return s
 
     @property
     def order(self) -> int:
@@ -307,6 +319,11 @@ class Series3:
     def is_zero(self) -> bool:
         return not self._blocks
 
+    def truncate(self, order: int) -> "Series3":
+        if order >= self._order:
+            return self
+        return Series3(order, {k: r[:order + 1] for k, r in self._blocks.items()})
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series3) and self._order == other._order
                 and self._blocks == other._blocks)
@@ -315,25 +332,27 @@ class Series3:
         return hash((self._order, tuple(sorted(self._blocks.items()))))
 
     def __neg__(self) -> "Series3":
-        return Series3(self._order,
-                       {k: [-c for c in r] for k, r in self._blocks.items()})
+        return Series3.zero(self._order) - self
 
-    def __add__(self, other: "Series3") -> "Series3":
+    def _combine(self, other: "Series3", op) -> "Series3":
         _check_arity(self, other, Series3)
         n = min(self._order, other._order)
-        out: dict = {}
-        for src in (self._blocks, other._blocks):
-            for key, row in src.items():
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = list(row[:n + 1])
-                else:
-                    for idx in range(n + 1):
-                        cur[idx] += row[idx]
-        return Series3(n, out)
+        out = dict(self.truncate(n)._blocks)
+        for key, row in other.truncate(n)._blocks.items():
+            cur = out.pop(key, None)
+            if cur is not None:
+                row = tuple(map(op, cur, row))
+            elif op is operator.sub:
+                row = tuple(map(operator.neg, row))
+            if any(row):
+                out[key] = row
+        return Series3._built(n, out)
+
+    def __add__(self, other: "Series3") -> "Series3":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Series3") -> "Series3":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other: "Series3") -> "Series3":
         _check_arity(self, other, Series3)
@@ -361,13 +380,25 @@ class Series3:
                            for k, r in self._blocks.items()})
 
     def mul_monomial(self, dq: int = 0, du: int = 0, dv: int = 0) -> "Series3":
+        """Multiply by q^dq u^du v^dv, dropping terms past the order."""
         n = self._order
+        check = max(du, dv) > dq          # the only case that can break the cap
         out = {}
         for (i, j), row in self._blocks.items():
-            nr = [0] * (n + 1)
-            nr[dq:] = row[:n + 1 - dq]
-            out[(i + du, j + dv)] = nr
-        return Series3(n, out)
+            i, j, row = i + du, j + dv, row[:max(n + 1 - dq, 0)]
+            if i > n or j > n or not any(row):
+                continue
+            row = (0,) * dq + row
+            if check and any(row[:max(i, j)]):
+                raise ValueError(
+                    f"catalytic degree ({i},{j}) exceeds area degree")
+            out[(i, j)] = row
+        return Series3._built(n, out)
+
+    def div_1mq(self) -> "Series3":
+        """Multiply by 1/(1-q): a running sum along each q-row."""
+        return Series3._built(self._order, {k: tuple(itertools.accumulate(r))
+                                            for k, r in self._blocks.items()})
 
     def subst_scale(self, which: str, t: int = 1) -> "Series3":
         """Substitute u -> q^t u (which='u') or v -> q^t v (which='v')."""
@@ -379,50 +410,20 @@ class Series3:
         out = {}
         for (i, j), row in self._blocks.items():
             shift = t * (i if which == "u" else j)
-            if shift > n:
-                continue
-            nr = [0] * (n + 1)
-            nr[shift:] = row[:n + 1 - shift]
-            out[(i, j)] = nr
-        return Series3(n, out)
+            row = row[:max(n + 1 - shift, 0)]
+            if any(row):
+                out[(i, j)] = (0,) * shift + row
+        return Series3._built(n, out)
 
     def swap_catalytics(self) -> "Series3":
-        return Series3(self._order,
-                       {(j, i): row for (i, j), row in self._blocks.items()})
+        return Series3._built(self._order, {(j, i): row for (i, j), row
+                                            in self._blocks.items()})
 
     def eval_catalytic(self, u_value: int = 1, v_value: int = 1) -> Series1:
         if u_value != 1 or v_value != 1:
             raise ValueError("catalytic evaluation is supported at 1 only")
-        out = [0] * (self._order + 1)
-        for row in self._blocks.values():
-            for idx, c in enumerate(row):
-                if c:
-                    out[idx] += c
-        return Series1(out)
-
-
-def subst_scale(s, which: str = "u", t: int = 1):
-    """u -> q^t u (or v -> q^t v for trivariate series)."""
-    if isinstance(s, Series2):
-        if which != "u":
-            raise ValueError("Series2 has a single catalytic variable 'u'")
-        return s.subst_scale(t)
-    if isinstance(s, Series3):
-        return s.subst_scale(which, t)
-    raise TypeError("subst_scale needs a Series2 or Series3")
-
-
-def eval_catalytic(s, *values: int) -> Series1:
-    """Evaluate all catalytic variables at 1, summing over their degrees."""
-    if isinstance(s, Series2):
-        return s.eval_catalytic(*(values or (1,)))
-    if isinstance(s, Series3):
-        return s.eval_catalytic(*(values or (1, 1)))
-    raise TypeError("eval_catalytic needs a Series2 or Series3")
-
-
-def swap_catalytics(s: Series3) -> Series3:
-    return s.swap_catalytics()
+        return Series1([sum(col) for col in zip(*self._blocks.values())]
+                       or [0] * (self._order + 1))
 
 
 class FloatSeries1:

@@ -101,6 +101,17 @@ class TestErrors:
         code, _, _ = run(["oracle", "--k", "2", "--max-area", "13"], capsys)
         assert code == 2
 
+    def test_broken_invariant_exit_three(self, capsys, monkeypatch):
+        # an update without its factor q trips the solver's valuation check
+        monkeypatch.setattr(cli.enumeration, "_pa4_linear_map",
+                            lambda x, y, z: (x, y, z))
+        code, out, err = run(["enumerate", "--k", "4", "--max-area", "5",
+                              "--no-timestamp"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err and "q-valuation" in err
+        assert "Traceback" not in err
+
 
 class TestConstants:
     def test_kappa0_digits(self, capsys):

@@ -12,10 +12,7 @@ from prudentpoly.series import (
     Series1,
     Series2,
     Series3,
-    eval_catalytic,
     expand_rational,
-    subst_scale,
-    swap_catalytics,
 )
 
 
@@ -123,7 +120,7 @@ class TestSeries2:
     def test_subst_monomial(self):
         # qu -> q^2 u under u -> qu
         m = Series2(3, [[0, 0, 0, 0], [0, 1, 0, 0]])
-        got = subst_scale(m, "u", 1)
+        got = m.subst_scale(1)
         assert got.coeff(2, 1) == 1 and got.coeff(1, 1) == 0
 
     def test_subst_bargraph_closed_form(self):
@@ -158,8 +155,8 @@ class TestSeries2:
     def test_eval_at_one_sums_rows(self):
         from prudentpoly.enumeration import bargraph_series
         b = bargraph_series(4, with_width=True)
-        assert eval_catalytic(b).coeffs == (0, 1, 2, 4, 8)
-        assert eval_catalytic(Series2.zero(4)).coeffs == (0,) * 5
+        assert b.eval_catalytic().coeffs == (0, 1, 2, 4, 8)
+        assert Series2.zero(4).eval_catalytic().coeffs == (0,) * 5
 
     def test_eval_only_at_one(self):
         with pytest.raises(ValueError):
@@ -182,17 +179,17 @@ class TestSeries2:
 class TestSeries3:
     def test_swap_is_involution(self):
         s = _random_series3(11)
-        assert swap_catalytics(swap_catalytics(s)) == s
+        assert s.swap_catalytics().swap_catalytics() == s
 
     def test_swap_monomial(self):
         m = Series3.monomial(4, 1, dq=2, du=1, dv=2)
-        got = swap_catalytics(m)
+        got = m.swap_catalytics()
         assert got.coeff(2, 2, 1) == 1 and got.coeff(2, 1, 2) == 0
 
     def test_swap_linear(self):
         a = _random_series3(3)
         b = _random_series3(4)
-        assert swap_catalytics(a + b) == swap_catalytics(a) + swap_catalytics(b)
+        assert (a + b).swap_catalytics() == a.swap_catalytics() + b.swap_catalytics()
 
     @given(st.integers(0, 2 ** 30), st.integers(0, 2 ** 30))
     @settings(max_examples=12, deadline=None)
@@ -206,6 +203,54 @@ class TestSeries3:
         m = Series3.monomial(6, 3, dq=2, du=1, dv=2)
         assert m.subst_scale("u", 2).coeff(4, 1, 2) == 3
         assert m.subst_scale("v", 1).coeff(4, 1, 2) == 3
+
+    @given(st.integers(0, 2 ** 30), st.sampled_from(["u", "v"]),
+           st.sampled_from([1, 2]))
+    @settings(max_examples=20, deadline=None)
+    def test_subst_scale_matches_reference(self, seed, which, t):
+        s = _random_series3(seed)
+        if which == "u":
+            ref = _naive_move3(s, lambda n, i, j: (n + t * i, i, j))
+        else:
+            ref = _naive_move3(s, lambda n, i, j: (n + t * j, i, j))
+        assert s.subst_scale(which, t) == ref
+
+    @given(st.integers(0, 2 ** 30), st.integers(0, 3), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_mul_monomial_matches_reference(self, seed, dq, data):
+        # du, dv <= dq keep the cap; shifts past the order are dropped
+        du = data.draw(st.integers(0, dq))
+        dv = data.draw(st.integers(0, dq))
+        s = _random_series3(seed)
+        ref = _naive_move3(s, lambda n, i, j: (n + dq, i + du, j + dv))
+        assert s.mul_monomial(dq=dq, du=du, dv=dv) == ref
+
+    def test_mul_monomial_checks_the_cap(self):
+        # q^2 v^2 fits the cap, q u v^2 does not
+        ok = Series3.monomial(4, 1, dq=2, du=0, dv=0).mul_monomial(dv=2)
+        assert ok.coeff(2, 0, 2) == 1
+        with pytest.raises(ValueError, match="exceeds area degree"):
+            Series3.monomial(4, 1, dq=1, du=1, dv=0).mul_monomial(dv=2)
+
+    @given(st.integers(0, 2 ** 30))
+    @settings(max_examples=15, deadline=None)
+    def test_div_1mq_is_product_with_geometric_series(self, seed):
+        s = _random_series3(seed)
+        geometric = expand_rational((1,), (1, -1), s.order)
+        assert s.div_1mq() == s.mul_series1(geometric)
+
+    @given(st.integers(0, 2 ** 30), st.integers(0, 2 ** 30))
+    @settings(max_examples=15, deadline=None)
+    def test_difference_matches_reference(self, sa, sb):
+        a = _random_series3(sa, order=5)
+        b = _random_series3(sb, order=4)
+        diff = a - b
+        assert diff == a + (-b)
+        assert diff.order == 4
+        for (i, j) in a.blocks().keys() | b.blocks().keys():
+            for n in range(5):
+                assert diff.coeff(n, i, j) == a.coeff(n, i, j) - b.coeff(n, i, j)
+        assert (a - a).is_zero() and a - a == Series3.zero(5)
 
 
 class TestFloatSeries1:
@@ -288,6 +333,18 @@ def _naive_mul3(a: Series3, b: Series3) -> Series3:
                     if c2 and n1 + n2 <= n:
                         row[n1 + n2] += c1 * c2
     return Series3(n, out)
+
+
+def _naive_move3(s: Series3, move) -> Series3:
+    """Move each coefficient (n, i, j) to move(n, i, j); drop it past the order."""
+    order = s.order
+    out: dict = {}
+    for (i, j), row in s.blocks().items():
+        for n, c in enumerate(row):
+            n2, i2, j2 = move(n, i, j)
+            if c and max(n2, i2, j2) <= order:
+                out.setdefault((i2, j2), [0] * (order + 1))[n2] += c
+    return Series3(order, out)
 
 
 class TestMultiplicationReferences:
