@@ -20,8 +20,12 @@ digits, with explicit geometric tail bounds on all truncated sums/products,
 and extracts the oscillation empirically from the exact counts.
 
 All functions take ``dps`` (significant decimal digits, default 40) and a
-``truncation_scale`` knob that multiplies every adaptive truncation length,
-so insensitivity to doubling can be asserted mechanically.
+``truncation_scale`` knob.  Every infinite product and every adaptive sum
+(the tail sums, the q-products, the z-factors of d_nu and the harmonics of
+Pi) stops by one rule: find the first index whose term, or the geometric
+bound on what remains, is below 10^-(dps+5), then run ``truncation_scale``
+times as far, so insensitivity to doubling can be asserted mechanically.  A
+loop that has not stopped after _MAX_TERMS terms raises DomainError.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf, mpmathify, matrix, lu_solve
 
-from .enumeration import CountTable, pa3_series, pa4_series
+from .enumeration import CountTable, pa3_series
 from .series import FloatSeries1
 
 _GUARD_DPS = 12
@@ -44,29 +48,57 @@ class DomainError(ValueError):
     """An evaluation was requested outside a method's validity region."""
 
 
+# every adaptive loop gives up with DomainError after this many terms
+_MAX_TERMS = 200000
+
+
 def _eps(dps: int) -> mpf:
     return mpf(10) ** (-(dps + 5))
 
 
-def _tail_sum(terms, eps, min_terms: int = 6, scale: float = 1.0,
-              max_terms: int = 200000):
-    """Sum a generator until |term| < eps, then ``scale``-times as long.
+def _stop_rule(dps: int, scale: float, min_terms: int = 1):
+    """The truncation rule of every adaptive loop, as a per-term callback.
 
-    Every series fed here decays geometrically in its tail, so running
-    ``scale`` times past the adaptive stopping point implements the
-    "double every truncation length" insensitivity check.
+    The loop calls ``stop(size)`` once per term with the term's size or the
+    bound on its remainder; ``stop`` turns true ``scale`` times past the
+    first count (at least ``min_terms``) whose size is below 10^-(dps+5).
+    Every series fed here decays geometrically in its tail, so ``scale`` = 2
+    is the "double every truncation length" insensitivity check.
     """
+    eps = _eps(dps)
+    count = met = 0
+
+    def stop(size) -> bool:
+        nonlocal count, met
+        count += 1
+        if not met and count >= min_terms and size < eps:
+            met = count
+        if met and count >= scale * met:
+            return True
+        if count >= _MAX_TERMS:
+            raise DomainError(
+                f"adaptive truncation did not reach 10^-{dps + 5} "
+                f"within {_MAX_TERMS} terms")
+        return False
+
+    return stop
+
+
+def _tail_sum(terms, dps: int, scale: float):
+    """Sum a generator by the truncation rule, at least six terms."""
+    stop = _stop_rule(dps, scale, min_terms=6)
     total = mpf(0)
-    met = None
-    for m, t in enumerate(terms, 1):
+    for t in terms:
         total = total + t
-        if met is None and m >= min_terms and abs(t) < eps:
-            met = m
-        if met is not None and m >= scale * met:
+        if stop(abs(t)):
             break
-        if m >= max_terms:
-            raise DomainError("truncated sum failed to reach its tail bound")
     return total
+
+
+def _uva(q):
+    """u = q/(1-q), v = (1-q+q^2)/(1-q) and a = qu/v = q^2/(1-q+q^2)."""
+    w = 1 - q + q * q
+    return q / (1 - q), w / (1 - q), q * q / w
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +127,13 @@ def pochhammer(x, q, n: int | None = None, dps: int = 40,
         if abs(q) > mpf("0.9"):
             raise DomainError(
                 f"infinite q-Pochhammer needs |q| <= 0.9 (got |q| = {abs(q)})")
-        eps = _eps(dps)
+        stop = _stop_rule(dps, truncation_scale)
         p = mp.one
         t = x
-        count = 0
-        met = None
         while True:
-            count += 1
             p *= (1 - t)
             t *= q
-            if met is None and abs(t) / (1 - abs(q)) < eps:
-                met = count
-            if met is not None and count >= truncation_scale * met:
+            if stop(abs(t) / (1 - abs(q))):
                 return p
 
 
@@ -143,9 +170,7 @@ def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuan
             raise DomainError(
                 "A, C, D have a pole at q = 1/2 (and u, v at q = 1); "
                 "evaluate via the Laurent data instead")
-        u = q / (1 - q)
-        v = (1 - q + q * q) / (1 - q)
-        a = q * q / (1 - q + q * q)
+        u, v, a = _uva(q)
         gamma = mp.log(v) / mp.log(1 / q)
         A = 2 * q * (1 - q) ** 2 / (1 - 2 * q) ** 2
         C = 2 * q * (3 - 10 * q + 9 * q * q - q ** 3) / ((1 - q) * (1 - 2 * q) ** 2)
@@ -173,8 +198,7 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
         raise ValueError("nu must be >= 0")
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
-        u = q / (1 - q)
-        v = (1 - q + q * q) / (1 - q)
+        u, v, a = _uva(q)
         if method == "recurrence":
             d = mp.one
             for m in range(1, nu + 1):
@@ -182,7 +206,6 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
             return d
         if method != "sum":
             raise ValueError("method must be 'recurrence' or 'sum'")
-        a = q * u / v
         pref = (pochhammer(a, q, dps=dps, truncation_scale=truncation_scale)
                 / pochhammer(q, q, dps=dps, truncation_scale=truncation_scale))
         if nu == 0:
@@ -196,7 +219,7 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
                 j += 1
                 ratio = ratio * (a - q ** j) / (1 - q ** j)
 
-        return pref * _tail_sum(terms(), _eps(dps), scale=truncation_scale)
+        return pref * _tail_sum(terms(), dps, truncation_scale)
 
 
 def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
@@ -205,38 +228,31 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
 
     Independent of both d_nu routes: builds the z-polynomial of
     (quz;q)oo truncated at z^{nu_max}, then divides by each factor
-    (1 - v q^j z) via the geometric recurrence.
+    (1 - v q^j z) via the geometric recurrence.  Requires |q| < 1.
     """
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
-        u = q / (1 - q)
-        v = (1 - q + q * q) / (1 - q)
-        eps = _eps(dps)
+        if abs(q) >= 1:
+            raise DomainError(f"the z-factors need |q| < 1 (got |q| = {abs(q)})")
+        u, v, _ = _uva(q)
         co = [mp.zero] * (nu_max + 1)
         co[0] = mp.one
         c = q * u
-        count, met = 0, None
+        stop = _stop_rule(dps, truncation_scale)
         while True:
-            count += 1
             for i in range(nu_max, 0, -1):
                 co[i] -= c * co[i - 1]
             c *= q
-            if met is None and abs(c) < eps:
-                met = count
-            if met is not None and count >= truncation_scale * met:
+            if stop(abs(c)):
                 break
         c = v
-        count, met = 0, None
+        stop = _stop_rule(dps, truncation_scale)
         while True:
-            count += 1
             for i in range(1, nu_max + 1):
                 co[i] += c * co[i - 1]
             c *= q
-            if met is None and abs(c) < eps:
-                met = count
-            if met is not None and count >= truncation_scale * met:
-                break
-        return co
+            if stop(abs(c)):
+                return co
 
 
 def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
@@ -252,6 +268,9 @@ def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
         z = mpmathify(z)
         if abs(a) >= 1:
             raise DomainError("the expansion requires |a| < 1")
+        if abs(q) >= 1:
+            raise DomainError(
+                f"the expansion requires |q| < 1 (got |q| = {abs(q)})")
         j = 0
         while abs(q) ** (-j) <= abs(z) + 1:
             if abs(z - q ** (-j)) < mpf(10) ** -6:
@@ -270,7 +289,7 @@ def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
                 j += 1
                 ratio = ratio * (a - q ** j) / (1 - q ** j)
 
-        rhs = 1 + pref * _tail_sum(terms(), _eps(dps), scale=truncation_scale)
+        rhs = 1 + pref * _tail_sum(terms(), dps, truncation_scale)
         return lhs, rhs
 
 
@@ -295,7 +314,7 @@ def _taylor_order(q_abs: mpf, dps: int) -> int:
 
 
 def gf_eval(q, method: str = "taylor", dps: int = 40,
-            taylor_order: int | None = None, truncation_scale: float = 1.0):
+            truncation_scale: float = 1.0):
     """Numeric PA(q) by one of four routes.
 
     taylor       partial sum of the exact counting series; |q| < 1/2.
@@ -311,7 +330,7 @@ def gf_eval(q, method: str = "taylor", dps: int = 40,
         if method == "taylor":
             if abs(q) >= mpf(1) / 2:
                 raise DomainError("taylor route requires |q| < 1/2")
-            n = taylor_order or _taylor_order(abs(q), dps)
+            n = _taylor_order(abs(q), dps)
             if n > TAYLOR_MAX_TERMS:
                 raise DomainError(
                     f"taylor route would need {n} exact terms at |q| = "
@@ -355,20 +374,25 @@ def _gf_meromorphic(q, dps, scale):
                                   f"of 1/(1-2q+q^{nu + 2})")
             yield d * q ** (nu + 2) / den
 
-    core = q * q / (1 - q) ** 2 + _tail_sum(terms(), _eps(dps), scale=scale)
+    core = q * q / (1 - q) ** 2 + _tail_sum(terms(), dps, scale)
     return b.C - b.A * ratio * core
+
+
+def _singular_prefactor(b: BaseQuantities, dps, scale):
+    """q^2 A (a;q)oo (v;q)oo / ((q;q)oo (av;q)oo), in the doublesum and
+    singular routes."""
+    q = b.q
+    return (q * q * b.A
+            * pochhammer(b.a, q, dps=dps, truncation_scale=scale)
+            * pochhammer(b.v, q, dps=dps, truncation_scale=scale)
+            / pochhammer(q, q, dps=dps, truncation_scale=scale)
+            / pochhammer(b.a * b.v, q, dps=dps, truncation_scale=scale))
 
 
 def _gf_doublesum(q, dps, scale):
     if abs(q.imag) > 0 or not (mpf("0.35") < q.real < mpf(1) / 2):
         raise DomainError("doublesum route is implemented for real q in (0.35, 1/2)")
     b = base_quantities(q, dps=dps, truncation_scale=scale)
-    pref = (q * q * b.A
-            * pochhammer(b.a, q, dps=dps, truncation_scale=scale)
-            * pochhammer(b.v, q, dps=dps, truncation_scale=scale)
-            / pochhammer(q, q, dps=dps, truncation_scale=scale)
-            / pochhammer(b.a * b.v, q, dps=dps, truncation_scale=scale))
-    eps = _eps(dps)
 
     def j_terms():
         ratio = mp.one
@@ -382,12 +406,12 @@ def _gf_doublesum(q, dps, scale):
                     nu += 1
                     yield base ** nu / (1 - 2 * q + q ** (nu + 2))
 
-            yield ratio * _tail_sum(nu_terms(), eps, scale=scale)
+            yield ratio * _tail_sum(nu_terms(), dps, scale)
             j += 1
             ratio = ratio * (b.a - q ** j) / (1 - q ** j)
 
-    T = _tail_sum(j_terms(), eps, scale=scale)
-    return b.D - pref * T
+    T = _tail_sum(j_terms(), dps, scale)
+    return b.D - _singular_prefactor(b, dps, scale) * T
 
 
 def U_eval(q, dps: int = 40, truncation_scale: float = 1.0):
@@ -396,9 +420,7 @@ def U_eval(q, dps: int = 40, truncation_scale: float = 1.0):
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
         _check_near_half(q)
-        u = q / (1 - q)
-        v = (1 - q + q * q) / (1 - q)
-        a = q * u / v
+        _, v, a = _uva(q)
         gamma = mp.log(v) / mp.log(1 / q)
         t = 1 - 2 * q
         return (v * q ** (3 * gamma - 2) / mp.log(1 / q)
@@ -413,9 +435,7 @@ def V_eval(q, dps: int = 40, truncation_scale: float = 1.0):
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
         _check_near_half(q)
-        u = q / (1 - q)
-        v = (1 - q + q * q) / (1 - q)
-        a = q * u / v
+        _, v, a = _uva(q)
         t = 1 - 2 * q
         z = -a * t / q ** 2
         if abs(z) >= 1:
@@ -438,7 +458,7 @@ def V_eval(q, dps: int = 40, truncation_scale: float = 1.0):
                 den *= (1 - q ** r / v)
                 zr *= z
 
-        s = _tail_sum(terms(), _eps(dps), scale=truncation_scale)
+        s = _tail_sum(terms(), dps, truncation_scale)
         return term1 + pq * pav / (pa * pv) / q ** 2 * s
 
 
@@ -449,60 +469,48 @@ def _check_near_half(q) -> None:
             f"(need |1-2q| <= 0.2, got {abs(1 - 2 * q)})")
 
 
-def pi_eval(w, q, dps: int = 40, k_max: int | None = None,
-            truncation_scale: float = 1.0):
+def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
     """The oscillation factor Pi(w) = sum_k p_k e^{-2 i k pi w},
     p_k = pi/sin(pi gamma + 2 i k pi^2 / log(1/q)).
 
     The p_k decay like exp(-2 k pi^2/log(1/q)) (~4.3e-13 per step at
     q = 1/2), but for complex w the factor e^{-+2 i k pi w} grows
-    geometrically on one side.  Unless k_max is given, harmonics are added
-    until both the +k and the -k term are below the target, then
-    ``truncation_scale`` times as long; terms that stop decaying raise
-    DomainError.
+    geometrically on one side.  Harmonics are added by the truncation rule,
+    sized by the larger of the +k and the -k term; terms that stop decaying
+    raise DomainError.
     """
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
         w = mpmathify(w)
-        v = (1 - q + q * q) / (1 - q)
+        _, v, _ = _uva(q)
         log_q = mp.log(1 / q)
         gamma = mp.log(v) / log_q
-        eps = _eps(dps)
+        stop = _stop_rule(dps, truncation_scale)
         total = mp.pi / mp.sin(mp.pi * gamma)
         k = 0
-        met = size = None
-        while k_max is None or k < k_max:
+        size = None
+        while True:
             k += 1
             terms = [mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / log_q)
                      * mp.e ** (-2j * sk * mp.pi * w) for sk in (k, -k)]
             total += terms[0] + terms[1]
-            if k_max is not None:
-                continue
             prev, size = size, max(abs(t) for t in terms)
             if prev is not None and size >= prev:
                 raise DomainError(
                     f"Pi(w) harmonics stop decaying at k = {k} (w = {w})")
-            if met is None and size < eps:
-                met = k
-            if met is not None and k >= truncation_scale * met:
-                break
-        return total
+            if stop(size):
+                return total
 
 
 def _gf_singular(q, dps, scale):
-    b = base_quantities(q, dps=dps, truncation_scale=scale)
     _check_near_half(q)
+    b = base_quantities(q, dps=dps, truncation_scale=scale)
     t = b.t
     T = (t ** (-b.gamma) * pi_eval(mp.log(t) / mp.log(1 / q), q, dps=dps,
                                    truncation_scale=scale)
          * U_eval(q, dps=dps, truncation_scale=scale)
          + V_eval(q, dps=dps, truncation_scale=scale))
-    pref = (q * q * b.A
-            * pochhammer(b.a, q, dps=dps, truncation_scale=scale)
-            * pochhammer(b.v, q, dps=dps, truncation_scale=scale)
-            / pochhammer(q, q, dps=dps, truncation_scale=scale)
-            / pochhammer(b.a * b.v, q, dps=dps, truncation_scale=scale))
-    return b.D - pref * T
+    return b.D - _singular_prefactor(b, dps, scale) * T
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +537,7 @@ def h_direct(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
                 nu += 1
                 yield (v * q ** j) ** nu / (1 + t * q ** (-nu - 2))
 
-        return _tail_sum(terms(), _eps(dps), scale=truncation_scale) / q ** 2
+        return _tail_sum(terms(), dps, truncation_scale) / q ** 2
 
 
 def h_representation(j: int, t, q, v, dps: int = 40,
@@ -560,7 +568,7 @@ def h_representation(j: int, t, q, v, dps: int = 40,
                 yield (-1) ** r * v * q ** (j - 3 * r) / (1 - v * q ** (j - r)) * t ** r
                 r += 1
 
-        return sing + _tail_sum(terms(), _eps(dps), scale=truncation_scale) / q ** 2
+        return sing + _tail_sum(terms(), dps, truncation_scale) / q ** 2
 
 
 def hj_check(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
@@ -727,25 +735,6 @@ def omega_coefficients(terms: int = 5, dps: int = 40) -> dict:
         return out
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """g, the (j, l) |-> coefficient map, and the harmonics kappa_k."""
-
-    g: object
-    omega_terms: dict
-    harmonics: dict
-
-    @staticmethod
-    def build(terms: int = 5, harmonics: int = 2, dps: int = 40) -> "AsymptoticModel":
-        with mp.workdps(dps + _GUARD_DPS):
-            g = mp.log(3) / mp.log(2)
-            ks = {}
-            for k in range(-harmonics, harmonics + 1):
-                if k:
-                    ks[k] = kappa(k, dps=dps)
-            return AsymptoticModel(g, omega_coefficients(terms, dps=dps), ks)
-
-
 def omega_scaled(n: int, terms: int = 5, dps: int = 40,
                  coeffs: dict | None = None):
     """Omega_T(n) / 2^n = 1 + sum_{j<T} n^{g-j} sum_l c[(j,l)] log(n)^l."""
@@ -798,8 +787,7 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
         raise ValueError("max_n must be >= min_n")
     if counts is None:
         counts = pa3_series(max_n, "theorem")
-    source = "float" if isinstance(counts, FloatSeries1) else "exact"
-    available = counts.order if source == "float" else counts.max_area
+    source, available, scaled_count = _scaled_counts(counts)
     if available < max_n:
         raise DomainError(
             f"counts reach n = {available}, residuals need n up to {max_n}")
@@ -808,15 +796,33 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
         g = mp.log(3) / mp.log(2)
         rows = []
         for n in range(min_n, max_n + 1):
-            if source == "float":
-                scaled = mpf(counts.mantissas[n]) / mpf(2) ** counts.scale_bits
-            else:
-                scaled = mpf(counts.count(n)) / mpf(2) ** n
             ng = mp.e ** (g * mp.log(n))
-            scaled_g = scaled / ng
+            scaled_g = scaled_count(n) / ng
             model = omega_scaled(n, terms, dps=dps, coeffs=coeffs) / ng
             rows.append((n, scaled_g, scaled_g - model))
         return ResidualTable(tuple(rows), terms, dps, source)
+
+
+def _scaled_counts(counts):
+    """(source, largest n, n -> PA_n 2^-n) for a CountTable or FloatSeries1."""
+    if isinstance(counts, FloatSeries1):
+        return ("float", counts.order,
+                lambda n: mpf(counts.mantissas[n]) / mpf(2) ** counts.scale_bits)
+    if isinstance(counts, CountTable):
+        return ("exact", counts.max_area,
+                lambda n: mpf(counts.count(n)) / mpf(2) ** n)
+    raise TypeError("counts must be a CountTable or FloatSeries1")
+
+
+def _window(table: ResidualTable, u_range) -> list:
+    """(u, residual) for the rows whose u = log2 n lies in u_range."""
+    u0, u1 = u_range
+    pts = []
+    for n, _, r in table.rows:
+        u = mp.log(n) / mp.log(2)
+        if u0 <= u <= u1:
+            pts.append((u, r))
+    return pts
 
 
 def fourier_extract(table: ResidualTable, k: int, u_range) -> mpc:
@@ -830,8 +836,7 @@ def fourier_extract(table: ResidualTable, k: int, u_range) -> mpc:
     if u1 - u0 < 2 or abs((u1 - u0) - round(u1 - u0)) > 1e-12:
         raise DomainError("u-window must span an integer number of periods, >= 2")
     with mp.workdps(table.precision + _GUARD_DPS):
-        pts = [(mp.log(n) / mp.log(2), r) for n, _, r in table.rows
-               if u0 <= mp.log(n) / mp.log(2) <= u1]
+        pts = _window(table, u_range)
         if len(pts) < 16 or pts[0][0] - u0 > mpf("0.01") or u1 - pts[-1][0] > mpf("0.01"):
             raise DomainError(
                 f"residual table does not cover u in [{u0}, {u1}]")
@@ -857,8 +862,7 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
     if u1 - u0 < 2:
         raise DomainError("u-window must span at least 2 periods")
     with mp.workdps(table.precision + _GUARD_DPS):
-        pts = [(mp.log(n) / mp.log(2), r) for n, _, r in table.rows
-               if u0 <= mp.log(n) / mp.log(2) <= u1]
+        pts = _window(table, u_range)
         if len(pts) < 32:
             raise DomainError("not enough samples in the window")
         rows = []
@@ -882,15 +886,8 @@ def exponent_fit(counts, dps: int = 40) -> mpf:
     Accepts a CountTable or FloatSeries1 (scaled float counts).  For counts
     growing like 2^n n^rho the fit approaches rho.
     """
+    _, n_max, scaled = _scaled_counts(counts)
     with mp.workdps(dps + _GUARD_DPS):
-        if isinstance(counts, FloatSeries1):
-            n_max = counts.order
-            scaled = lambda n: mpf(counts.mantissas[n]) / mpf(2) ** counts.scale_bits
-        elif isinstance(counts, CountTable):
-            n_max = counts.max_area
-            scaled = lambda n: mpf(counts.count(n)) / mpf(2) ** n
-        else:
-            raise TypeError("counts must be a CountTable or FloatSeries1")
         lo = max(2, n_max // 2)
         xs, ys = [], []
         for n in range(lo, n_max + 1):
@@ -908,7 +905,3 @@ def exponent_fit(counts, dps: int = 40) -> mpf:
         den = sum((x - mx) ** 2 for x in xs)
         return num / den
 
-
-def pa4_exponent_report(order: int = 100, dps: int = 30) -> mpf:
-    """Informational: the exponent fitted on the 4-sided fixed-point counts."""
-    return exponent_fit(pa4_series(order), dps=dps)

@@ -28,7 +28,6 @@ from datetime import datetime, timezone
 from mpmath import mp, mpc, mpf
 
 from . import asymptotics, enumeration, oracle
-from .asymptotics import DomainError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -297,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except ValueError as exc:           # asymptotics.DomainError included
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except AssertionError as exc:

@@ -345,10 +345,10 @@ def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
             raise AssertionError("4-sided fixed point failed to stabilize")
         deltas = _pa4_linear_map(*deltas)
         for d, total in zip(deltas, totals):
-            if not d.is_zero() and d.valuation() < sweep:
-                raise AssertionError(
-                    f"sweep {sweep} contributed below q-valuation {sweep}")
             for key, row in d.blocks().items():
+                if any(row[:sweep]):
+                    raise AssertionError(
+                        f"sweep {sweep} contributed below q-valuation {sweep}")
                 cur = total.get(key)
                 if cur is None:
                     total[key] = list(row)

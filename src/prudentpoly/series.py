@@ -152,9 +152,6 @@ class Series2:
             return 0
         return self._blocks[i][n]
 
-    def u_degree(self) -> int:
-        return len(self._blocks) - 1
-
     def valuation(self) -> int:
         vals = [v for v in (_intpoly.valuation(list(b)) for b in self._blocks)
                 if v is not None]
@@ -311,11 +308,6 @@ class Series3:
     def blocks(self) -> dict:
         return dict(self._blocks)
 
-    def valuation(self) -> int:
-        vals = [v for v in (_intpoly.valuation(list(b)) for b in self._blocks.values())
-                if v is not None]
-        return min(vals) if vals else self._order + 1
-
     def is_zero(self) -> bool:
         return not self._blocks
 
@@ -430,9 +422,8 @@ class FloatSeries1:
     """Univariate series in x = 2q with fixed-point high-precision coefficients.
 
     Coefficient n approximates (exact coefficient of q^n) * 2^-n.  Mantissas
-    are integers scaled by 2^scale_bits, so arithmetic is exact integer work
-    with truncation error 2^-scale_bits per operation; ``precision`` is the
-    number of significant decimal digits the constructor guarantees.
+    are integers scaled by 2^scale_bits; ``precision`` is the number of
+    significant decimal digits the conversion from an exact series keeps.
     """
 
     __slots__ = ("mantissas", "scale_bits", "precision")
@@ -462,38 +453,6 @@ class FloatSeries1:
     def coeff(self, n: int) -> mpf:
         with mp.workdps(self.precision + 5):
             return mpf(self.mantissas[n]) / mpf(2) ** self.scale_bits
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(self.coeff(n) for n in range(self.order + 1))
-
-    def _aligned(self, other: "FloatSeries1"):
-        bits = max(self.scale_bits, other.scale_bits)
-        a = [m << (bits - self.scale_bits) for m in self.mantissas]
-        b = [m << (bits - other.scale_bits) for m in other.mantissas]
-        return a, b, bits
-
-    def __neg__(self) -> "FloatSeries1":
-        return FloatSeries1(tuple(-m for m in self.mantissas),
-                            self.scale_bits, self.precision)
-
-    def __add__(self, other: "FloatSeries1") -> "FloatSeries1":
-        _check_arity(self, other, FloatSeries1)
-        n = min(self.order, other.order)
-        a, b, bits = self._aligned(other)
-        return FloatSeries1([a[i] + b[i] for i in range(n + 1)], bits,
-                            min(self.precision, other.precision))
-
-    def __sub__(self, other: "FloatSeries1") -> "FloatSeries1":
-        return self + (-other)
-
-    def __mul__(self, other: "FloatSeries1") -> "FloatSeries1":
-        _check_arity(self, other, FloatSeries1)
-        n = min(self.order, other.order)
-        a, b, bits = self._aligned(other)
-        prod = _intpoly.mul(a, b, n)
-        return FloatSeries1([p >> bits for p in prod], bits,
-                            min(self.precision, other.precision))
 
     def max_rel_error_vs_exact(self, exact: Series1) -> mpf:
         """max_n |float coeff n - exact_n 2^-n| / |exact_n 2^-n| over nonzero terms."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -82,6 +84,12 @@ class TestDnu:
         val = abs(asy.d_nu(60, mpf(1) / 2)) ** (mpf(1) / 60)
         assert close(val, mpf(3) / 2, 0.05)
 
+    def test_series_division_outside_the_unit_disc_fails_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"\|q\| < 1"):
+            asy.d_nu_by_series_division(3, mpf("1.1"))
+        assert time.perf_counter() - start < 1
+
 
 class TestMittagLeffler:
     def test_two_sided_agreement(self):
@@ -105,6 +113,13 @@ class TestMittagLeffler:
     def test_pole_guard(self):
         with pytest.raises(DomainError):
             asy.mittag_leffler_check(mpf(1) / 3, mpf(1) / 2, mpf(2) + mpf(10) ** -8)
+
+    def test_q_on_the_unit_circle_fails_at_once(self):
+        # the pole scan q^-j <= |z| + 1 never ends at |q| = 1
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"\|q\| < 1"):
+            asy.mittag_leffler_check(mpf("0.3"), mpf(1), mpf("0.5"))
+        assert time.perf_counter() - start < 1
 
 
 class TestGfRoutes:
@@ -360,6 +375,8 @@ class TestTruncationDoubling:
     def test_battery(self):
         q = mpf("0.45")
         half = mpf(1) / 2
+        sector = half + mpf("0.03") * mp.e ** (1j * mp.pi / 3)
+        w = mp.log(1 - 2 * sector) / mp.log(1 / sector)
         cases = [
             lambda s: asy.pochhammer(mpf(1) / 3, half, truncation_scale=s),
             lambda s: asy.d_nu(7, q, method="sum", truncation_scale=s),
@@ -374,6 +391,24 @@ class TestTruncationDoubling:
                                            truncation_scale=s),
             lambda s: asy.mittag_leffler_check(mpf(1) / 3, half, mpf("0.3"),
                                                truncation_scale=s)[1],
+            lambda s: asy.d_nu_by_series_division(20, q, truncation_scale=s),
+            lambda s: asy.pi_eval(w, sector, truncation_scale=s),
         ]
         for fn in cases:
-            assert abs(fn(1.0) - fn(2.0)) < 1e-40
+            once, twice = fn(1.0), fn(2.0)
+            if not isinstance(once, list):
+                once, twice = [once], [twice]
+            assert all(abs(a - b) < 1e-40 for a, b in zip(once, twice))
+
+    def test_cap_reaches_every_loop(self, monkeypatch):
+        monkeypatch.setattr(asy, "_MAX_TERMS", 3)
+        half = mpf(1) / 2
+        calls = [
+            lambda: asy.h_direct(1, mpf("0.05"), half, mpf(3) / 2),  # a tail sum
+            lambda: asy.pochhammer(mpf(1) / 3, half),
+            lambda: asy.d_nu_by_series_division(5, mpf("0.45")),
+            lambda: asy.pi_eval(mpf("0.13"), mpf("0.49")),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="within 3 terms"):
+                call()

@@ -260,15 +260,6 @@ class TestFloatSeries1:
         f = FloatSeries1.from_series1(exact, precision=40)
         assert f.max_rel_error_vs_exact(exact) < 1e-35
 
-    def test_mul_matches_exact(self):
-        a = expand_rational((0, 1), (1, -2), 40)
-        fa = FloatSeries1.from_series1(a, precision=40)
-        prod_float = fa * fa
-        prod_exact = FloatSeries1.from_series1(a * a, precision=40)
-        for n in range(41):
-            diff = abs(prod_float.coeff(n) - prod_exact.coeff(n))
-            assert diff < 1e-30
-
 
 def _naive_mul(a, b, n_out):
     out = [0] * (n_out + 1)
