@@ -35,17 +35,13 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf, mpmathify, matrix, lu_solve
 
-from .enumeration import CountTable, pa3_series
+from .enumeration import CountTable, DomainError, pa3_series
 from .series import FloatSeries1
 
 _GUARD_DPS = 12
 
 # the largest exact 3-sided order timed (72.5 s); the cost grows about n^3
 TAYLOR_MAX_TERMS = 8192
-
-
-class DomainError(ValueError):
-    """An evaluation was requested outside a method's validity region."""
 
 
 # every adaptive loop gives up with DomainError after this many terms

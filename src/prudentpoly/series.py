@@ -5,8 +5,8 @@ Three exact shapes, plus a fixed-precision scaled view:
 * ``Series1``      -- univariate in q, coefficients 0..N.
 * ``Series2``      -- one catalytic variable u; coefficient of q^n u^i kept
                       only for i <= n (a polygon of area n has width <= n).
-* ``Series3``      -- two catalytic variables u, v with the same cap; the
-                      4-sided fixed point runs on its linear operations.
+* ``Series3``      -- two catalytic variables u, v with the same cap; it
+                      holds the 4-sided solution (X, Y, Z).
 * ``FloatSeries1`` -- univariate in the scaled variable x = 2q with
                       fixed-point high-precision coefficients, converted from
                       an exact series (coefficient n is c_n 2^-n).
@@ -17,7 +17,6 @@ series truncated to the smaller operand order.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from mpmath import mp, mpf
@@ -346,25 +345,6 @@ class Series3:
     def __sub__(self, other: "Series3") -> "Series3":
         return self._combine(other, operator.sub)
 
-    def __mul__(self, other: "Series3") -> "Series3":
-        _check_arity(self, other, Series3)
-        n = min(self._order, other._order)
-        out: dict = {}
-        for (i1, j1), a in self._blocks.items():
-            for (i2, j2), b in other._blocks.items():
-                i, j = i1 + i2, j1 + j2
-                if i > n or j > n:
-                    continue
-                prod = _intpoly.mul(list(a), list(b), n)
-                cur = out.get((i, j))
-                if cur is None:
-                    out[(i, j)] = prod
-                else:
-                    for idx, c in enumerate(prod):
-                        if c:
-                            cur[idx] += c
-        return Series3(n, out)
-
     def mul_series1(self, s: Series1) -> "Series3":
         n = min(self._order, s.order)
         sc = list(s.coeffs)
@@ -386,11 +366,6 @@ class Series3:
                     f"catalytic degree ({i},{j}) exceeds area degree")
             out[(i, j)] = row
         return Series3._built(n, out)
-
-    def div_1mq(self) -> "Series3":
-        """Multiply by 1/(1-q): a running sum along each q-row."""
-        return Series3._built(self._order, {k: tuple(itertools.accumulate(r))
-                                            for k, r in self._blocks.items()})
 
     def subst_scale(self, which: str, t: int = 1) -> "Series3":
         """Substitute u -> q^t u (which='u') or v -> q^t v (which='v')."""

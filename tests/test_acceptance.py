@@ -222,7 +222,8 @@ class TestCriterion7:
             expand_rational((0, 1), (1, -1), n)) + qu1b * wsub
         assert lhs == w
         # X/Y/Z residuals are checked exhaustively in test_enumeration;
-        # recompute the fixed point here to pin the stabilization checks
+        # recompute the solution here as Series3, whose constructor checks
+        # the cap i, j <= n on every coefficient
         x, y, z = pa4_system_solution(12)
         assert (x.eval_catalytic() + y.eval_catalytic()
                 + z.eval_catalytic()).scale(8).coeffs[1:5] == (8, 16, 40, 96)

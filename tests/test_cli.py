@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 
 import pytest
 
@@ -102,15 +104,30 @@ class TestErrors:
         assert code == 2
 
     def test_broken_invariant_exit_three(self, capsys, monkeypatch):
-        # an update without its factor q trips the solver's valuation check
-        monkeypatch.setattr(cli.enumeration, "_pa4_linear_map",
-                            lambda x, y, z: (x, y, z))
+        # releasing the 4-sided solver's prefix rows one degree early makes it
+        # read a released row, which its guard reports
+        release = cli.enumeration._Prefix.release
+        monkeypatch.setattr(cli.enumeration._Prefix, "release",
+                            lambda self, m: release(self, m + 1))
         code, out, err = run(["enumerate", "--k", "4", "--max-area", "5",
                               "--no-timestamp"], capsys)
         assert code == 3
         assert out == ""
-        assert "internal error" in err and "q-valuation" in err
+        assert "internal error" in err and "after its release" in err
         assert "Traceback" not in err
+
+    def test_four_sided_memory_guard_exit_two(self, capsys):
+        # the first order past the solver's memory budget is refused at once
+        e = cli.enumeration
+        cap = next(n for n in itertools.count(300)
+                   if e._pa4_mib(n + 1) > e._PA4_MAX_MIB)
+        t0 = time.monotonic()
+        code, out, err = run(["enumerate", "--k", "4", "--max-area",
+                              str(cap + 1), "--no-timestamp"], capsys)
+        assert time.monotonic() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err and "MiB" in err
 
 
 class TestConstants:

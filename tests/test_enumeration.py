@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import pytest
 
 from prudentpoly.enumeration import (
     CountTable,
+    DomainError,
     bargraph_series,
     pa2_series,
     pa3_scaled_float,
@@ -14,6 +18,7 @@ from prudentpoly.enumeration import (
     pa4_system_solution,
     w_series,
 )
+from prudentpoly import enumeration
 from prudentpoly.series import Series1, Series2, expand_rational
 
 PA3_FIRST_TEN = (6, 10, 20, 42, 92, 204, 454, 1010, 2242, 4962)
@@ -116,6 +121,29 @@ class TestPa4:
         t = pa4_series(24)
         assert all(c % 8 == 0 for c in t.counts)
         assert all(t.count(n + 1) > t.count(n) for n in range(2, 24))
+
+    def test_streamed_counts_equal_the_solution(self):
+        for n in range(1, 31):
+            x, y, z = pa4_system_solution(n)
+            s = x.eval_catalytic() + y.eval_catalytic() + z.eval_catalytic()
+            assert pa4_series(n).counts == s.scale(8).coeffs[1:]
+
+    @pytest.mark.parametrize("n, digest", [
+        (64, "dd8e9ac938663132d470802a693bbe101ce9ecea5c03241b04b2b2b0d052599f"),
+        (150, "25ea41db84c7a7b7c92c393d06096f0284cfe6cc659461de747674dbd010b985"),
+    ])
+    def test_counts_digest(self, n, digest):
+        # sha256 of the counts from the sweep solver that preceded this one
+        text = ",".join(map(str, pa4_series(n).counts))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_memory_guard(self):
+        cap = next(n for n in itertools.count(300)
+                   if enumeration._pa4_mib(n + 1) > enumeration._PA4_MAX_MIB)
+        assert cap >= 300
+        for solve in (pa4_series, pa4_system_solution):
+            with pytest.raises(DomainError, match=r"needs about \d+ MiB"):
+                solve(cap + 1)
 
     def test_functional_equation_residuals_zero(self):
         n = 18
