@@ -40,7 +40,8 @@ from .series import FloatSeries1
 
 _GUARD_DPS = 12
 
-# the largest exact 3-sided order timed (72.5 s); the cost grows about n^3
+# the largest exact 3-sided order timed (48.5 s on one core of a 2-core
+# host); the cost grows about n^3
 TAYLOR_MAX_TERMS = 8192
 
 
@@ -135,7 +136,8 @@ def pochhammer(x, q, n: int | None = None, dps: int = 40,
 
 @dataclass(frozen=True)
 class BaseQuantities:
-    """The recurring quantities at a given q (u, v, a, gamma, A, C, D, t)."""
+    """The recurring quantities at a given q (u, v, a, gamma, A, C, D, t) and
+    the q-products (q;q)oo, (a;q)oo, (v;q)oo, (av;q)oo."""
 
     q: object
     u: object
@@ -146,6 +148,10 @@ class BaseQuantities:
     C: object
     D: object
     t: object
+    pq: object
+    pa: object
+    pv: object
+    pav: object
 
 
 # Laurent data about q = 1/2 in powers of t = 1-2q (exact for A; C to O(t^2)):
@@ -155,7 +161,8 @@ C_LAURENT_AT_HALF = (mpf(1) / 4, mpf(5) / 4, mpf(3) / 4, -mpf(17) / 4)
 
 
 def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuantities:
-    """u, v, a, gamma and the rational/product factors A, C, D at q.
+    """u, v, a, gamma, the rational/product factors A, C, D and the
+    q-products at q, each product computed once.
 
     A, C, D have a double pole at q = 1/2; evaluate via the Laurent data
     (A_LAURENT_AT_HALF / C_LAURENT_AT_HALF) there instead.
@@ -170,10 +177,12 @@ def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuan
         gamma = mp.log(v) / mp.log(1 / q)
         A = 2 * q * (1 - q) ** 2 / (1 - 2 * q) ** 2
         C = 2 * q * (3 - 10 * q + 9 * q * q - q ** 3) / ((1 - q) * (1 - 2 * q) ** 2)
-        D = C - q * q / (1 - q) ** 2 * A * (
-            pochhammer(v, q, dps=dps, truncation_scale=truncation_scale)
-            / pochhammer(a * v, q, dps=dps, truncation_scale=truncation_scale))
-        return BaseQuantities(q, u, v, a, gamma, A, C, D, 1 - 2 * q)
+        pq, pa, pv, pav = (
+            pochhammer(x, q, dps=dps, truncation_scale=truncation_scale)
+            for x in (q, a, v, a * v))
+        D = C - q * q / (1 - q) ** 2 * A * (pv / pav)
+        return BaseQuantities(q, u, v, a, gamma, A, C, D, 1 - 2 * q,
+                              pq, pa, pv, pav)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +364,7 @@ def _gf_meromorphic(q, dps, scale):
     b = base_quantities(q, dps=dps, truncation_scale=scale)
     if abs(b.v * q) >= 1:
         raise DomainError("meromorphic tail needs |v(q) q| < 1")
-    ratio = (pochhammer(b.v, q, dps=dps, truncation_scale=scale)
-             / pochhammer(q * b.u, q, dps=dps, truncation_scale=scale))
+    ratio = b.pv / pochhammer(q * b.u, q, dps=dps, truncation_scale=scale)
 
     def terms():
         d = mp.one
@@ -374,15 +382,10 @@ def _gf_meromorphic(q, dps, scale):
     return b.C - b.A * ratio * core
 
 
-def _singular_prefactor(b: BaseQuantities, dps, scale):
+def _singular_prefactor(b: BaseQuantities):
     """q^2 A (a;q)oo (v;q)oo / ((q;q)oo (av;q)oo), in the doublesum and
     singular routes."""
-    q = b.q
-    return (q * q * b.A
-            * pochhammer(b.a, q, dps=dps, truncation_scale=scale)
-            * pochhammer(b.v, q, dps=dps, truncation_scale=scale)
-            / pochhammer(q, q, dps=dps, truncation_scale=scale)
-            / pochhammer(b.a * b.v, q, dps=dps, truncation_scale=scale))
+    return b.q * b.q * b.A * b.pa * b.pv / b.pq / b.pav
 
 
 def _gf_doublesum(q, dps, scale):
@@ -407,7 +410,7 @@ def _gf_doublesum(q, dps, scale):
             ratio = ratio * (b.a - q ** j) / (1 - q ** j)
 
     T = _tail_sum(j_terms(), dps, scale)
-    return b.D - _singular_prefactor(b, dps, scale) * T
+    return b.D - _singular_prefactor(b) * T
 
 
 def U_eval(q, dps: int = 40, truncation_scale: float = 1.0):
@@ -432,30 +435,34 @@ def V_eval(q, dps: int = 40, truncation_scale: float = 1.0):
         q = mpmathify(q)
         _check_near_half(q)
         _, v, a = _uva(q)
-        t = 1 - 2 * q
-        z = -a * t / q ** 2
-        if abs(z) >= 1:
-            raise DomainError("V's hypergeometric sum needs |a t / q^2| < 1")
-        pq = pochhammer(q, q, dps=dps, truncation_scale=truncation_scale)
-        pa = pochhammer(a, q, dps=dps, truncation_scale=truncation_scale)
-        pav = pochhammer(a * v, q, dps=dps, truncation_scale=truncation_scale)
-        pv = pochhammer(v, q, dps=dps, truncation_scale=truncation_scale)
-        term1 = -pq / pa / q ** 2 / (1 + t / q ** 2)
+        pq, pa, pv, pav = (
+            pochhammer(x, q, dps=dps, truncation_scale=truncation_scale)
+            for x in (q, a, v, a * v))
+        return _v_sum(q, v, a, pq, pa, pv, pav, dps, truncation_scale)
 
-        def terms():
-            num = mp.one
-            den = mp.one
-            zr = mp.one
-            r = 0
-            while True:
-                yield num / den * zr
-                r += 1
-                num *= (1 - q ** r / (a * v))
-                den *= (1 - q ** r / v)
-                zr *= z
 
-        s = _tail_sum(terms(), dps, truncation_scale)
-        return term1 + pq * pav / (pa * pv) / q ** 2 * s
+def _v_sum(q, v, a, pq, pa, pv, pav, dps, scale):
+    """V(q) from its q-products; the working precision is the caller's."""
+    t = 1 - 2 * q
+    z = -a * t / q ** 2
+    if abs(z) >= 1:
+        raise DomainError("V's hypergeometric sum needs |a t / q^2| < 1")
+    term1 = -pq / pa / q ** 2 / (1 + t / q ** 2)
+
+    def terms():
+        num = mp.one
+        den = mp.one
+        zr = mp.one
+        r = 0
+        while True:
+            yield num / den * zr
+            r += 1
+            num *= (1 - q ** r / (a * v))
+            den *= (1 - q ** r / v)
+            zr *= z
+
+    s = _tail_sum(terms(), dps, scale)
+    return term1 + pq * pav / (pa * pv) / q ** 2 * s
 
 
 def _check_near_half(q) -> None:
@@ -505,8 +512,8 @@ def _gf_singular(q, dps, scale):
     T = (t ** (-b.gamma) * pi_eval(mp.log(t) / mp.log(1 / q), q, dps=dps,
                                    truncation_scale=scale)
          * U_eval(q, dps=dps, truncation_scale=scale)
-         + V_eval(q, dps=dps, truncation_scale=scale))
-    return b.D - _singular_prefactor(b, dps, scale) * T
+         + _v_sum(q, b.v, b.a, b.pq, b.pa, b.pv, b.pav, dps, scale))
+    return b.D - _singular_prefactor(b) * T
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ Routes implemented:
   q/(1-2q)).
 * 3-sided, ``theorem``: the explicit sum whose term m carries the product
   prod_{k=1}^{m-1} (1-q-q^k+q^{k+1}-q^{k+2})/(1-q-q^{k+1}); evaluated with an
-  incremental running term (one sparse multiply and two sparse divisions per
-  step), all in exact integers.
+  incremental running term, all in exact integers.  Each step multiplies by
+  the factorised numerator (1-q) - q^m (1-q+q^2) as lazy shifted
+  subtractions, divides by 1-2q as one running sum, and by 1-q-q^{m+2}
+  block by block, one running sum per m+2 degrees.
 * 4-sided: the three trivariate functional equations coupling the
   row/column-addition classes X, Y, Z, solved one q-degree at a time;
   returns 8*(X+Y+Z) at u=v=1.
@@ -22,6 +24,7 @@ variable x = 2q; it is a view of those counts, not a separate route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
 from operator import add, sub
 
 from . import _intpoly
@@ -83,10 +86,8 @@ def bargraph_series(order: int, with_width: bool = False):
         nxt = [[0] * (n + 1)]
         alive = False
         for row in delta:
-            nr = [0] * (n + 1)
-            nr[1:] = row[:n]                      # * q (and * u via index shift)
-            for i in range(1, n + 1):             # / (1-q)
-                nr[i] += nr[i - 1]
+            # * q (and * u via index shift), then / (1-q)
+            nr = list(accumulate([0] + row[:n]))
             if any(nr):
                 alive = True
             nxt.append(nr)
@@ -120,23 +121,11 @@ def _w_blocks(order: int) -> list[list[int]]:
     is checked and used as the stopping rule.
     """
     n = order
-
-    def div_1mq(c):
-        for i in range(1, n + 1):
-            c[i] += c[i - 1]
-
-    def div_1m2q(c):
-        for i in range(1, n + 1):
-            c[i] += 2 * c[i - 1]
-
     # F blocks: F_0 = 0, F_1 = q(1-q)^2/((1-2q)(1-q)), F_k = q/(1-q) F_{k-1}.
     s0 = _intpoly.expand_rational([0, 1, -2, 1], [1, -2], n)  # q(1-q)^2/(1-2q)
-    blk = s0[:]
-    div_1mq(blk)
-    f_blocks = [[0] * (n + 1), blk]
+    f_blocks = [[0] * (n + 1), list(accumulate(s0))]
     while True:
-        nb = [0] + f_blocks[-1][:n]
-        div_1mq(nb)
+        nb = list(accumulate([0] + f_blocks[-1][:n]))
         if not any(nb):
             break
         f_blocks.append(nb)
@@ -175,19 +164,14 @@ def _w_blocks(order: int) -> list[list[int]]:
                     if i >= 3:
                         v += dk[i - 3]
                     acc[i] += v
-            div_1m2q(acc)
-            blocks.append(acc)
+            # / (1-2q)
+            blocks.append(list(accumulate(acc, lambda a, x: 2 * a + x)))
         # multiply by 1/(1-q-qu): prefix recurrence over u-degree
-        prev = None
+        prev = [0] * (n + 1)
         out = []
         for ak in blocks:
-            cur = ak[:]
-            if prev is not None:
-                for i in range(1, n + 1):
-                    cur[i] += prev[i - 1]
-            div_1mq(cur)
-            out.append(cur)
-            prev = cur
+            prev = list(accumulate(map(add, ak, [0] + prev[:n])))
+            out.append(prev)
         while out and not any(out[-1]):
             out.pop()
         delta = out
@@ -214,60 +198,64 @@ def w_series(order: int) -> Series2:
     return Series2(order, _w_blocks(order))
 
 
+def _twice_plus(a, x):
+    return a + a + x
+
+
+def _div_2q_lag(c, size: int, lag: int) -> list[int]:
+    """The first ``size`` coefficients of c/((1-2q)(1-q-q^lag)), c iterable.
+
+    1/(1-2q) is one running ``a + a + x``.  1/(1-q-q^lag) runs in blocks of
+    ``lag`` degrees, so the lagged read of every block is the whole block
+    before it, and each block is one running sum seeded by the last value.
+    """
+    size = max(size, 0)
+    e = accumulate(islice(c, size), _twice_plus)
+    f = [0] * lag                       # the zero block below degree 0
+    for _ in range(0, size, lag):
+        f[-1:] = accumulate(map(add, islice(e, lag), f[-lag:]), initial=f[-1])
+    del f[:lag]
+    return f
+
+
+def _pa3_numerator(term: list[int], m: int):
+    """term * ((1-q) - q^m (1-q+q^2)), the step's numerator, lazily."""
+    # (1-q) term, minus (1-q+q^2) term read m degrees behind
+    lagged = map(add, map(sub, term, chain((0,), term)), chain((0, 0), term))
+    return map(sub, map(sub, term, chain((0,), term)),
+               chain(repeat(0, m), lagged))
+
+
 def _pa3_theorem_coeffs(order: int) -> list[int]:
-    """Exact theorem-route coefficients of the 3-sided area series."""
+    """Exact theorem-route coefficients of the 3-sided area series.
+
+    The sum runs over term_m, of valuation 2m, from term_1 =
+    -q^2/((1-2q)(1-q-q^2)) by
+        term_{m+1} = -q^2 term_m ((1-q) - q^m (1-q+q^2))
+                     / ((1-2q)(1-q-q^{m+2})).
+    Every step is a few passes over whole lists at C level (``map`` and
+    ``accumulate``), never an indexed Python loop: the numerator subtracts
+    the term shifted by 1, 2 and m..m+2 degrees, lazily; 1/(1-2q) is one
+    running sum, and 1/(1-q-q^{m+2}) one running sum per block of m+2
+    degrees (``_div_2q_lag``).  A term is held from its valuation up to
+    degree order-3, the last one the q^3 prefactor reads, and without its
+    sign (-1)^m, which is applied as it is added into the total.
+    """
     n = order
-    term = [0] * (n + 1)
-    if n >= 2:
-        term[2] = -1
-        for i in range(3, n + 1):       # / (1-2q)
-            term[i] += 2 * term[i - 1]
-        for i in range(3, n + 1):       # / (1-q-q^2)
-            term[i] += term[i - 1] + term[i - 2]
-    total = term[:]
+    total = [0] * max(n - 2, 0)         # degrees 0..n-3
+    term = _div_2q_lag(chain((1,), repeat(0)), n - 4, 2)
     m = 1
-    while 2 * (m + 1) <= n:
-        # term_{m+1} = term_m * (-q^2)(1-q-q^m+q^{m+1}-q^{m+2})
-        #            / ((1-2q)(1-q-q^{m+2}))
-        nxt = [0] * (n + 1)
-        for i in range(n, 1, -1):
-            v = term[i - 2]
-            if i - 3 >= 0:
-                v -= term[i - 3]
-            if i - 2 - m >= 0:
-                v -= term[i - 2 - m]
-            if i - 3 - m >= 0:
-                v += term[i - 3 - m]
-            if i - 4 - m >= 0:
-                v -= term[i - 4 - m]
-            nxt[i] = -v
-        for i in range(1, n + 1):
-            nxt[i] += 2 * nxt[i - 1]
-        md = m + 2
-        for i in range(1, n + 1):
-            v = nxt[i - 1]
-            if i - md >= 0:
-                v += nxt[i - md]
-            nxt[i] += v
-        term = nxt
+    while term:
+        top = 2 * m + len(term)
+        total[2 * m:top] = map(sub if m % 2 else add, total[2 * m:top], term)
+        term = _div_2q_lag(_pa3_numerator(term, m), len(term) - 2, m + 2)
         m += 1
-        for i in range(2 * m, n + 1):
-            total[i] += term[i]
-    # prefactor -2q^3(1-q)^2/(1-2q)^2
-    out = [0] * (n + 1)
-    for i in range(n, 2, -1):
-        v = total[i - 3]
-        if i - 4 >= 0:
-            v -= 2 * total[i - 4]
-        if i - 5 >= 0:
-            v += total[i - 5]
-        out[i] = -2 * v
+    # prefactor -2q^3(1-q)^2/(1-2q)^2, as (1-q)/(1-2q) twice
     for _ in range(2):
-        for i in range(1, n + 1):
-            out[i] += 2 * out[i - 1]
+        total = list(accumulate(map(sub, total, [0] + total), _twice_plus))
     # + 2q(3-10q+9q^2-q^3)/((1-2q)^2(1-q))
     rat = _intpoly.expand_rational([0, 6, -20, 18, -2], [1, -5, 8, -4], n)
-    return [out[i] + rat[i] for i in range(n + 1)]
+    return rat[:3] + [r - 2 * t for r, t in zip(rat[3:], total)]
 
 
 def pa3_series(order: int, method: str = "theorem") -> CountTable:

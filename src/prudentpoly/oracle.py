@@ -188,9 +188,11 @@ def enumerate_prudent_polygons(
 
     The DFS extends walks step by step, pruning by self-avoidance, the
     prudence ray condition (unless ``walk_class="boundary"``), the k-sided
-    prefix side condition, the 3-sided exclusion rule, and a box bound
-    (a polygon whose box spans w x h cells has area >= w+h-1).  Every walk
-    of length >= 3 ending at a neighbor of the origin is tallied by area.
+    prefix side condition, the 3-sided exclusion rule, a box bound (a
+    polygon whose box spans w x h cells has area >= w+h-1) and a length
+    bound (a walk at (x, y) needs |x|+|y|-1 more steps to end beside the
+    origin).  Every walk of length >= 3 ending at a neighbor of the origin
+    is tallied by area.
     """
     if k not in (2, 3, 4):
         raise ValueError("sidedness k must be 2, 3 or 4")
@@ -230,7 +232,7 @@ def enumerate_prudent_polygons(
             area = abs(_shoelace(vertices)) // 2
             if 1 <= area <= max_area:
                 tally[area] += 1
-        if length >= maxlen:
+        if length >= maxlen or length + abs(p[0]) + abs(p[1]) - 1 > maxlen:
             return
         if (box[1] - box[0]) + (box[3] - box[2]) - 1 > max_area:
             return

@@ -412,3 +412,24 @@ class TestTruncationDoubling:
         for call in calls:
             with pytest.raises(DomainError, match="within 3 terms"):
                 call()
+
+
+
+class TestCrossPrecision:
+    """A value asked for at 30 digits agrees with the same value at 60."""
+
+    @staticmethod
+    def value(name, dps):
+        q = mpf("0.45")
+        if name == "kappa(1)":
+            return asy.kappa(1, dps=dps)
+        if name in ("U_eval", "V_eval"):
+            return getattr(asy, name)(q, dps=dps)
+        return asy.gf_eval(q, name, dps=dps)
+
+    @pytest.mark.parametrize("name", ["taylor", "meromorphic", "doublesum",
+                                      "singular", "kappa(1)", "U_eval",
+                                      "V_eval"])
+    def test_dps_30_agrees_with_dps_60(self, name):
+        low, high = self.value(name, 30), self.value(name, 60)
+        assert abs(low - high) <= mpf(10) ** -30 * abs(high)

@@ -96,6 +96,22 @@ class TestPa3:
         assert pa3_series(n, "theorem").counts == \
             pa3_series(n, "functional").counts
 
+    def test_dual_route_agreement_every_small_order(self):
+        # the theorem kernel's edge cases: no step, a partial last block and
+        # a block longer than the degrees left
+        for n in range(1, 41):
+            assert pa3_series(n, "theorem").counts == \
+                pa3_series(n, "functional").counts
+
+    @pytest.mark.parametrize("n, digest", [
+        (1000, "93cb7e67f09acfb2d2f0da106bb6ba69cc95e996bf88c4a712f0c5b829042c5a"),
+        (3072, "b662730d1c47348d58897fd176aaa2348e072b2d90e4a98e280641b75f13301b"),
+    ])
+    def test_counts_digest(self, n, digest):
+        # sha256 of the counts from the index-loop kernel that preceded this one
+        text = ",".join(map(str, pa3_series(n, "theorem").counts))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_counts_even_and_increasing(self):
         t = pa3_series(64)
         assert all(c % 2 == 0 for c in t.counts)
