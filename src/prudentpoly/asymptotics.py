@@ -136,8 +136,13 @@ def pochhammer(x, q, n: int | None = None, dps: int = 40,
 
 @dataclass(frozen=True)
 class BaseQuantities:
-    """The recurring quantities at a given q (u, v, a, gamma, A, C, D, t) and
-    the q-products (q;q)oo, (a;q)oo, (v;q)oo, (av;q)oo."""
+    """The recurring quantities at a given q (u, v, a, gamma, A, C, t), and
+    D and the q-products (q;q)oo, (a;q)oo, (v;q)oo, (av;q)oo.
+
+    Each product, and D, which reads two of them, is computed on its first
+    read and kept, at the working precision and truncation of the call that
+    built the record, so a route pays only for the products it reads.
+    """
 
     q: object
     u: object
@@ -146,12 +151,36 @@ class BaseQuantities:
     gamma: object
     A: object
     C: object
-    D: object
     t: object
-    pq: object
-    pa: object
-    pv: object
-    pav: object
+    dps: int
+    truncation_scale: float
+
+    def _product(self, x):
+        return pochhammer(x, self.q, dps=self.dps,
+                          truncation_scale=self.truncation_scale)
+
+    @functools.cached_property
+    def pq(self):
+        return self._product(self.q)
+
+    @functools.cached_property
+    def pa(self):
+        return self._product(self.a)
+
+    @functools.cached_property
+    def pv(self):
+        return self._product(self.v)
+
+    @functools.cached_property
+    def pav(self):
+        with mp.workdps(self.dps + _GUARD_DPS):
+            return self._product(self.a * self.v)
+
+    @functools.cached_property
+    def D(self):
+        with mp.workdps(self.dps + _GUARD_DPS):
+            q = self.q
+            return self.C - q * q / (1 - q) ** 2 * self.A * (self.pv / self.pav)
 
 
 # Laurent data about q = 1/2 in powers of t = 1-2q (exact for A; C to O(t^2)):
@@ -161,8 +190,8 @@ C_LAURENT_AT_HALF = (mpf(1) / 4, mpf(5) / 4, mpf(3) / 4, -mpf(17) / 4)
 
 
 def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuantities:
-    """u, v, a, gamma, the rational/product factors A, C, D and the
-    q-products at q, each product computed once.
+    """u, v, a, gamma, the rational factors A, C at q, with D and the
+    q-products computed on first read.
 
     A, C, D have a double pole at q = 1/2; evaluate via the Laurent data
     (A_LAURENT_AT_HALF / C_LAURENT_AT_HALF) there instead.
@@ -177,12 +206,8 @@ def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuan
         gamma = mp.log(v) / mp.log(1 / q)
         A = 2 * q * (1 - q) ** 2 / (1 - 2 * q) ** 2
         C = 2 * q * (3 - 10 * q + 9 * q * q - q ** 3) / ((1 - q) * (1 - 2 * q) ** 2)
-        pq, pa, pv, pav = (
-            pochhammer(x, q, dps=dps, truncation_scale=truncation_scale)
-            for x in (q, a, v, a * v))
-        D = C - q * q / (1 - q) ** 2 * A * (pv / pav)
-        return BaseQuantities(q, u, v, a, gamma, A, C, D, 1 - 2 * q,
-                              pq, pa, pv, pav)
+        return BaseQuantities(q, u, v, a, gamma, A, C, 1 - 2 * q,
+                              dps, truncation_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +328,16 @@ def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
+# the exact counts at the largest order asked for so far
+_counts: tuple = ()
+
+
 def _exact_counts(order: int) -> tuple:
-    return pa3_series(order, "theorem").counts
+    """PA_1..PA_order, sliced from one table that only ever grows."""
+    global _counts
+    if len(_counts) < order:
+        _counts = pa3_series(order, "theorem").counts
+    return _counts[:order]
 
 
 def _taylor_order(q_abs: mpf, dps: int) -> int:

@@ -96,11 +96,8 @@ def bargraph_series(order: int, with_width: bool = False):
         delta = nxt
         while len(total) < len(delta):
             total.append([0] * (n + 1))
-        for i, row in enumerate(delta):
-            trow = total[i]
-            for idx, c in enumerate(row):
-                if c:
-                    trow[idx] += c
+        for trow, row in zip(total, delta):
+            trow[:] = map(add, trow, row)
     return Series2(n, total)
 
 
@@ -112,82 +109,89 @@ def pa2_series(order: int) -> CountTable:
     return CountTable(2, s.coeffs[1:], "closed-form")
 
 
+# A row of the functional route is a pair (s, r): r holds the coefficients of
+# q^s, ..., q^order, so every row of one solve ends at the same degree.
+
+
+def _w_shift(row, d: int):
+    """row * q^d, cut at the same top degree."""
+    s, r = row
+    d = min(d, len(r))
+    return s + d, r[:len(r) - d]
+
+
+def _w_plus(a, b):
+    """a + b, added into the list of the row that starts lower; the caller
+    passes rows it does not read again."""
+    if a[0] > b[0]:
+        a, b = b, a
+    (s, out), (sb, rb) = a, b
+    out[sb - s:] = map(add, out[sb - s:], rb)
+    return s, out
+
+
 def _w_blocks(order: int) -> list[list[int]]:
     """Solve W = F + G W(q,qu) by substitution iteration, as u-degree blocks.
 
-    Both F and G factor through 1/(1-q-qu), so multiplying by G is one sparse
-    numerator pass plus the prefix recurrence Y_k = (A_k + q Y_{k-1})/(1-q)
-    per u-block.  Iteration m contributes only at q-valuation >= 2m+1, which
-    is checked and used as the stopping rule.
+    Both F and G factor through 1/(1-q-qu), so multiplying by G is one
+    numerator pass, 1/(1-2q), and the prefix recurrence Y_k = (A_k + q
+    Y_{k-1})/(1-q) per u-block.  Rows are held over their support only, as
+    (start, coefficients up to the order), and every step is a whole-row
+    ``map`` or ``accumulate`` pass.  Block k of iteration m vanishes below
+    q-degree 2m + max(k-1, 1), so no iteration contributes below 2m+1: each
+    new row's head below that bound is checked to be zero and dropped, and
+    the iteration stops once 2m+1 passes the order.
     """
     n = order
-    # F blocks: F_0 = 0, F_1 = q(1-q)^2/((1-2q)(1-q)), F_k = q/(1-q) F_{k-1}.
-    s0 = _intpoly.expand_rational([0, 1, -2, 1], [1, -2], n)  # q(1-q)^2/(1-2q)
-    f_blocks = [[0] * (n + 1), list(accumulate(s0))]
-    while True:
-        nb = list(accumulate([0] + f_blocks[-1][:n]))
-        if not any(nb):
-            break
-        f_blocks.append(nb)
-
-    total = [row[:] for row in f_blocks]
-    delta = f_blocks
-    m = 0
-    while True:
-        m += 1
-        if 2 * m + 1 > n:
-            break
+    top = n + 1
+    # F_0 = 0, F_1 = q(1-q)^2/((1-2q)(1-q)), F_k = q/(1-q) F_{k-1}.
+    row = (0, list(accumulate(
+        _intpoly.expand_rational([0, 1, -2, 1], [1, -2], n))))
+    delta = [(top, [])]
+    while any(row[1]):
+        delta.append(row)
+        s, r = _w_shift(row, 1)
+        row = (s, list(accumulate(r)))
+    total = [[0] * s + r for s, r in delta]
+    m = 1
+    while 2 * m + 1 <= n:
         # substitute u -> qu: block k shifts by k in q
-        sub = []
-        for k, row in enumerate(delta):
-            if k > n:
-                break
-            sub.append([0] * k + row[:n + 1 - k])
-        # A_k = s1*D_k + s2*D_{k-1} with s1 = (-q+q^2)/(1-2q),
-        # s2 = (q-q^2+q^3)/(1-2q); numerators applied sparsely.
-        blocks = []
-        for k in range(len(sub) + 1):
-            acc = [0] * (n + 1)
-            if k < len(sub):
-                dk = sub[k]
-                for i in range(n, 0, -1):
-                    v = -dk[i - 1]
-                    if i >= 2:
-                        v += dk[i - 2]
-                    acc[i] += v
-            if k >= 1:
-                dk = sub[k - 1]
-                for i in range(n, 0, -1):
-                    v = dk[i - 1]
-                    if i >= 2:
-                        v -= dk[i - 2]
-                    if i >= 3:
-                        v += dk[i - 3]
-                    acc[i] += v
-            # / (1-2q)
-            blocks.append(list(accumulate(acc, lambda a, x: 2 * a + x)))
-        # multiply by 1/(1-q-qu): prefix recurrence over u-degree
-        prev = [0] * (n + 1)
-        out = []
-        for ak in blocks:
-            prev = list(accumulate(map(add, ak, [0] + prev[:n])))
-            out.append(prev)
-        while out and not any(out[-1]):
-            out.pop()
-        delta = out
-        vals = [v for v in (_intpoly.valuation(r) for r in delta) if v is not None]
-        if not vals:
+        subs = [_w_shift(row, k) for k, row in enumerate(delta)]
+        new = []
+        prev = (top, [])
+        for k in range(len(subs) + 1):
+            # A_k = (q^2-q) D_k + (q-q^2+q^3) D_{k-1}, then / (1-2q)
+            a = (top, [])
+            if k < len(subs):
+                s, r = subs[k]
+                a = (s + 1, list(map(sub, chain((0,), r), r[:-1])))
+            if k:
+                s, r = subs[k - 1]
+                a = _w_plus(a, (s + 1, list(map(
+                    add, map(sub, r[:-1], chain((0,), r)), chain((0, 0), r)))))
+            s, r = a
+            a = (s, list(accumulate(r, lambda x, y: 2 * x + y)))
+            # * 1/(1-q-qu): Y_k = (A_k + q Y_{k-1}) / (1-q)
+            s, r = _w_plus(a, _w_shift(prev, 1))
+            r = list(accumulate(r))
+            lo = min(2 * m + max(k - 1, 1), top)
+            if s < lo:
+                if any(r[:lo - s]):
+                    raise AssertionError(
+                        f"iteration {m} contributed below q-degree {lo} "
+                        f"in u-block {k}")
+                s, r = lo, r[lo - s:]
+            prev = (s, r)
+            new.append(prev)
+        while new and not any(new[-1][1]):
+            new.pop()
+        if not new:
             break
-        if min(vals) < 2 * m + 1:
-            raise AssertionError(
-                f"iteration {m} contributed below q-valuation {2 * m + 1}")
-        while len(total) < len(delta):
-            total.append([0] * (n + 1))
-        for k, row in enumerate(delta):
-            trow = total[k]
-            for idx, c in enumerate(row):
-                if c:
-                    trow[idx] += c
+        total.extend([0] * top for _ in range(len(new) - len(total)))
+        for t, (s, r) in zip(total, new):
+            t[s:] = map(add, t[s:], r)
+        delta = new
+        m += 1
     return total
 
 

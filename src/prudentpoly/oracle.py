@@ -193,6 +193,12 @@ def enumerate_prudent_polygons(
     bound (a walk at (x, y) needs |x|+|y|-1 more steps to end beside the
     origin).  Every walk of length >= 3 ending at a neighbor of the origin
     is tallied by area.
+
+    No node builds or copies a container: the occupied vertices are flags
+    in one bytearray grid, the box and twice the running shoelace sum are
+    arguments of the recursion, and the side condition is compared against
+    the box inline.  ``classify_walk`` replays the same conditions
+    independently through ``LatticeWalk`` and ``SideMembership``.
     """
     if k not in (2, 3, 4):
         raise ValueError("sidedness k must be 2, 3 or 4")
@@ -205,65 +211,64 @@ def enumerate_prudent_polygons(
             f"max_area {max_area} exceeds the oracle budget "
             f"({_MAX_ORACLE_AREA}); the search is exponential in walk length")
     ray = walk_class == "prudent"
+    exclusion = k == 3 and apply_3sided_exclusion
     maxlen = 2 * max_area + 1
     tally = [0] * (max_area + 1)
+    # vertex (x, y) is flag (x + off) * width + (y + off); a walk stays
+    # within maxlen of the origin, and a ray reads flags inside the box only
+    off = maxlen + 1
+    width = 2 * off + 1
+    occupied = bytearray(width * width)
+    steps = [(step, dx, dy, dx * width + dy) for step, (dx, dy) in _STEPS.items()]
 
-    occupied = {(0, 0)}
-    vertices = [(0, 0)]
-    box = [0, 0, 0, 0]
-    prev_step = [None]
-
-    def side_ok(p) -> bool:
-        return SideMembership.of(p, box).allows(k)
-
-    def ray_ok(p, dx, dy) -> bool:
-        x, y = p[0] + dx, p[1] + dy
-        while box[0] <= x <= box[1] and box[2] <= y <= box[3]:
-            if (x, y) in occupied:
-                return False
-            x += dx
-            y += dy
-        return True
-
-    def rec():
-        p = vertices[-1]
-        length = len(vertices) - 1
-        if length >= 3 and abs(p[0]) + abs(p[1]) == 1:
-            area = abs(_shoelace(vertices)) // 2
+    def rec(x, y, at, xmin, xmax, ymin, ymax, prev, length, twice_area):
+        if length >= 3 and abs(x) + abs(y) == 1:
+            area = abs(twice_area) // 2
             if 1 <= area <= max_area:
                 tally[area] += 1
-        if length >= maxlen or length + abs(p[0]) + abs(p[1]) - 1 > maxlen:
+        if length >= maxlen or length + abs(x) + abs(y) - 1 > maxlen:
             return
-        if (box[1] - box[0]) + (box[3] - box[2]) - 1 > max_area:
+        if (xmax - xmin) + (ymax - ymin) - 1 > max_area:
             return
-        for step, (dx, dy) in _STEPS.items():
-            nxt = (p[0] + dx, p[1] + dy)
-            if nxt in occupied:
+        for step, dx, dy, d in steps:
+            nat = at + d
+            if occupied[nat]:
                 continue
-            if ray and not ray_ok(p, dx, dy):
-                continue
-            if (k == 3 and apply_3sided_exclusion and prev_step[-1] == "S"
-                    and box[1] > box[0]):
-                if (step == "W" and p[0] == box[1]) or \
-                        (step == "E" and p[0] == box[0]):
+            nx = x + dx
+            ny = y + dy
+            if ray:
+                # the ray from the new vertex meets an occupied one inside
+                # the box, where all occupied vertices lie
+                rx, ry, rat = nx + dx, ny + dy, nat + d
+                while (xmin <= rx <= xmax and ymin <= ry <= ymax
+                       and not occupied[rat]):
+                    rx += dx
+                    ry += dy
+                    rat += d
+                if xmin <= rx <= xmax and ymin <= ry <= ymax:
                     continue
-            saved = box[:]
-            occupied.add(nxt)
-            vertices.append(nxt)
-            prev_step.append(step)
-            box[0] = min(box[0], nxt[0])
-            box[1] = max(box[1], nxt[0])
-            box[2] = min(box[2], nxt[1])
-            box[3] = max(box[3], nxt[1])
+            if (exclusion and prev == "S" and xmax > xmin
+                    and ((step == "W" and x == xmax)
+                         or (step == "E" and x == xmin))):
+                continue
+            nxmin = nx if nx < xmin else xmin
+            nxmax = nx if nx > xmax else xmax
+            nymin = ny if ny < ymin else ymin
+            nymax = ny if ny > ymax else ymax
             # prudent walks always end on their box boundary; check it
-            if ray and not (nxt[0] in (box[0], box[1]) or nxt[1] in (box[2], box[3])):
+            if ray and not (nx == nxmin or nx == nxmax
+                            or ny == nymin or ny == nymax):
                 raise AssertionError("prudent walk endpoint left the box boundary")
-            if side_ok(nxt):
-                rec()
-            box[:] = saved
-            prev_step.pop()
-            vertices.pop()
-            occupied.remove(nxt)
+            # the k-sided side condition: north or east, then west, then south
+            if not (ny == nymax or nx == nxmax or (k >= 3 and nx == nxmin)
+                    or (k == 4 and ny == nymin)):
+                continue
+            occupied[nat] = 1
+            rec(nx, ny, nat, nxmin, nxmax, nymin, nymax, step, length + 1,
+                twice_area + x * ny - nx * y)
+            occupied[nat] = 0
 
-    rec()
+    origin = off * width + off
+    occupied[origin] = 1
+    rec(0, 0, origin, 0, 0, 0, 0, None, 0, 0)
     return CountTable(k, tally[1:], "oracle")

@@ -155,6 +155,40 @@ class TestGfRoutes:
         with pytest.raises(DomainError, match="0.2"):
             asy.gf_eval(mpf("0.2"), "singular")
 
+    @pytest.mark.parametrize("method, calls", [
+        ("meromorphic", 2), ("singular", 6), ("doublesum", 4)])
+    def test_pochhammer_calls_per_route(self, method, calls, monkeypatch):
+        # every route computes only the q-products it reads
+        made = []
+        pochhammer = asy.pochhammer
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return pochhammer(*args, **kwargs)
+
+        monkeypatch.setattr(asy, "pochhammer", counted)
+        asy.gf_eval(mpf("0.45"), method, dps=100)
+        assert len(made) == calls
+
+    def test_taylor_counts_come_from_one_table(self, monkeypatch):
+        # a smaller order after a larger one is a slice, not a new solve
+        orders = []
+        series = asy.pa3_series
+
+        def counted(order, method):
+            orders.append(order)
+            return series(order, method)
+
+        monkeypatch.setattr(asy, "_counts", ())
+        monkeypatch.setattr(asy, "pa3_series", counted)
+        large = asy.gf_eval(mpf("0.45"), "taylor")
+        small = asy.gf_eval(mpf("0.25"), "taylor")
+        assert len(orders) == 1
+        assert asy._exact_counts(50) == pa3_series(50).counts
+        assert len(orders) == 1
+        assert close(large, asy.gf_eval(mpf("0.45"), "meromorphic"), 1e-35)
+        assert close(small, asy.gf_eval(mpf("0.25"), "meromorphic"), 1e-35)
+
     def test_taylor_refuses_orders_past_the_timed_limit(self):
         # q = 0.498 needs 30455 exact terms, an hour or more of work;
         # without the guard this test would not finish

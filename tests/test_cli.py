@@ -116,6 +116,20 @@ class TestErrors:
         assert "internal error" in err and "after its release" in err
         assert "Traceback" not in err
 
+    def test_functional_route_invariant_exit_three(self, capsys, monkeypatch):
+        # a seed with a constant term makes the 3-sided functional route
+        # contribute below its q-valuation bound, which its guard reports
+        expand = cli.enumeration._intpoly.expand_rational
+        monkeypatch.setattr(cli.enumeration._intpoly, "expand_rational",
+                            lambda num, den, n: [1] + expand(num, den, n)[1:])
+        code, out, err = run(["enumerate", "--k", "3", "--method",
+                              "functional", "--max-area", "10",
+                              "--no-timestamp"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err and "below q-degree" in err
+        assert "Traceback" not in err
+
     def test_four_sided_memory_guard_exit_two(self, capsys):
         # the first order past the solver's memory budget is refused at once
         e = cli.enumeration

@@ -85,6 +85,26 @@ class TestWSeries:
             qu_one_plus_b * w_sub
         assert rhs == w
 
+    def test_blocks_digest(self):
+        # sha256 of the bivariate W(q,u) at order 200, one line per u-degree,
+        # from the full-length-row solver that preceded this one
+        n = 200
+        w = w_series(n)
+        text = "\n".join(",".join(str(w.coeff(k, i)) for k in range(n + 1))
+                         for i in range(n + 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "65ab00a2e2d12fe39668b713c902bdae1221454a14bc87ede5dcaf448d1b41dd"
+
+    def test_below_valuation_contribution_raises(self, monkeypatch):
+        # a seed with a constant term, which q(1-q)^2/(1-2q) cannot have,
+        # makes the first iteration contribute below q-degree 3
+        expand = enumeration._intpoly.expand_rational
+        monkeypatch.setattr(enumeration._intpoly, "expand_rational",
+                            lambda num, den, n: [1] + expand(num, den, n)[1:])
+        with pytest.raises(AssertionError, match="iteration 1 contributed "
+                                                 "below q-degree 3"):
+            w_series(10)
+
 
 class TestPa3:
     def test_published_series(self):

@@ -102,11 +102,12 @@ class TestClassifierAgainstSearch:
     def test_classify_walk_consistent_with_dfs(self):
         # classify_walk and the DFS pruning are independent paths through the
         # side/exclusion/prudence logic; exhaustively tally closed walks of
-        # length <= 7 via the classifier and compare with the search counts.
+        # length <= 9 via the classifier, which covers every polygon of area
+        # <= 4, and compare with the search counts.
         from itertools import product
 
-        tallies = {2: [0] * 4, 3: [0] * 4, 4: [0] * 4}
-        for length in (3, 5, 7):
+        tallies = {2: [0] * 5, 3: [0] * 5, 4: [0] * 5}
+        for length in (3, 5, 7, 9):
             for steps in product("NESW", repeat=length):
                 walk = "".join(steps)
                 x = walk.count("E") - walk.count("W")
@@ -117,11 +118,11 @@ class TestClassifierAgainstSearch:
                 if not c.is_prudent:
                     continue
                 area = polygon_area(walk)
-                if area > 3:
+                if area > 4:
                     continue
                 for k in (2, 3, 4):
                     if c.is_k_sided(k):
                         tallies[k][area] += 1
         for k in (2, 3, 4):
-            expected = enumerate_prudent_polygons(k, 3).counts
+            expected = enumerate_prudent_polygons(k, 4).counts
             assert tuple(tallies[k][1:]) == expected, k
