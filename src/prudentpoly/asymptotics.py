@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import islice
 
 from mpmath import mp, mpc, mpf, mpmathify, matrix, lu_solve
 
@@ -96,6 +97,26 @@ def _uva(q):
     """u = q/(1-q), v = (1-q+q^2)/(1-q) and a = qu/v = q^2/(1-q+q^2)."""
     w = 1 - q + q * q
     return q / (1 - q), w / (1 - q), q * q / w
+
+
+def _a_ratios(a, q):
+    """prod_{m<=j} (a - q^m)/(1 - q^m) for j = 0, 1, 2, ..."""
+    ratio = mp.one
+    j = 0
+    while True:
+        yield ratio
+        j += 1
+        ratio = ratio * (a - q ** j) / (1 - q ** j)
+
+
+def _d_recurrence(q, u, v):
+    """d_nu = d_{nu-1} (v - u q^nu)/(1 - q^nu) for nu = 0, 1, 2, ..., d_0 = 1."""
+    d = mp.one
+    nu = 0
+    while True:
+        yield d
+        nu += 1
+        d = d * (v - u * q ** nu) / (1 - q ** nu)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +251,7 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
         q = mpmathify(q)
         u, v, a = _uva(q)
         if method == "recurrence":
-            d = mp.one
-            for m in range(1, nu + 1):
-                d = d * (v - u * q ** m) / (1 - q ** m)
-            return d
+            return next(islice(_d_recurrence(q, u, v), nu, None))
         if method != "sum":
             raise ValueError("method must be 'recurrence' or 'sum'")
         pref = (pochhammer(a, q, dps=dps, truncation_scale=truncation_scale)
@@ -241,15 +259,9 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
         if nu == 0:
             return mp.one
 
-        def terms():
-            ratio = mp.one
-            j = 0
-            while True:
-                yield ratio * (v * q ** j) ** nu
-                j += 1
-                ratio = ratio * (a - q ** j) / (1 - q ** j)
-
-        return pref * _tail_sum(terms(), dps, truncation_scale)
+        terms = (ratio * (v * q ** j) ** nu
+                 for j, ratio in enumerate(_a_ratios(a, q)))
+        return pref * _tail_sum(terms, dps, truncation_scale)
 
 
 def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
@@ -311,15 +323,9 @@ def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
         pref = (pochhammer(a, q, dps=dps, truncation_scale=truncation_scale)
                 / pochhammer(q, q, dps=dps, truncation_scale=truncation_scale))
 
-        def terms():
-            ratio = mp.one
-            j = 0
-            while True:
-                yield ratio * z * q ** j / (1 - z * q ** j)
-                j += 1
-                ratio = ratio * (a - q ** j) / (1 - q ** j)
-
-        rhs = 1 + pref * _tail_sum(terms(), dps, truncation_scale)
+        terms = (ratio * z * q ** j / (1 - z * q ** j)
+                 for j, ratio in enumerate(_a_ratios(a, q)))
+        rhs = 1 + pref * _tail_sum(terms, dps, truncation_scale)
         return lhs, rhs
 
 
@@ -399,11 +405,7 @@ def _gf_meromorphic(q, dps, scale):
     ratio = b.pv / pochhammer(q * b.u, q, dps=dps, truncation_scale=scale)
 
     def terms():
-        d = mp.one
-        nu = 0
-        while True:
-            nu += 1
-            d = d * (b.v - b.u * q ** nu) / (1 - q ** nu)
+        for nu, d in enumerate(islice(_d_recurrence(q, b.u, b.v), 1, None), 1):
             den = 1 - 2 * q + q ** (nu + 2)
             if abs(den) < _eps(dps):
                 raise DomainError(f"q is within tail distance of the pole "
@@ -426,9 +428,7 @@ def _gf_doublesum(q, dps, scale):
     b = base_quantities(q, dps=dps, truncation_scale=scale)
 
     def j_terms():
-        ratio = mp.one
-        j = 0
-        while True:
+        for j, ratio in enumerate(_a_ratios(b.a, q)):
             base = b.v * q ** (j + 1)
 
             def nu_terms():
@@ -438,8 +438,6 @@ def _gf_doublesum(q, dps, scale):
                     yield base ** nu / (1 - 2 * q + q ** (nu + 2))
 
             yield ratio * _tail_sum(nu_terms(), dps, scale)
-            j += 1
-            ratio = ratio * (b.a - q ** j) / (1 - q ** j)
 
     T = _tail_sum(j_terms(), dps, scale)
     return b.D - _singular_prefactor(b) * T
@@ -763,10 +761,10 @@ def omega_coefficients(terms: int = 5, dps: int = 40) -> dict:
             if j < terms:
                 out[(j, l)] = mpf(text)
         if terms >= 1:
-            out[(0, 0)] = kappa0(dps=dps)
+            out[(0, 0)] = k0 = kappa0(dps=dps)
         if terms >= 2:
             g = mp.log(3) / mp.log(2)
-            out[(1, 1)] = -kappa0(dps=dps) * g * mp.log(3) / mp.log(2) ** 2
+            out[(1, 1)] = -k0 * g * mp.log(3) / mp.log(2) ** 2
         return out
 
 

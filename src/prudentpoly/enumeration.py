@@ -269,7 +269,7 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
     if method == "theorem":
         coeffs = _pa3_theorem_coeffs(order)
     elif method == "functional":
-        w1 = w_series(order).eval_catalytic(1)
+        w1 = w_series(order).eval_catalytic()
         extra = expand_rational((0, 1), (1, -1), order) + \
             expand_rational((0, 1), (1, -2), order)
         coeffs = [2 * (w1.coeffs[i] + extra.coeffs[i]) for i in range(order + 1)]
@@ -427,15 +427,25 @@ def _check_pa4_order(order: int) -> None:
 def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
     """The solution (X, Y, Z) of the trivariate system, to the order."""
     _check_pa4_order(order)
-    n = order
-    blocks = ({}, {}, {})
-    for m, tris in enumerate(_pa4_degrees(n), 1):
-        for tri, out in zip(tris, blocks):
-            for i, r in enumerate(tri):
-                for j, c in enumerate(r):
-                    if c:
-                        out.setdefault((i, j), [0] * (n + 1))[m] = c
-    return tuple(Series3(n, b) for b in blocks)
+    return tuple(Series3(order, _pa4_rows(tris, order))
+                 for tris in zip(*_pa4_degrees(order)))
+
+
+def _pa4_rows(tris, order: int) -> dict:
+    """(i, j) -> q-row of one series, from its triangles of degrees 1..order.
+
+    Row i of every triangle from degree max(i, 1) on, padded with zeros to
+    the order, is one column of the (i, j) rows; ``zip`` transposes them.
+    """
+    blocks = {}
+    for i in range(order + 1):
+        lo = max(i, 1)
+        padded = (tri[i] + [0] * (order - m)
+                  for m, tri in enumerate(tris[lo - 1:], lo))
+        for j, col in enumerate(zip(*padded)):
+            if any(col):
+                blocks[(i, j)] = (0,) * lo + col
+    return blocks
 
 
 def pa4_series(order: int) -> CountTable:

@@ -11,10 +11,12 @@ Three exact shapes, plus a fixed-precision scaled view:
                       fixed-point high-precision coefficients, converted from
                       an exact series (coefficient n is c_n 2^-n).
 
-All values are immutable after construction; every operation returns a new
-series truncated to the smaller operand order.
+``Series2`` and ``Series3`` are one implementation: a private base stores
+their q-rows by catalytic-degree tuple, (i,) or (i, j), and holds the cap
+check and every operation they share.  All values are immutable after
+construction; every operation returns a new series truncated to the smaller
+operand order.
 """
-
 from __future__ import annotations
 
 import operator
@@ -25,7 +27,7 @@ from . import _intpoly
 
 
 def _as_int_tuple(coeffs) -> tuple[int, ...]:
-    return tuple(int(c) for c in coeffs)
+    return tuple(map(int, coeffs))
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,6 @@ class Series1:
     @staticmethod
     def zero(order: int) -> "Series1":
         return Series1((0,) * (order + 1))
-
-    @staticmethod
-    def one(order: int) -> "Series1":
-        return Series1((1,) + (0,) * order)
 
     def coeff(self, n: int) -> int:
         return self.coeffs[n]
@@ -102,196 +100,180 @@ def expand_rational(numer, denom, order: int) -> Series1:
         [int(c) for c in numer], [int(c) for c in denom], order))
 
 
-class Series2:
-    """Bivariate series sum c[n][i] q^n u^i with 0 <= i <= n <= order.
+def _degree_text(key) -> str:
+    text = ",".join(map(str, key))
+    return text if len(key) == 1 else f"({text})"
 
-    Stored as one dense q-coefficient row per u-degree.  The triangular cap
-    i <= n is the combinatorial width bound; constructing a series that
-    violates it is an error.
+
+class _Catalytic:
+    """Series in q and one or two catalytic variables, all degrees <= order.
+
+    Stored as a mapping from catalytic-degree tuples, (i,) or (i, j), to
+    q-rows, tuples of order+1 ints; absent blocks are zero and no stored row
+    is all zero.  The cap max(i, j) <= n is the combinatorial width (and
+    height) bound.  Only the constructor converts and checks its input: the
+    operations build on rows already checked, through ``_built``, and
+    re-check the cap only where a shift can break it.
     """
 
     __slots__ = ("_order", "_blocks")
+    _BLOCK = ""                 # the catalytic variables, for error messages
 
-    def __init__(self, order: int, blocks):
-        self._order = order
-        rows = []
-        for i, row in enumerate(blocks):
-            if i > order:
-                break
-            row = _as_int_tuple(row)
-            if len(row) != order + 1:
-                raise ValueError("each u-block must have order+1 coefficients")
-            if any(row[:min(i, order + 1)]):
-                raise ValueError(f"catalytic degree {i} exceeds area degree")
-            rows.append(row)
-        while rows and not any(rows[-1]):
-            rows.pop()
-        self._blocks = tuple(rows)
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @staticmethod
-    def zero(order: int) -> "Series2":
-        return Series2(order, ())
-
-    @staticmethod
-    def from_triangle(order: int, triangle) -> "Series2":
-        """Build from rows triangle[n][i], 0 <= i <= n <= order."""
-        blocks = [[0] * (order + 1) for _ in range(order + 1)]
-        for n, row in enumerate(triangle):
-            for i, c in enumerate(row):
-                if c:
-                    blocks[i][n] = int(c)
-        return Series2(order, blocks)
-
-    def coeff(self, n: int, i: int) -> int:
-        if i >= len(self._blocks) or n > self._order:
-            return 0
-        return self._blocks[i][n]
-
-    def valuation(self) -> int:
-        vals = [v for v in (_intpoly.valuation(list(b)) for b in self._blocks)
-                if v is not None]
-        return min(vals) if vals else self._order + 1
-
-    def u_valuation(self) -> int:
-        for i, b in enumerate(self._blocks):
-            if any(b):
-                return i
-        return self._order + 1
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Series2) and self._order == other._order
-                and self._blocks == other._blocks)
-
-    def __hash__(self):
-        return hash((self._order, self._blocks))
-
-    def __neg__(self) -> "Series2":
-        return Series2(self._order, [[-c for c in b] for b in self._blocks])
-
-    def __add__(self, other: "Series2") -> "Series2":
-        _check_arity(self, other, Series2)
-        n = min(self._order, other._order)
-        nb = max(len(self._blocks), len(other._blocks))
-        blocks = []
-        for i in range(nb):
-            a = self._blocks[i] if i < len(self._blocks) else None
-            b = other._blocks[i] if i < len(other._blocks) else None
-            if a is None:
-                row = list(b[:n + 1])
-            elif b is None:
-                row = list(a[:n + 1])
-            else:
-                row = [a[k] + b[k] for k in range(n + 1)]
-            blocks.append(row)
-        return Series2(n, blocks)
-
-    def __sub__(self, other: "Series2") -> "Series2":
-        return self + (-other)
-
-    def __mul__(self, other: "Series2") -> "Series2":
-        _check_arity(self, other, Series2)
-        n = min(self._order, other._order)
-        out = [[0] * (n + 1) for _ in range(n + 1)]
-        for i, a in enumerate(self._blocks):
-            if i > n or not any(a):
-                continue
-            for j, b in enumerate(other._blocks):
-                k = i + j
-                if k > n or not any(b):
-                    continue
-                prod = _intpoly.mul(list(a), list(b), n)
-                row = out[k]
-                for idx, c in enumerate(prod):
-                    if c:
-                        row[idx] += c
-        return Series2(n, out)
-
-    def mul_series1(self, s: Series1) -> "Series2":
-        """Multiply every u-block by a univariate series (no u content)."""
-        n = min(self._order, s.order)
-        sc = list(s.coeffs)
-        return Series2(n, [_intpoly.mul(list(b), sc, n) for b in self._blocks])
-
-    def mul_monomial(self, dq: int = 0, du: int = 0) -> "Series2":
-        """Multiply by q^dq u^du, dropping terms past the order."""
-        n = self._order
-        blocks = [[0] * (n + 1) for _ in range(du)]
-        for b in self._blocks:
-            row = [0] * (n + 1)
-            row[dq:] = b[:n + 1 - dq]
-            blocks.append(row)
-        return Series2(n, blocks)
-
-    def subst_scale(self, t: int) -> "Series2":
-        """Substitute u -> q^t u: coefficient (n, i) moves to (n + t*i, i)."""
-        if t < 1:
-            raise ValueError("substitution exponent must be >= 1")
-        n = self._order
-        blocks = []
-        for i, b in enumerate(self._blocks):
-            row = [0] * (n + 1)
-            shift = t * i
-            if shift <= n:
-                row[shift:] = b[:n + 1 - shift]
-            blocks.append(row)
-        return Series2(n, blocks)
-
-    def eval_catalytic(self, value: int = 1) -> Series1:
-        """Evaluate u at 1 (row sums); only 1 is supported."""
-        if value != 1:
-            raise ValueError("catalytic evaluation is supported at 1 only")
-        out = [0] * (self._order + 1)
-        for b in self._blocks:
-            for idx, c in enumerate(b):
-                if c:
-                    out[idx] += c
-        return Series1(out)
-
-
-class Series3:
-    """Trivariate series sum c[n][i][j] q^n u^i v^j with i, j <= n <= order.
-
-    Stored as a mapping (i, j) -> q-row, a tuple of order+1 ints; absent
-    blocks are zero and no stored row is all zero.  Only the constructor
-    converts and checks its input: the linear operations build on rows
-    already checked and re-check the cap only where a shift can break it.
-    """
-
-    __slots__ = ("_order", "_blocks")
-
-    def __init__(self, order: int, blocks: dict):
+    def __init__(self, order: int, items):
+        """Check (degree tuple, row) pairs; keys past the order are dropped."""
         self._order = order
         clean = {}
-        for (i, j), row in blocks.items():
-            if i > order or j > order:
+        for key, row in items:
+            if max(key) > order:
                 continue
             row = _as_int_tuple(row)
             if len(row) != order + 1:
-                raise ValueError("each (u,v)-block must have order+1 coefficients")
-            if any(row[:min(max(i, j), order + 1)]):
                 raise ValueError(
-                    f"catalytic degree ({i},{j}) exceeds area degree")
+                    f"each {self._BLOCK}-block must have order+1 coefficients")
+            if any(row[:max(key)]):
+                raise ValueError(
+                    f"catalytic degree {_degree_text(key)} exceeds area degree")
             if any(row):
-                clean[(i, j)] = row
+                clean[key] = row
         self._blocks = clean
 
     @classmethod
-    def _built(cls, order: int, blocks: dict) -> "Series3":
+    def _built(cls, order: int, items):
+        """A series of checked (degree tuple, row) pairs; zero rows dropped."""
         s = object.__new__(cls)
-        s._order, s._blocks = order, blocks
+        s._order, s._blocks = order, {k: r for k, r in items if any(r)}
         return s
 
     @property
     def order(self) -> int:
         return self._order
 
-    @staticmethod
-    def zero(order: int) -> "Series3":
-        return Series3(order, {})
+    @classmethod
+    def zero(cls, order: int):
+        return cls._built(order, ())
+
+    def truncate(self, order: int):
+        if order >= self._order:
+            return self
+        # a block past the new order is zero up to it, by the cap
+        return self._built(order, ((k, r[:order + 1])
+                                   for k, r in self._blocks.items()))
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._order == other._order
+                and self._blocks == other._blocks)
+
+    def __hash__(self):
+        return hash((self._order, frozenset(self._blocks.items())))
+
+    def __neg__(self):
+        return self.zero(self._order) - self
+
+    def _combine(self, other, op):
+        _check_arity(self, other, type(self))
+        n = min(self._order, other._order)
+        out, zero = dict(self.truncate(n)._blocks), (0,) * (n + 1)
+        for key, row in other.truncate(n)._blocks.items():
+            out[key] = tuple(map(op, out.get(key, zero), row))
+        return self._built(n, out.items())
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def mul_series1(self, s: Series1):
+        """Multiply every block by a univariate series (no catalytic content)."""
+        n = min(self._order, s.order)
+        sc = list(s.coeffs)
+        return self._built(n, ((k, tuple(_intpoly.mul(list(r), sc, n)))
+                               for k, r in self._blocks.items()))
+
+    def _shift(self, dq: int, dk: tuple):
+        """Multiply by q^dq times the catalytic monomial of degrees dk."""
+        n = self._order
+        check = max(dk) > dq            # the only case that can break the cap
+        out = []
+        for key, row in self._blocks.items():
+            key = tuple(map(operator.add, key, dk))
+            if max(key) > n or dq > n:
+                continue
+            row = (0,) * dq + row[:n + 1 - dq]
+            if check and any(row[:max(key)]):
+                raise ValueError(
+                    f"catalytic degree {_degree_text(key)} exceeds area degree")
+            out.append((key, row))
+        return self._built(n, out)
+
+    def _subst(self, axis: int, t: int):
+        """Substitute x -> q^t x for the catalytic variable x of that axis."""
+        if t < 1:
+            raise ValueError("substitution exponent must be >= 1")
+        n = self._order
+        out = []
+        for key, row in self._blocks.items():
+            shift = min(t * key[axis], n + 1)
+            out.append((key, (0,) * shift + row[:n + 1 - shift]))
+        return self._built(n, out)
+
+    def eval_catalytic(self) -> Series1:
+        """Evaluate every catalytic variable at 1 (the sum of the rows)."""
+        return Series1([sum(col) for col in zip(*self._blocks.values())]
+                       or [0] * (self._order + 1))
+
+
+class Series2(_Catalytic):
+    """Bivariate series sum c[n][i] q^n u^i with 0 <= i <= n <= order."""
+
+    __slots__ = ()
+    _BLOCK = "u"
+
+    def __init__(self, order: int, blocks):
+        """blocks[i] is the q-row of u^i; rows past the order are dropped."""
+        super().__init__(order, (((i,), row) for i, row in enumerate(blocks)))
+
+    def coeff(self, n: int, i: int) -> int:
+        row = self._blocks.get((i,))
+        return row[n] if row is not None and n <= self._order else 0
+
+    def valuation(self) -> int:
+        return min((_intpoly.valuation(list(r)) for r in self._blocks.values()),
+                   default=self._order + 1)
+
+    def u_valuation(self) -> int:
+        return min((i for (i,) in self._blocks), default=self._order + 1)
+
+    def __mul__(self, other: "Series2") -> "Series2":
+        _check_arity(self, other, Series2)
+        n = min(self._order, other._order)
+        out = {}
+        for (i,), a in self._blocks.items():
+            for (j,), b in other._blocks.items():
+                if i + j <= n:
+                    row = out.setdefault((i + j,), [0] * (n + 1))
+                    row[:] = map(operator.add, row,
+                                 _intpoly.mul(list(a), list(b), n))
+        return Series2._built(n, ((k, tuple(r)) for k, r in out.items()))
+
+    def mul_monomial(self, dq: int = 0, du: int = 0) -> "Series2":
+        """Multiply by q^dq u^du, dropping terms past the order."""
+        return self._shift(dq, (du,))
+
+    def subst_scale(self, t: int) -> "Series2":
+        """Substitute u -> q^t u: coefficient (n, i) moves to (n + t*i, i)."""
+        return self._subst(0, t)
+
+
+class Series3(_Catalytic):
+    """Trivariate series sum c[n][i][j] q^n u^i v^j with i, j <= n <= order."""
+
+    __slots__ = ()
+    _BLOCK = "(u,v)"
+
+    def __init__(self, order: int, blocks: dict):
+        """blocks maps (i, j) to the q-row of u^i v^j."""
+        super().__init__(order, blocks.items())
 
     @staticmethod
     def monomial(order: int, c: int, dq: int, du: int, dv: int) -> "Series3":
@@ -310,87 +292,19 @@ class Series3:
     def is_zero(self) -> bool:
         return not self._blocks
 
-    def truncate(self, order: int) -> "Series3":
-        if order >= self._order:
-            return self
-        return Series3(order, {k: r[:order + 1] for k, r in self._blocks.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Series3) and self._order == other._order
-                and self._blocks == other._blocks)
-
-    def __hash__(self):
-        return hash((self._order, tuple(sorted(self._blocks.items()))))
-
-    def __neg__(self) -> "Series3":
-        return Series3.zero(self._order) - self
-
-    def _combine(self, other: "Series3", op) -> "Series3":
-        _check_arity(self, other, Series3)
-        n = min(self._order, other._order)
-        out = dict(self.truncate(n)._blocks)
-        for key, row in other.truncate(n)._blocks.items():
-            cur = out.pop(key, None)
-            if cur is not None:
-                row = tuple(map(op, cur, row))
-            elif op is operator.sub:
-                row = tuple(map(operator.neg, row))
-            if any(row):
-                out[key] = row
-        return Series3._built(n, out)
-
-    def __add__(self, other: "Series3") -> "Series3":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "Series3") -> "Series3":
-        return self._combine(other, operator.sub)
-
-    def mul_series1(self, s: Series1) -> "Series3":
-        n = min(self._order, s.order)
-        sc = list(s.coeffs)
-        return Series3(n, {k: _intpoly.mul(list(r), sc, n)
-                           for k, r in self._blocks.items()})
-
     def mul_monomial(self, dq: int = 0, du: int = 0, dv: int = 0) -> "Series3":
         """Multiply by q^dq u^du v^dv, dropping terms past the order."""
-        n = self._order
-        check = max(du, dv) > dq          # the only case that can break the cap
-        out = {}
-        for (i, j), row in self._blocks.items():
-            i, j, row = i + du, j + dv, row[:max(n + 1 - dq, 0)]
-            if i > n or j > n or not any(row):
-                continue
-            row = (0,) * dq + row
-            if check and any(row[:max(i, j)]):
-                raise ValueError(
-                    f"catalytic degree ({i},{j}) exceeds area degree")
-            out[(i, j)] = row
-        return Series3._built(n, out)
+        return self._shift(dq, (du, dv))
 
     def subst_scale(self, which: str, t: int = 1) -> "Series3":
         """Substitute u -> q^t u (which='u') or v -> q^t v (which='v')."""
         if which not in ("u", "v"):
             raise ValueError("which must be 'u' or 'v'")
-        if t < 1:
-            raise ValueError("substitution exponent must be >= 1")
-        n = self._order
-        out = {}
-        for (i, j), row in self._blocks.items():
-            shift = t * (i if which == "u" else j)
-            row = row[:max(n + 1 - shift, 0)]
-            if any(row):
-                out[(i, j)] = (0,) * shift + row
-        return Series3._built(n, out)
+        return self._subst("uv".index(which), t)
 
     def swap_catalytics(self) -> "Series3":
-        return Series3._built(self._order, {(j, i): row for (i, j), row
-                                            in self._blocks.items()})
-
-    def eval_catalytic(self, u_value: int = 1, v_value: int = 1) -> Series1:
-        if u_value != 1 or v_value != 1:
-            raise ValueError("catalytic evaluation is supported at 1 only")
-        return Series1([sum(col) for col in zip(*self._blocks.values())]
-                       or [0] * (self._order + 1))
+        return Series3._built(self._order, (((j, i), row) for (i, j), row
+                                            in self._blocks.items()))
 
 
 class FloatSeries1:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +223,32 @@ class TestResidualsAndFit:
         assert code == 0
         row = [l for l in out.splitlines() if not l.startswith("#")][1]
         assert abs(float(row.split(",")[2])) < 0.01
+
+
+# The benchmark's tracer wraps library functions and the series constructors
+# by name; this run fails when a rename leaves the traced run broken.
+TRACED_RUN = """
+import contextlib, io, json
+import tracing
+tracer = tracing.Tracer()
+tracer.install()
+from prudentpoly import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["enumerate", "--k", "3", "--method", "functional",
+                     "--max-area", "10", "--no-timestamp"])
+print(json.dumps({"code": code, "layers": tracer.layer_metrics()}))
+"""
+
+
+class TestTracedRun:
+    def test_perfbench_tracer_installs_and_times_series(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]))
+        proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["code"] == 0
+        assert report["layers"]["series.construct_s"] > 0
