@@ -2,18 +2,10 @@
 
 A polynomial/series is a plain ``list[int]`` of coefficients indexed by
 exponent.  Everything here is exact integer arithmetic: truncated schoolbook
-multiplication, valuation, and long division by a unit-constant denominator.
+multiplication and long division by a unit-constant denominator.
 """
 
 from __future__ import annotations
-
-
-def valuation(coeffs: list[int]) -> int | None:
-    """Index of the first nonzero coefficient, or None for the zero series."""
-    for i, c in enumerate(coeffs):
-        if c:
-            return i
-    return None
 
 
 def mul(a: list[int], b: list[int], n_out: int) -> list[int]:

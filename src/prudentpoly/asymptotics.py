@@ -504,7 +504,7 @@ def _check_near_half(q) -> None:
 
 def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
     """The oscillation factor Pi(w) = sum_k p_k e^{-2 i k pi w},
-    p_k = pi/sin(pi gamma + 2 i k pi^2 / log(1/q)).
+    p_k = pi/sin(pi gamma + 2 i k pi^2 / log(1/q)), gamma from v(q).
 
     The p_k decay like exp(-2 k pi^2/log(1/q)) (~4.3e-13 per step at
     q = 1/2), but for complex w the factor e^{-+2 i k pi w} grows
@@ -514,25 +514,29 @@ def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
     """
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
-        w = mpmathify(w)
         _, v, _ = _uva(q)
         log_q = mp.log(1 / q)
-        gamma = mp.log(v) / log_q
-        stop = _stop_rule(dps, truncation_scale)
-        total = mp.pi / mp.sin(mp.pi * gamma)
-        k = 0
-        size = None
-        while True:
-            k += 1
-            terms = [mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / log_q)
-                     * mp.e ** (-2j * sk * mp.pi * w) for sk in (k, -k)]
-            total += terms[0] + terms[1]
-            prev, size = size, max(abs(t) for t in terms)
-            if prev is not None and size >= prev:
-                raise DomainError(
-                    f"Pi(w) harmonics stop decaying at k = {k} (w = {w})")
-            if stop(size):
-                return total
+        return _pi_sum(mpmathify(w), mp.log(v) / log_q, log_q, dps,
+                       truncation_scale)
+
+
+def _pi_sum(w, gamma, log_q, dps, scale):
+    """Pi(w) for the given gamma and log(1/q), at the caller's precision."""
+    stop = _stop_rule(dps, scale)
+    total = mp.pi / mp.sin(mp.pi * gamma)
+    k = 0
+    size = None
+    while True:
+        k += 1
+        terms = [mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / log_q)
+                 * mp.e ** (-2j * sk * mp.pi * w) for sk in (k, -k)]
+        total += terms[0] + terms[1]
+        prev, size = size, max(abs(t) for t in terms)
+        if prev is not None and size >= prev:
+            raise DomainError(
+                f"Pi(w) harmonics stop decaying at k = {k} (w = {w})")
+        if stop(size):
+            return total
 
 
 def _gf_singular(q, dps, scale):
@@ -590,10 +594,11 @@ def h_representation(j: int, t, q, v, dps: int = 40,
             raise DomainError("representation stated for 0 < t < q^-3")
         if abs(t) >= mpf("0.9") * q ** 2:
             raise DomainError("representation r-sum needs |t| < q^2 to contract")
-        gamma = mp.log(v) / mp.log(1 / q)
-        sing = ((-1) ** j * v * q ** (3 * gamma - 2 * j - 2) / mp.log(1 / q)
-                * t ** (j - gamma) * pi_eval(mp.log(t) / mp.log(1 / q), q, dps=dps,
-                                             truncation_scale=truncation_scale))
+        log_q = mp.log(1 / q)
+        gamma = mp.log(v) / log_q
+        sing = ((-1) ** j * v * q ** (3 * gamma - 2 * j - 2) / log_q
+                * t ** (j - gamma) * _pi_sum(mp.log(t) / log_q, gamma, log_q,
+                                             dps, truncation_scale))
 
         def terms():
             r = 0
@@ -625,16 +630,23 @@ def kappa(k: int, dps: int = 40, truncation_scale: float = 1.0):
     kappa_0 is real; kappa_{-k} is the conjugate of kappa_k.
     """
     with mp.workdps(dps + _GUARD_DPS):
-        half = mpf(1) / 2
-        prod = (pochhammer(mpf(1) / 3, half, dps=dps, truncation_scale=truncation_scale)
-                * pochhammer(mpf(3) / 2, half, dps=dps, truncation_scale=truncation_scale)
-                / pochhammer(half, half, dps=dps, truncation_scale=truncation_scale) ** 2)
+        prod = _kappa_product(dps, truncation_scale)
         g = mp.log(3) / mp.log(2)
         if k == 0:
             return mp.pi / (9 * mp.log(2) * mp.sin(mp.pi * g) * mp.gamma(g + 1)) * prod
         arg_sin = mp.pi * g + 2j * k * mp.pi ** 2 / mp.log(2)
         arg_gam = g + 1 + 2j * k * mp.pi / mp.log(2)
         return mp.pi / (9 * mp.log(2) * mp.sin(arg_sin) * mp.gamma(arg_gam)) * prod
+
+
+@functools.lru_cache(maxsize=16)
+def _kappa_product(dps: int, truncation_scale: float):
+    """(1/3;1/2)oo (3/2;1/2)oo / (1/2;1/2)oo^2, the same for every kappa_k."""
+    with mp.workdps(dps + _GUARD_DPS):
+        third, three_halves, half = (
+            pochhammer(x, mpf(1) / 2, dps=dps, truncation_scale=truncation_scale)
+            for x in (mpf(1) / 3, mpf(3) / 2, mpf(1) / 2))
+        return third * three_halves / half ** 2
 
 
 def kappa0(dps: int = 40) -> mpf:
@@ -751,6 +763,8 @@ def omega_coefficients(terms: int = 5, dps: int = 40) -> dict:
     10-digit values, which is asserted in the test suite); the others are the
     printed constants.
     """
+    if terms < 0:
+        raise ValueError("terms must be >= 0")
     if terms > OMEGA_MAX_TERMS:
         raise DomainError(
             f"only {OMEGA_MAX_TERMS} expansion terms are available; deriving "

@@ -55,6 +55,13 @@ def _digits(text: str) -> int:
         "or PRUDENTPOLY_DIGITS)")
 
 
+def _count(text: str) -> int:
+    value = int(text)                   # argparse reports a ValueError too
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {text!r})")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     # a string default goes through _digits too, so a bad environment value
     # is a usage error unless --digits overrides it
@@ -93,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("constants", help="asymptotic constants")
-    p.add_argument("--harmonics", type=int, default=2)
+    p.add_argument("--harmonics", type=_count, default=2)
     _add_common(p)
 
     p = sub.add_parser("gf-check", help="compare PA(q) routes")
@@ -105,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residuals", help="scaled counts minus the model")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--terms", type=int, default=5)
+    p.add_argument("--terms", type=_count, default=5)
     p.add_argument("--min-n", type=int, default=2)
     _add_common(p)
 

@@ -67,38 +67,19 @@ class CountTable:
 def bargraph_series(order: int, with_width: bool = False):
     """Area (or area-width) generating function of bargraphs.
 
-    The bivariate series solves B = qu/(1-q) + qu/(1-q) B, built here by
-    iterating that equation (column by column) until the update vanishes.
+    The bivariate series solves B = qu/(1-q) + qu/(1-q) B, so B is the sum
+    of (qu/(1-q))^i over i >= 1: each u-row is the one before times q, then
+    divided by (1-q), down to the first row that vanishes below the order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not with_width:
         return expand_rational((0, 1), (1, -2), order)
     n = order
-    # delta_1 = qu/(1-q); delta_{s+1} = qu/(1-q) * delta_s, one more column.
-    delta = [[0] * (n + 1)]
-    first = [0] * (n + 1)
-    for m in range(1, n + 1):
-        first[m] = 1
-    delta.append(first)
-    total = [row[:] for row in delta]
-    while True:
-        nxt = [[0] * (n + 1)]
-        alive = False
-        for row in delta:
-            # * q (and * u via index shift), then / (1-q)
-            nr = list(accumulate([0] + row[:n]))
-            if any(nr):
-                alive = True
-            nxt.append(nr)
-        if not alive:
-            break
-        delta = nxt
-        while len(total) < len(delta):
-            total.append([0] * (n + 1))
-        for trow, row in zip(total, delta):
-            trow[:] = map(add, trow, row)
-    return Series2(n, total)
+    rows = [[0] * (n + 1), [0] + [1] * n]       # u^0: none; u^1: q/(1-q)
+    while any(rows[-1]):
+        rows.append(list(accumulate([0] + rows[-1][:n])))
+    return Series2(n, rows)
 
 
 def pa2_series(order: int) -> CountTable:
@@ -269,10 +250,9 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
     if method == "theorem":
         coeffs = _pa3_theorem_coeffs(order)
     elif method == "functional":
-        w1 = w_series(order).eval_catalytic()
-        extra = expand_rational((0, 1), (1, -1), order) + \
-            expand_rational((0, 1), (1, -2), order)
-        coeffs = [2 * (w1.coeffs[i] + extra.coeffs[i]) for i in range(order + 1)]
+        coeffs = (w_series(order).eval_catalytic()
+                  + expand_rational((0, 1), (1, -1), order)
+                  + expand_rational((0, 1), (1, -2), order)).scale(2).coeffs
     else:
         raise ValueError("method must be 'theorem' or 'functional'")
     return CountTable(3, coeffs[1:], method)

@@ -11,75 +11,24 @@ Three exact shapes, plus a fixed-precision scaled view:
                       fixed-point high-precision coefficients, converted from
                       an exact series (coefficient n is c_n 2^-n).
 
-``Series2`` and ``Series3`` are one implementation: a private base stores
-their q-rows by catalytic-degree tuple, (i,) or (i, j), and holds the cap
-check and every operation they share.  All values are immutable after
-construction; every operation returns a new series truncated to the smaller
-operand order.
+The three exact shapes are one implementation: a private base stores their
+q-rows by catalytic-degree tuple, () for ``Series1``, (i,) or (i, j), and
+holds the cap check and every operation they share, the truncated product
+and the valuation included.  All values are immutable after construction;
+every operation returns a new series truncated to the smaller operand order.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from functools import lru_cache
 from mpmath import mp, mpf
 
 from . import _intpoly
 
 
-def _as_int_tuple(coeffs) -> tuple[int, ...]:
-    return tuple(map(int, coeffs))
-
-
-@dataclass(frozen=True)
-class Series1:
-    """sum_{n=0}^{order} coeffs[n] q^n, coefficients in Z."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_int_tuple(self.coeffs))
-        if not self.coeffs:
-            raise ValueError("Series1 needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def zero(order: int) -> "Series1":
-        return Series1((0,) * (order + 1))
-
-    def coeff(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient; order+1 for the zero series."""
-        v = _intpoly.valuation(list(self.coeffs))
-        return self.order + 1 if v is None else v
-
-    def truncate(self, order: int) -> "Series1":
-        if order >= self.order:
-            return self
-        return Series1(self.coeffs[:order + 1])
-
-    def __neg__(self) -> "Series1":
-        return Series1(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "Series1") -> "Series1":
-        _check_arity(self, other, Series1)
-        n = min(self.order, other.order)
-        return Series1(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
-
-    def __sub__(self, other: "Series1") -> "Series1":
-        return self + (-other)
-
-    def __mul__(self, other: "Series1") -> "Series1":
-        _check_arity(self, other, Series1)
-        n = min(self.order, other.order)
-        return Series1(_intpoly.mul(list(self.coeffs), list(other.coeffs), n))
-
-    def scale(self, k: int) -> "Series1":
-        return Series1(tuple(k * c for c in self.coeffs))
+@lru_cache(maxsize=64)
+def _zero_row(order: int) -> tuple[int, ...]:
+    return (0,) * (order + 1)
 
 
 def _check_arity(a, b, cls) -> None:
@@ -90,25 +39,15 @@ def _check_arity(a, b, cls) -> None:
         )
 
 
-def expand_rational(numer, denom, order: int) -> Series1:
-    """Series of numer(q)/denom(q) to the given order.
-
-    Polynomials are coefficient sequences; denom must have constant term +-1
-    so the expansion stays in Z.
-    """
-    return Series1(_intpoly.expand_rational(
-        [int(c) for c in numer], [int(c) for c in denom], order))
-
-
 def _degree_text(key) -> str:
     text = ",".join(map(str, key))
     return text if len(key) == 1 else f"({text})"
 
 
 class _Catalytic:
-    """Series in q and one or two catalytic variables, all degrees <= order.
+    """Series in q and zero, one or two catalytic variables, degrees <= order.
 
-    Stored as a mapping from catalytic-degree tuples, (i,) or (i, j), to
+    Stored as a mapping from catalytic-degree tuples, (), (i,) or (i, j), to
     q-rows, tuples of order+1 ints; absent blocks are zero and no stored row
     is all zero.  The cap max(i, j) <= n is the combinatorial width (and
     height) bound.  Only the constructor converts and checks its input: the
@@ -124,13 +63,14 @@ class _Catalytic:
         self._order = order
         clean = {}
         for key, row in items:
-            if max(key) > order:
+            top = max(key, default=0)
+            if top > order:
                 continue
-            row = _as_int_tuple(row)
+            row = tuple(map(int, row))
             if len(row) != order + 1:
                 raise ValueError(
                     f"each {self._BLOCK}-block must have order+1 coefficients")
-            if any(row[:max(key)]):
+            if any(row[:top]):
                 raise ValueError(
                     f"catalytic degree {_degree_text(key)} exceeds area degree")
             if any(row):
@@ -140,6 +80,8 @@ class _Catalytic:
     @classmethod
     def _built(cls, order: int, items):
         """A series of checked (degree tuple, row) pairs; zero rows dropped."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
         s = object.__new__(cls)
         s._order, s._blocks = order, {k: r for k, r in items if any(r)}
         return s
@@ -151,6 +93,11 @@ class _Catalytic:
     @classmethod
     def zero(cls, order: int):
         return cls._built(order, ())
+
+    def valuation(self) -> int:
+        """Lowest q-degree of any nonzero coefficient; order+1 for zero."""
+        return min((next(n for n, c in enumerate(r) if c)   # rows are nonzero
+                    for r in self._blocks.values()), default=self._order + 1)
 
     def truncate(self, order: int):
         if order >= self._order:
@@ -172,7 +119,7 @@ class _Catalytic:
     def _combine(self, other, op):
         _check_arity(self, other, type(self))
         n = min(self._order, other._order)
-        out, zero = dict(self.truncate(n)._blocks), (0,) * (n + 1)
+        out, zero = dict(self.truncate(n)._blocks), _zero_row(n)
         for key, row in other.truncate(n)._blocks.items():
             out[key] = tuple(map(op, out.get(key, zero), row))
         return self._built(n, out.items())
@@ -183,12 +130,26 @@ class _Catalytic:
     def __sub__(self, other):
         return self._combine(other, operator.sub)
 
-    def mul_series1(self, s: Series1):
+    def _product(self, other):
+        """The truncated product; a Series1 factor's () keeps the degrees."""
+        n, out = min(self._order, other._order), {}
+        for ka, a in self._blocks.items():
+            for kb, b in other._blocks.items():
+                key = tuple(map(operator.add, ka, kb)) if kb else ka
+                if max(key, default=0) <= n:    # else zero up to n, by the cap
+                    row = _intpoly.mul(list(a), list(b), n)
+                    out[key] = tuple(map(operator.add,
+                                         out.get(key, _zero_row(n)), row))
+        return self._built(n, out.items())
+
+    def __mul__(self, other):
+        _check_arity(self, other, type(self))
+        return self._product(other)
+
+    def mul_series1(self, s: "Series1"):
         """Multiply every block by a univariate series (no catalytic content)."""
-        n = min(self._order, s.order)
-        sc = list(s.coeffs)
-        return self._built(n, ((k, tuple(_intpoly.mul(list(r), sc, n)))
-                               for k, r in self._blocks.items()))
+        _check_arity(s, s, Series1)
+        return self._product(s)
 
     def _shift(self, dq: int, dk: tuple):
         """Multiply by q^dq times the catalytic monomial of degrees dk."""
@@ -217,10 +178,42 @@ class _Catalytic:
             out.append((key, (0,) * shift + row[:n + 1 - shift]))
         return self._built(n, out)
 
-    def eval_catalytic(self) -> Series1:
+    def eval_catalytic(self) -> "Series1":
         """Evaluate every catalytic variable at 1 (the sum of the rows)."""
-        return Series1([sum(col) for col in zip(*self._blocks.values())]
-                       or [0] * (self._order + 1))
+        return Series1._built(self._order, [
+            ((), tuple(map(sum, zip(*self._blocks.values()))))])
+
+
+class Series1(_Catalytic):
+    """sum_{n=0}^{order} coeffs[n] q^n, coefficients in Z."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        if not coeffs:
+            raise ValueError("Series1 needs at least the constant coefficient")
+        super().__init__(len(coeffs) - 1, [((), coeffs)])
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self._blocks.get(()) or _zero_row(self._order)
+
+    def coeff(self, n: int) -> int:
+        return self.coeffs[n]
+
+    def scale(self, k: int) -> "Series1":
+        return Series1(tuple(k * c for c in self.coeffs))
+
+
+def expand_rational(numer, denom, order: int) -> Series1:
+    """Series of numer(q)/denom(q) to the given order.
+
+    Polynomials are coefficient sequences; denom must have constant term +-1
+    so the expansion stays in Z.
+    """
+    return Series1(_intpoly.expand_rational(
+        [int(c) for c in numer], [int(c) for c in denom], order))
 
 
 class Series2(_Catalytic):
@@ -237,24 +230,8 @@ class Series2(_Catalytic):
         row = self._blocks.get((i,))
         return row[n] if row is not None and n <= self._order else 0
 
-    def valuation(self) -> int:
-        return min((_intpoly.valuation(list(r)) for r in self._blocks.values()),
-                   default=self._order + 1)
-
     def u_valuation(self) -> int:
         return min((i for (i,) in self._blocks), default=self._order + 1)
-
-    def __mul__(self, other: "Series2") -> "Series2":
-        _check_arity(self, other, Series2)
-        n = min(self._order, other._order)
-        out = {}
-        for (i,), a in self._blocks.items():
-            for (j,), b in other._blocks.items():
-                if i + j <= n:
-                    row = out.setdefault((i + j,), [0] * (n + 1))
-                    row[:] = map(operator.add, row,
-                                 _intpoly.mul(list(a), list(b), n))
-        return Series2._built(n, ((k, tuple(r)) for k, r in out.items()))
 
     def mul_monomial(self, dq: int = 0, du: int = 0) -> "Series2":
         """Multiply by q^dq u^du, dropping terms past the order."""
@@ -318,7 +295,7 @@ class FloatSeries1:
     __slots__ = ("mantissas", "scale_bits", "precision")
 
     def __init__(self, mantissas, scale_bits: int, precision: int):
-        self.mantissas = _as_int_tuple(mantissas)
+        self.mantissas = tuple(map(int, mantissas))
         self.scale_bits = int(scale_bits)
         self.precision = int(precision)
 

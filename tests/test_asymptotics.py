@@ -242,6 +242,14 @@ class TestHj:
                 direct, rep = asy.hj_check(j, t, q, v)
                 assert close(direct, rep, 1e-34), (j, t)
 
+    @pytest.mark.parametrize("v", ["1.4", "1.6"])
+    def test_representation_at_v_other_than_v_of_q(self, v):
+        # the power law and Pi(w) both take gamma from the v given
+        q, t = mpf(1) / 2, mpf("0.05")
+        for j in range(3):
+            direct, rep = asy.hj_check(j, t, q, mpf(v))
+            assert close(direct, rep, 1e-34), j
+
     def test_large_t_decay(self):
         q, v = mpf(1) / 2, mpf(3) / 2
         for t in (mpf(10) ** 3, mpf(10) ** 4, mpf(10) ** 5):
@@ -322,6 +330,10 @@ class TestOmega:
     def test_too_many_terms(self):
         with pytest.raises(DomainError):
             asy.omega_coefficients(6)
+
+    def test_negative_terms(self):
+        with pytest.raises(ValueError, match="terms"):
+            asy.omega_coefficients(-1)
 
     def test_model_telescopes(self):
         n = 700

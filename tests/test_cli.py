@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -134,6 +135,14 @@ class TestErrors:
         assert "internal error" in err and "below q-degree" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["residuals", "--max-n", "20", "--terms", "-1"],
+        ["constants", "--harmonics", "-2"]])
+    def test_negative_count_is_usage_error(self, argv, capsys):
+        code, out, err = run(argv + ["--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert "must be >= 0" in err
+
     def test_four_sided_memory_guard_exit_two(self, capsys):
         # the first order past the solver's memory budget is refused at once
         e = cli.enumeration
@@ -148,7 +157,35 @@ class TestErrors:
         assert "domain error" in err and "MiB" in err
 
 
+# sha256 of `constants --harmonics 3 --digits 100 --no-timestamp`, recorded
+# before the kappa_k q-product was computed once for every k
+CONSTANTS_ARGV = ["constants", "--harmonics", "3", "--digits", "100",
+                  "--no-timestamp"]
+CONSTANTS_SHA256 = \
+    "faeded3155cf77fdb6130d7b9626b6ae1c4e77e3850e46be37653829069720cc"
+
+
 class TestConstants:
+    def test_digest(self, capsys):
+        code, out, _ = run(CONSTANTS_ARGV, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CONSTANTS_SHA256
+
+    def test_kappa_product_computed_once(self, capsys, monkeypatch):
+        # 3 q-products shared by every kappa_k, 2 more for U(1/2)
+        made = []
+        pochhammer = cli.asymptotics.pochhammer
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return pochhammer(*args, **kwargs)
+
+        monkeypatch.setattr(cli.asymptotics, "pochhammer", counted)
+        cli.asymptotics._kappa_product.cache_clear()
+        code, out, _ = run(CONSTANTS_ARGV, capsys)
+        assert code == 0 and len(made) == 5
+        assert hashlib.sha256(out.encode()).hexdigest() == CONSTANTS_SHA256
+
     def test_kappa0_digits(self, capsys):
         code, out, _ = run(["constants", "--digits", "12", "--no-timestamp"],
                            capsys)

@@ -47,6 +47,17 @@ class TestBargraphs:
         rhs = qu_over_1mq + qu_over_1mq * b
         assert rhs == b
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+    def test_width_rows_are_powers(self, n):
+        # the u^i row of B is (q/(1-q))^i
+        b = bargraph_series(n, with_width=True)
+        x = power = expand_rational((0, 1), (1, -1), n)
+        for i in range(1, n + 1):
+            assert tuple(b.coeff(m, i) for m in range(n + 1)) == power.coeffs
+            power = power * x
+        assert not any(power.coeffs)
+        assert all(b.coeff(m, 0) == 0 for m in range(n + 1))
+
 
 class TestPa2:
     def test_closed_form(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,90 @@ class TestSeries1:
     def test_valuation(self):
         assert s1(0, 0, 5, 1).valuation() == 2
         assert Series1.zero(4).valuation() == 5
+
+
+coeff_lists = st.lists(st.integers(-20, 20), min_size=1, max_size=10)
+
+
+def _tuple_mul(xs, ys, n):
+    """Coefficients 0..n-1 of the product of two coefficient tuples."""
+    return tuple(sum(xs[i] * ys[k - i] for i in range(k + 1)) for k in range(n))
+
+
+class TestSeries1References:
+    """Every Series1 operation against plain tuple arithmetic."""
+
+    @given(coeff_lists, coeff_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_binary_operations(self, xs, ys):
+        a, b = Series1(xs), Series1(ys)
+        n = min(len(xs), len(ys))
+        assert (a + b).coeffs == tuple(map(operator.add, xs[:n], ys[:n]))
+        assert (a - b).coeffs == tuple(map(operator.sub, xs[:n], ys[:n]))
+        assert (a * b).coeffs == _tuple_mul(xs, ys, n)
+        assert {(a + b).order, (a - b).order, (a * b).order} == {n - 1}
+
+    @given(coeff_lists, st.integers(0, 12), st.integers(-5, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_unary_operations(self, xs, order, k):
+        a = Series1(xs)
+        assert a.order == len(xs) - 1 and a.coeffs == tuple(xs)
+        assert [a.coeff(n) for n in range(len(xs))] == xs
+        assert (-a).coeffs == tuple(-c for c in xs)
+        assert a.truncate(order).coeffs == tuple(xs[:order + 1])
+        assert a.scale(k).coeffs == tuple(k * c for c in xs)
+        nonzero = [n for n, c in enumerate(xs) if c]
+        assert a.valuation() == (nonzero[0] if nonzero else len(xs))
+
+    @given(coeff_lists, coeff_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_zero_equality_and_hash(self, xs, ys):
+        a, b = Series1(xs), Series1(ys)
+        assert (a == b) == (xs == ys)
+        assert Series1(tuple(xs)) == a and hash(Series1(tuple(xs))) == hash(a)
+        zero = Series1.zero(len(xs) - 1)
+        assert zero.coeffs == (0,) * len(xs) and zero.valuation() == len(xs)
+        assert (zero == a) == (not any(xs))
+        assert a + zero == a and a * zero == zero and a - a == zero
+
+    def test_rejects_empty_and_mixed_operands(self):
+        with pytest.raises(ValueError, match="constant coefficient"):
+            Series1(())
+        for call in (lambda: Series1.zero(-1), lambda: s1(1, 2).truncate(-1)):
+            with pytest.raises(ValueError):
+                call()
+        a, b = s1(1, 2, 3), _random_series2(1)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+            with pytest.raises(TypeError):
+                op(b, a)
+        with pytest.raises(TypeError):
+            b.mul_series1(_random_series2(2))
+
+
+class TestMulSeries1:
+    """Series2 and Series3 times a univariate series, coefficient by
+    coefficient."""
+
+    @given(st.integers(0, 2 ** 30), coeff_lists)
+    @settings(max_examples=20, deadline=None)
+    def test_series2(self, seed, xs):
+        s, f = _random_series2(seed), Series1(xs)
+        n = min(s.order, f.order)
+        blocks = [[sum(s.coeff(k, i) * f.coeff(m - k) for k in range(m + 1))
+                   for m in range(n + 1)] for i in range(n + 1)]
+        assert s.mul_series1(f) == Series2(n, blocks)
+
+    @given(st.integers(0, 2 ** 30), coeff_lists)
+    @settings(max_examples=20, deadline=None)
+    def test_series3(self, seed, xs):
+        s, f = _random_series3(seed), Series1(xs)
+        n = min(s.order, f.order)
+        blocks = {key: [sum(row[k] * f.coeff(m - k) for k in range(m + 1))
+                        for m in range(n + 1)]
+                  for key, row in s.blocks().items()}
+        assert s.mul_series1(f) == Series3(n, blocks)
 
 
 class TestExpandRational:
