@@ -21,18 +21,19 @@ and extracts the oscillation empirically from the exact counts.
 
 All functions take ``dps`` (significant decimal digits, default 40) and a
 ``truncation_scale`` knob.  Every infinite product and every adaptive sum
-(the tail sums, the q-products, the z-factors of d_nu and the harmonics of
-Pi) stops by one rule: find the first index whose term, or the geometric
-bound on what remains, is below 10^-(dps+5), then run ``truncation_scale``
-times as far, so insensitivity to doubling can be asserted mechanically.  A
-loop that has not stopped after _MAX_TERMS terms raises DomainError.
+(the tail sums, the q-products, the z-factors of d_nu, the harmonics of Pi
+and those of kappa(u)) stops by one rule: find the first index whose term,
+or the geometric bound on what remains, is below 10^-(dps+5), then run
+``truncation_scale`` times as far, so insensitivity to doubling can be
+asserted mechanically.  A loop that has not stopped after _MAX_TERMS terms
+raises DomainError.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 from mpmath import mp, mpc, mpf, mpmathify, matrix, lu_solve
 
@@ -109,6 +110,15 @@ def _a_ratios(a, q):
         ratio = ratio * (a - q ** j) / (1 - q ** j)
 
 
+def _a_ratio_sum(a, q, f, dps, scale):
+    """[(a;q)oo/(q;q)oo] sum_j prod_{m<=j}[(a-q^m)/(1-q^m)] f(j), the
+    partial-fraction sum behind d_nu's j-sum and the Mittag-Leffler check."""
+    pref = (pochhammer(a, q, dps=dps, truncation_scale=scale)
+            / pochhammer(q, q, dps=dps, truncation_scale=scale))
+    terms = (ratio * f(j) for j, ratio in enumerate(_a_ratios(a, q)))
+    return pref * _tail_sum(terms, dps, scale)
+
+
 def _d_recurrence(q, u, v):
     """d_nu = d_{nu-1} (v - u q^nu)/(1 - q^nu) for nu = 0, 1, 2, ..., d_0 = 1."""
     d = mp.one
@@ -124,24 +134,16 @@ def _d_recurrence(q, u, v):
 # ---------------------------------------------------------------------------
 
 
-def pochhammer(x, q, n: int | None = None, dps: int = 40,
-               truncation_scale: float = 1.0):
-    """(x;q)_n = (1-x)(1-qx)...(1-x q^{n-1}); n=None means the infinite product.
+def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
+    """The infinite q-Pochhammer product (x;q)oo = (1-x)(1-qx)(1-q^2 x)...
 
-    For the infinite product the factors are multiplied until the geometric
-    bound on the remaining log-tail, |x q^J|/(1-|q|), drops below the target
-    precision; |q| <= 0.9 is required so that bound is usable.
+    The factors are multiplied until the geometric bound on the remaining
+    log-tail, |x q^J|/(1-|q|), drops below the target precision; |q| <= 0.9
+    is required so that bound is usable.
     """
     with mp.workdps(dps + _GUARD_DPS):
         x = mpmathify(x)
         q = mpmathify(q)
-        if n is not None:
-            p = mp.one
-            t = x
-            for _ in range(n):
-                p *= (1 - t)
-                t *= q
-            return p
         if abs(q) > mpf("0.9"):
             raise DomainError(
                 f"infinite q-Pochhammer needs |q| <= 0.9 (got |q| = {abs(q)})")
@@ -254,14 +256,10 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
             return next(islice(_d_recurrence(q, u, v), nu, None))
         if method != "sum":
             raise ValueError("method must be 'recurrence' or 'sum'")
-        pref = (pochhammer(a, q, dps=dps, truncation_scale=truncation_scale)
-                / pochhammer(q, q, dps=dps, truncation_scale=truncation_scale))
         if nu == 0:
             return mp.one
-
-        terms = (ratio * (v * q ** j) ** nu
-                 for j, ratio in enumerate(_a_ratios(a, q)))
-        return pref * _tail_sum(terms, dps, truncation_scale)
+        return _a_ratio_sum(a, q, lambda j: (v * q ** j) ** nu, dps,
+                            truncation_scale)
 
 
 def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
@@ -320,12 +318,8 @@ def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
             j += 1
         lhs = (pochhammer(a * z, q, dps=dps, truncation_scale=truncation_scale)
                / pochhammer(z, q, dps=dps, truncation_scale=truncation_scale))
-        pref = (pochhammer(a, q, dps=dps, truncation_scale=truncation_scale)
-                / pochhammer(q, q, dps=dps, truncation_scale=truncation_scale))
-
-        terms = (ratio * z * q ** j / (1 - z * q ** j)
-                 for j, ratio in enumerate(_a_ratios(a, q)))
-        rhs = 1 + pref * _tail_sum(terms, dps, truncation_scale)
+        rhs = 1 + _a_ratio_sum(a, q, lambda j: z * q ** j / (1 - z * q ** j),
+                               dps, truncation_scale)
         return lhs, rhs
 
 
@@ -430,14 +424,9 @@ def _gf_doublesum(q, dps, scale):
     def j_terms():
         for j, ratio in enumerate(_a_ratios(b.a, q)):
             base = b.v * q ** (j + 1)
-
-            def nu_terms():
-                nu = 0
-                while True:
-                    nu += 1
-                    yield base ** nu / (1 - 2 * q + q ** (nu + 2))
-
-            yield ratio * _tail_sum(nu_terms(), dps, scale)
+            nu_terms = (base ** nu / (1 - 2 * q + q ** (nu + 2))
+                        for nu in count(1))
+            yield ratio * _tail_sum(nu_terms, dps, scale)
 
     T = _tail_sum(j_terms(), dps, scale)
     return b.D - _singular_prefactor(b) * T
@@ -567,14 +556,9 @@ def h_direct(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
         v = mpmathify(v)
         if not t > 0:
             raise DomainError("h_j direct sum needs t > 0")
-
-        def terms():
-            nu = 0
-            while True:
-                nu += 1
-                yield (v * q ** j) ** nu / (1 + t * q ** (-nu - 2))
-
-        return _tail_sum(terms(), dps, truncation_scale) / q ** 2
+        terms = ((v * q ** j) ** nu / (1 + t * q ** (-nu - 2))
+                 for nu in count(1))
+        return _tail_sum(terms, dps, truncation_scale) / q ** 2
 
 
 def h_representation(j: int, t, q, v, dps: int = 40,
@@ -599,14 +583,9 @@ def h_representation(j: int, t, q, v, dps: int = 40,
         sing = ((-1) ** j * v * q ** (3 * gamma - 2 * j - 2) / log_q
                 * t ** (j - gamma) * _pi_sum(mp.log(t) / log_q, gamma, log_q,
                                              dps, truncation_scale))
-
-        def terms():
-            r = 0
-            while True:
-                yield (-1) ** r * v * q ** (j - 3 * r) / (1 - v * q ** (j - r)) * t ** r
-                r += 1
-
-        return sing + _tail_sum(terms(), dps, truncation_scale) / q ** 2
+        terms = ((-1) ** r * v * q ** (j - 3 * r) / (1 - v * q ** (j - r)) * t ** r
+                 for r in count())
+        return sing + _tail_sum(terms, dps, truncation_scale) / q ** 2
 
 
 def hj_check(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
@@ -627,16 +606,15 @@ def kappa(k: int, dps: int = 40, truncation_scale: float = 1.0):
                     Gamma(g+1+2ik pi/log2)) * prod_{j>=0}
               (1-(1/3)2^-j)(1-(3/2)2^-j)/(1-(1/2)2^-j)^2,  g = log2(3).
 
-    kappa_0 is real; kappa_{-k} is the conjugate of kappa_k.
+    kappa_0 is real and returned so; kappa_{-k} is the conjugate of kappa_k.
     """
     with mp.workdps(dps + _GUARD_DPS):
         prod = _kappa_product(dps, truncation_scale)
         g = mp.log(3) / mp.log(2)
-        if k == 0:
-            return mp.pi / (9 * mp.log(2) * mp.sin(mp.pi * g) * mp.gamma(g + 1)) * prod
         arg_sin = mp.pi * g + 2j * k * mp.pi ** 2 / mp.log(2)
         arg_gam = g + 1 + 2j * k * mp.pi / mp.log(2)
-        return mp.pi / (9 * mp.log(2) * mp.sin(arg_sin) * mp.gamma(arg_gam)) * prod
+        value = mp.pi / (9 * mp.log(2) * mp.sin(arg_sin) * mp.gamma(arg_gam)) * prod
+        return value.real if k == 0 else value
 
 
 @functools.lru_cache(maxsize=16)
@@ -653,34 +631,29 @@ def kappa0(dps: int = 40) -> mpf:
     return kappa(0, dps=dps)
 
 
-def oscillation_amplitude(dps: int = 40, harmonics: int = 3):
+def oscillation_amplitude(dps: int = 40):
     """(2|kappa_1|, max_u |kappa(u)|) -- the two readings of "amplitude".
 
-    kappa(u) = 2 Re sum_k kappa_k e^{2 pi i k u}; its extremes on a 64-point
-    grid are polished by Newton on kappa'(u) = 0 at working precision.  The
-    readings differ by at most 2 sum_{k>=2} |kappa_k| (~2e-16; the ratio
-    |kappa_2|/|kappa_1| is ~1.6e-7).
+    kappa(u) = 2 Re sum_k kappa_k e^{2 pi i k u}, its harmonics added by the
+    truncation rule on |kappa_k/kappa_1| (~1.6e-7 per step, so 8 harmonics
+    at 40 digits and 17 at 100).  Newton on kappa'(u) = 0 starts at the
+    extremes of the kappa_1 term alone, u = -arg(kappa_1)/(2 pi) and u + 1/2.
+    The readings differ by at most 2 sum_{k>=2} |kappa_k| (~2e-16).
     """
     with mp.workdps(dps + _GUARD_DPS):
-        ks = [kappa(k, dps=dps) for k in range(1, harmonics + 1)]
+        ks, stop = [kappa(1, dps=dps)], _stop_rule(dps, 1)
+        while not stop(abs(ks[-1] / ks[0])):
+            ks.append(kappa(len(ks) + 1, dps=dps))
 
         def kappa_d(u, order):    # d^order kappa / du^order
             return 2 * sum((c * (2j * mp.pi * k) ** order
                             * mp.expjpi(2 * k * u)).real
                            for k, c in enumerate(ks, 1))
 
-        grid = [mpf(i) / 64 for i in range(64)]
-        best = mpf(0)
-        for u in (max(grid, key=lambda u: kappa_d(u, 0)),
-                  min(grid, key=lambda u: kappa_d(u, 0))):
-            for _ in range(100):
-                step = kappa_d(u, 1) / kappa_d(u, 2)
-                u -= step
-                if abs(step) < mpf(10) ** (-dps - 5):
-                    break
-            else:
-                raise AssertionError("Newton iteration did not converge")
-            best = max(best, abs(kappa_d(u, 0)))
+        top = -mp.arg(ks[0]) / (2 * mp.pi)
+        best = max(abs(kappa_d(_newton(lambda u: kappa_d(u, 1),
+                                       lambda u: kappa_d(u, 2), u, dps), 0))
+                   for u in (top, top + mpf(1) / 2))
         return 2 * abs(ks[0]), best
 
 
@@ -726,18 +699,22 @@ def _poly_root(f, fp, lo, hi, dps: int) -> mpf:
                 flo = f(lo)
             else:
                 hi = mid
-        x = (lo + hi) / 2
-        for _ in range(200):
-            step = f(x) / fp(x)
-            x -= step
-            if abs(step) < mpf(10) ** (-dps - 5):
-                break
-        else:
-            raise AssertionError("Newton iteration did not converge")
+        x = _newton(f, fp, (lo + hi) / 2, dps)
         if abs(f(x)) >= mpf(10) ** -dps:
             raise AssertionError(
                 f"root leaves a residual of {mp.nstr(abs(f(x)), 3)}")
         return x
+
+
+def _newton(f, fp, x, dps: int) -> mpf:
+    """Newton on f from x until a step is below 10^-(dps+5); an
+    AssertionError after 200 steps.  The working precision is the caller's."""
+    for _ in range(200):
+        step = f(x) / fp(x)
+        x -= step
+        if abs(step) < mpf(10) ** (-dps - 5):
+            return x
+    raise AssertionError("Newton iteration did not converge")
 
 
 # Printed coefficients of the non-oscillating 5-term expansion
@@ -798,12 +775,6 @@ def omega_scaled(n: int, terms: int = 5, dps: int = 40,
                        for l in range(j + 1))
             total += mp.e ** ((g - j) * L) * poly
         return total
-
-
-def omega_predict(n: int, terms: int = 5, dps: int = 40):
-    """The model prediction Omega_T(n) itself (including the 2^n factor)."""
-    with mp.workdps(dps + _GUARD_DPS):
-        return mpf(2) ** n * omega_scaled(n, terms, dps=dps)
 
 
 @dataclass(frozen=True)

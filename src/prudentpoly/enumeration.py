@@ -64,17 +64,16 @@ class CountTable:
         return self.counts[n - 1]
 
 
-def bargraph_series(order: int, with_width: bool = False):
-    """Area (or area-width) generating function of bargraphs.
+def bargraph_series(order: int) -> Series2:
+    """Area-width generating function B(q, u) of bargraphs.
 
-    The bivariate series solves B = qu/(1-q) + qu/(1-q) B, so B is the sum
-    of (qu/(1-q))^i over i >= 1: each u-row is the one before times q, then
-    divided by (1-q), down to the first row that vanishes below the order.
+    B solves B = qu/(1-q) + qu/(1-q) B, so B is the sum of (qu/(1-q))^i
+    over i >= 1: each u-row is the one before times q, then divided by
+    (1-q), down to the first row that vanishes below the order.  The area
+    series B(q, 1) = q/(1-2q) is ``eval_catalytic()`` of the result.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if not with_width:
-        return expand_rational((0, 1), (1, -2), order)
     n = order
     rows = [[0] * (n + 1), [0] + [1] * n]       # u^0: none; u^1: q/(1-q)
     while any(rows[-1]):

@@ -182,7 +182,6 @@ def enumerate_prudent_polygons(
     k: int,
     max_area: int,
     walk_class: str = "prudent",
-    apply_3sided_exclusion: bool = True,
 ) -> CountTable:
     """Count k-sided polygons of area 1..max_area by depth-first search.
 
@@ -211,7 +210,7 @@ def enumerate_prudent_polygons(
             f"max_area {max_area} exceeds the oracle budget "
             f"({_MAX_ORACLE_AREA}); the search is exponential in walk length")
     ray = walk_class == "prudent"
-    exclusion = k == 3 and apply_3sided_exclusion
+    exclusion = k == 3
     maxlen = 2 * max_area + 1
     tally = [0] * (max_area + 1)
     # vertex (x, y) is flag (x + off) * width + (y + off); a walk stays

@@ -303,22 +303,14 @@ class FloatSeries1:
     def order(self) -> int:
         return len(self.mantissas) - 1
 
-    @staticmethod
-    def scale_bits_for(precision: int) -> int:
-        return int(precision * 3.322) + 48
-
     @classmethod
     def from_series1(cls, s: Series1, precision: int = 40) -> "FloatSeries1":
         """Exact series in q -> float series in x = 2q (coefficient n / 2^n)."""
-        bits = cls.scale_bits_for(precision)
+        bits = int(precision * 3.322) + 48
         mant = []
         for n, c in enumerate(s.coeffs):
             mant.append(c << (bits - n) if n <= bits else c >> (n - bits))
         return cls(mant, bits, precision)
-
-    def coeff(self, n: int) -> mpf:
-        with mp.workdps(self.precision + 5):
-            return mpf(self.mantissas[n]) / mpf(2) ** self.scale_bits
 
     def max_rel_error_vs_exact(self, exact: Series1) -> mpf:
         """max_n |float coeff n - exact_n 2^-n| / |exact_n 2^-n| over nonzero terms."""

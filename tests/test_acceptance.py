@@ -210,7 +210,7 @@ class TestCriterion7:
         assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
         # functional-equation residuals: bargraphs and W
         n = 30
-        bgr = bargraph_series(n, with_width=True)
+        bgr = bargraph_series(n)
         qu = Series2(n, [[0] * (n + 1),
                          expand_rational((0, 1), (1, -1), n).coeffs])
         assert qu + qu * bgr == bgr

@@ -45,9 +45,6 @@ class TestBaseQuantities:
 
 
 class TestPochhammer:
-    def test_empty_product(self):
-        assert asy.pochhammer(mpf("0.7"), mpf("0.5"), n=0) == 1
-
     def test_q_ratio_at_half(self):
         val = asy.pochhammer(mpf(3) / 2, mpf(1) / 2) / \
             asy.pochhammer(mpf(1) / 2, mpf(1) / 2)
@@ -286,6 +283,26 @@ class TestKappa:
         bound = 2 * sum(abs(asy.kappa(k, dps=30)) for k in (2, 3))
         assert abs(max_abs - two_k1) <= bound
 
+    @pytest.mark.parametrize("dps", [40, 100])
+    def test_amplitude_max_to_every_digit(self, dps):
+        # an independent evaluation: 24 harmonics at 20 more digits, and
+        # mpmath's findroot on kappa'(u) from the extremes of a 256-point grid
+        _, max_abs = asy.oscillation_amplitude(dps=dps)
+        with mp.workdps(dps + 20):
+            ks = [asy.kappa(k, dps=dps + 20) for k in range(1, 25)]
+
+            def kappa_d(u, order):
+                return 2 * sum((c * (2j * mp.pi * k) ** order
+                                * mp.expjpi(2 * k * u)).real
+                               for k, c in enumerate(ks, 1))
+
+            grid = [mpf(i) / 256 for i in range(256)]
+            ends = (max(grid, key=lambda u: kappa_d(u, 0)),
+                    min(grid, key=lambda u: kappa_d(u, 0)))
+            reference = max(abs(kappa_d(mp.findroot(lambda u: kappa_d(u, 1), u),
+                                        0)) for u in ends)
+            assert abs(max_abs - reference) < mpf(10) ** (2 - dps) * reference
+
     def test_higher_harmonics_negligible(self):
         # |kappa_2| ~ 1.2e-16: the 1/Gamma factor undoes most of the e-24
         # decay of p_2, but the ratio to kappa_1 is still ~1.6e-7
@@ -345,11 +362,6 @@ class TestOmega:
             term = mp.e ** ((g - 4) * L) * sum(
                 coeffs[(4, l)] * L ** l for l in range(5))
             assert close(diff, term, 1e-40)
-
-    def test_predict_vs_scaled(self):
-        with mp.workdps(50):
-            assert close(asy.omega_predict(50, 5) / mpf(2) ** 50,
-                         asy.omega_scaled(50, 5), 1e-30)
 
 
 class TestResidualPipeline:

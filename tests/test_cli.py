@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import prudentpoly
 from prudentpoly import cli
 
 
@@ -158,11 +161,12 @@ class TestErrors:
 
 
 # sha256 of `constants --harmonics 3 --digits 100 --no-timestamp`, recorded
-# before the kappa_k q-product was computed once for every k
+# when amplitude_max began to sum kappa(u)'s harmonics by the truncation
+# rule (only that row changed; it kept its first 21 significant digits)
 CONSTANTS_ARGV = ["constants", "--harmonics", "3", "--digits", "100",
                   "--no-timestamp"]
 CONSTANTS_SHA256 = \
-    "faeded3155cf77fdb6130d7b9626b6ae1c4e77e3850e46be37653829069720cc"
+    "fa2e264a033f010066510ee6853da04f86a76293fa9dd9e82892c2d8106d9b4d"
 
 
 class TestConstants:
@@ -289,3 +293,47 @@ class TestTracedRun:
         report = json.loads(proc.stdout)
         assert report["code"] == 0
         assert report["layers"]["series.construct_s"] > 0
+
+
+# The README's CLI block and library tour are checked against the parser and
+# the package, so a removed option or name fails here, not in the docs.
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced code block under the given '## ' heading."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        commands = [line.split("#", 1)[0].split(">", 1)[0].split()
+                    for line in _readme_block("CLI").splitlines()
+                    if line.startswith("prudentpoly ")]
+        assert len(commands) == 10
+        for words in commands:
+            try:
+                cli.build_parser().parse_args(words[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {' '.join(words)}")
+
+    def test_library_tour_names_exist(self):
+        modules = {"pp": prudentpoly, "asy": cli.asymptotics}
+        tree = ast.parse(_readme_block("Library quick tour"))
+        named = 0
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                assert hasattr(modules[node.value.id], node.attr), node.attr
+                named += 1
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in modules):
+                fn = getattr(modules[node.func.value.id], node.func.attr)
+                # the call's argument count and keyword names fit
+                inspect.signature(fn).bind(
+                    *node.args, **{k.arg: k.value for k in node.keywords})
+        assert named >= 5          # the tour block was found

@@ -30,18 +30,18 @@ PA4_FIXED_POINT = (8, 16, 40, 96, 232, 560, 1336, 3176)
 
 class TestBargraphs:
     def test_univariate_counts(self):
-        b = bargraph_series(6)
+        b = bargraph_series(6).eval_catalytic()
         assert b.coeffs == (0, 1, 2, 4, 8, 16, 32)
 
     def test_width_refinement(self):
-        b = bargraph_series(6, with_width=True)
+        b = bargraph_series(6)
         assert b.coeff(4, 2) == 3          # binom(3, 1)
         assert b.coeff(1, 1) == 1
         assert all(b.coeff(1, i) == 0 for i in range(2, 7))
 
     def test_functional_equation_residual_zero(self):
         n = 24
-        b = bargraph_series(n, with_width=True)
+        b = bargraph_series(n)
         qu_over_1mq = Series2(n, [[0] * (n + 1),
                                   expand_rational((0, 1), (1, -1), n).coeffs])
         rhs = qu_over_1mq + qu_over_1mq * b
@@ -50,7 +50,7 @@ class TestBargraphs:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
     def test_width_rows_are_powers(self, n):
         # the u^i row of B is (q/(1-q))^i
-        b = bargraph_series(n, with_width=True)
+        b = bargraph_series(n)
         x = power = expand_rational((0, 1), (1, -1), n)
         for i in range(1, n + 1):
             assert tuple(b.coeff(m, i) for m in range(n + 1)) == power.coeffs
@@ -87,7 +87,7 @@ class TestWSeries:
         # W = qu(1+B) + q/(1-q) (W - W(q,qu)) + qu(1+B) W(q,qu), exactly
         n = 36
         w = w_series(n)
-        b = bargraph_series(n, with_width=True)
+        b = bargraph_series(n)
         one_plus_b = Series2(n, [[1] + [0] * n]) + b
         qu_one_plus_b = one_plus_b.mul_monomial(dq=1, du=1)
         w_sub = w.subst_scale(1)

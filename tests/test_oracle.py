@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from prudentpoly.enumeration import pa2_series, pa3_series, pa4_series
@@ -69,8 +71,18 @@ class TestEnumeration:
         assert enumerate_prudent_polygons(4, 1).count(1) == 8
 
     def test_exclusion_removes_exactly_two_unit_walks(self):
-        t = enumerate_prudent_polygons(3, 1, apply_3sided_exclusion=False)
-        assert t.count(1) == 8
+        # the prudent 3-step walks that end beside the origin close a unit
+        # cell; the exclusion rule marks exactly two of them
+        unit = {}
+        for steps in map("".join, product("NSEW", repeat=3)):
+            c = classify_walk(steps)
+            x = steps.count("E") - steps.count("W")
+            y = steps.count("N") - steps.count("S")
+            if c.is_prudent and abs(x) + abs(y) == 1:
+                unit[steps] = c
+        assert len(unit) == 8
+        assert all(polygon_area(s) == 1 for s in unit)
+        assert {s for s, c in unit.items() if c.excluded_3sided} == {"ESW", "WSE"}
 
     def test_three_sided_counts_even(self):
         t = enumerate_prudent_polygons(3, 5)

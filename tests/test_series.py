@@ -213,7 +213,7 @@ class TestSeries2:
         # b_{n-i,i} = binom(n-i-1, i-1)
         from prudentpoly.enumeration import bargraph_series
         n = 9
-        b = bargraph_series(n, with_width=True)
+        b = bargraph_series(n)
         shifted = b.subst_scale(1)
         for nn in range(n + 1):
             for i in range(nn + 1):
@@ -239,7 +239,7 @@ class TestSeries2:
 
     def test_eval_at_one_sums_rows(self):
         from prudentpoly.enumeration import bargraph_series
-        b = bargraph_series(4, with_width=True)
+        b = bargraph_series(4)
         assert b.eval_catalytic().coeffs == (0, 1, 2, 4, 8)
         assert Series2.zero(4).eval_catalytic().coeffs == (0,) * 5
 
@@ -386,7 +386,7 @@ class TestIntpolyKernels:
         n_out = rng.randint(0, la + lb)
         assert _intpoly.mul(a, b, n_out) == _naive_mul(a, b, n_out)
 
-    def test_kronecker_borrow_chains(self):
+    def test_schoolbook_mul_wide_alternating_signs(self):
         from prudentpoly import _intpoly
         # alternating-sign near-maximal coefficients stress signed accumulation
         a = [(-1) ** i * ((1 << 64) - 1) for i in range(80)]
