@@ -19,6 +19,11 @@ evaluates every quantity in that chain to a requested number of significant
 digits, with explicit geometric tail bounds on all truncated sums/products,
 and extracts the oscillation empirically from the exact counts.
 
+Every evaluator that takes q builds one BaseQuantities record of q (u, v,
+a, t = 1-2q, and on first read log(1/q), gamma, A, C, D and the q-products)
+and hands it to private kernels; the routes keep their own formulas and
+share only these inputs.
+
 All functions take ``dps`` (significant decimal digits, default 40) and a
 ``truncation_scale`` knob.  Every infinite product and every adaptive sum
 (the tail sums, the q-products, the z-factors of d_nu, the harmonics of Pi
@@ -45,7 +50,6 @@ _GUARD_DPS = 12
 # the largest exact 3-sided order timed (48.5 s on one core of a 2-core
 # host); the cost grows about n^3
 TAYLOR_MAX_TERMS = 8192
-
 
 # every adaptive loop gives up with DomainError after this many terms
 _MAX_TERMS = 200000
@@ -94,39 +98,23 @@ def _tail_sum(terms, dps: int, scale: float):
     return total
 
 
-def _uva(q):
-    """u = q/(1-q), v = (1-q+q^2)/(1-q) and a = qu/v = q^2/(1-q+q^2)."""
-    w = 1 - q + q * q
-    return q / (1 - q), w / (1 - q), q * q / w
-
-
-def _a_ratios(a, q):
-    """prod_{m<=j} (a - q^m)/(1 - q^m) for j = 0, 1, 2, ..."""
-    ratio = mp.one
-    j = 0
-    while True:
-        yield ratio
-        j += 1
-        ratio = ratio * (a - q ** j) / (1 - q ** j)
-
-
 def _a_ratio_sum(a, q, f, dps, scale):
     """[(a;q)oo/(q;q)oo] sum_j prod_{m<=j}[(a-q^m)/(1-q^m)] f(j), the
     partial-fraction sum behind d_nu's j-sum and the Mittag-Leffler check."""
     pref = (pochhammer(a, q, dps=dps, truncation_scale=scale)
             / pochhammer(q, q, dps=dps, truncation_scale=scale))
-    terms = (ratio * f(j) for j, ratio in enumerate(_a_ratios(a, q)))
+    terms = (ratio * f(j) for j, ratio in enumerate(_ratios(a, 1, q)))
     return pref * _tail_sum(terms, dps, scale)
 
 
-def _d_recurrence(q, u, v):
-    """d_nu = d_{nu-1} (v - u q^nu)/(1 - q^nu) for nu = 0, 1, 2, ..., d_0 = 1."""
-    d = mp.one
-    nu = 0
-    while True:
-        yield d
-        nu += 1
-        d = d * (v - u * q ** nu) / (1 - q ** nu)
+def _ratios(x, y, q):
+    """r_0 = 1, r_j = r_{j-1} (x - y q^j)/(1 - q^j) for j = 1, 2, ...: the
+    a-ratios prod_{m<=j} (a - q^m)/(1 - q^m) at (x, y) = (a, 1) and d_nu at
+    (v, u)."""
+    r = mp.one
+    for j in count(1):
+        yield r
+        r = r * (x - y * q ** j) / (1 - q ** j)
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +145,34 @@ def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
                 return p
 
 
+def _derived(fn):
+    """A record field computed on its first read, at the record's working
+    precision, and kept."""
+    @functools.wraps(fn)
+    def read(self):
+        with mp.workdps(self.dps + _GUARD_DPS):
+            return fn(self)
+    return functools.cached_property(read)
+
+
 @dataclass(frozen=True)
 class BaseQuantities:
-    """The recurring quantities at a given q (u, v, a, gamma, A, C, t), and
-    D and the q-products (q;q)oo, (a;q)oo, (v;q)oo, (av;q)oo.
+    """Everything derived from one q, the one record every evaluator reads.
 
-    Each product, and D, which reads two of them, is computed on its first
-    read and kept, at the working precision and truncation of the call that
-    built the record, so a route pays only for the products it reads.
+    q, u = q/(1-q), v = (1-q+q^2)/(1-q), a = qu/v and t = 1-2q are computed
+    when the record is built.  log(1/q), gamma = log(v)/log(1/q), the
+    rational factors A, C, D and the q-products (q;q)oo, (a;q)oo, (v;q)oo,
+    (av;q)oo are computed on their first read and kept, at the working
+    precision and truncation of the call that built the record, so an
+    evaluator pays only for what it reads.  A, C and D have a double pole
+    at q = 1/2, where reading one raises DomainError; the Laurent data
+    (A_LAURENT_AT_HALF / C_LAURENT_AT_HALF) stand in for them there.
     """
 
     q: object
     u: object
     v: object
     a: object
-    gamma: object
-    A: object
-    C: object
     t: object
     dps: int
     truncation_scale: float
@@ -182,28 +181,50 @@ class BaseQuantities:
         return pochhammer(x, self.q, dps=self.dps,
                           truncation_scale=self.truncation_scale)
 
-    @functools.cached_property
+    def _t_squared(self):
+        if self.t == 0:
+            raise DomainError("A, C, D have a pole at q = 1/2; evaluate via "
+                              "the Laurent data instead")
+        return self.t ** 2
+
+    @_derived
+    def log_q(self):
+        return mp.log(1 / self.q)
+
+    @_derived
+    def gamma(self):
+        return mp.log(self.v) / self.log_q
+
+    @_derived
+    def A(self):
+        return 2 * self.q * (1 - self.q) ** 2 / self._t_squared()
+
+    @_derived
+    def C(self):
+        q = self.q
+        return (2 * q * (3 - 10 * q + 9 * q * q - q ** 3)
+                / ((1 - q) * self._t_squared()))
+
+    @_derived
+    def D(self):
+        q = self.q
+        return self.C - q * q / (1 - q) ** 2 * self.A * (self.pv / self.pav)
+
+    @_derived
     def pq(self):
         return self._product(self.q)
 
-    @functools.cached_property
+    @_derived
     def pa(self):
         return self._product(self.a)
 
-    @functools.cached_property
+    @_derived
     def pv(self):
         return self._product(self.v)
 
-    @functools.cached_property
+    @_derived
     def pav(self):
-        with mp.workdps(self.dps + _GUARD_DPS):
-            return self._product(self.a * self.v)
-
-    @functools.cached_property
-    def D(self):
-        with mp.workdps(self.dps + _GUARD_DPS):
-            q = self.q
-            return self.C - q * q / (1 - q) ** 2 * self.A * (self.pv / self.pav)
+        return self._product(self.a * self.v)
 
 
 # Laurent data about q = 1/2 in powers of t = 1-2q (exact for A; C to O(t^2)):
@@ -213,23 +234,14 @@ C_LAURENT_AT_HALF = (mpf(1) / 4, mpf(5) / 4, mpf(3) / 4, -mpf(17) / 4)
 
 
 def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuantities:
-    """u, v, a, gamma, the rational factors A, C at q, with D and the
-    q-products computed on first read.
-
-    A, C, D have a double pole at q = 1/2; evaluate via the Laurent data
-    (A_LAURENT_AT_HALF / C_LAURENT_AT_HALF) there instead.
-    """
+    """The record of q at ``dps`` digits; only q = 1, the pole of u and v,
+    is refused here."""
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
-        if q == mpf(1) / 2 or q == 1:
-            raise DomainError(
-                "A, C, D have a pole at q = 1/2 (and u, v at q = 1); "
-                "evaluate via the Laurent data instead")
-        u, v, a = _uva(q)
-        gamma = mp.log(v) / mp.log(1 / q)
-        A = 2 * q * (1 - q) ** 2 / (1 - 2 * q) ** 2
-        C = 2 * q * (3 - 10 * q + 9 * q * q - q ** 3) / ((1 - q) * (1 - 2 * q) ** 2)
-        return BaseQuantities(q, u, v, a, gamma, A, C, 1 - 2 * q,
+        if q == 1:
+            raise DomainError("u and v have a pole at q = 1")
+        w = 1 - q + q * q
+        return BaseQuantities(q, q / (1 - q), w / (1 - q), q * q / w, 1 - 2 * q,
                               dps, truncation_scale)
 
 
@@ -250,15 +262,14 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
     if nu < 0:
         raise ValueError("nu must be >= 0")
     with mp.workdps(dps + _GUARD_DPS):
-        q = mpmathify(q)
-        u, v, a = _uva(q)
+        b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
         if method == "recurrence":
-            return next(islice(_d_recurrence(q, u, v), nu, None))
+            return next(islice(_ratios(b.v, b.u, b.q), nu, None))
         if method != "sum":
             raise ValueError("method must be 'recurrence' or 'sum'")
         if nu == 0:
             return mp.one
-        return _a_ratio_sum(a, q, lambda j: (v * q ** j) ** nu, dps,
+        return _a_ratio_sum(b.a, b.q, lambda j: (b.v * b.q ** j) ** nu, dps,
                             truncation_scale)
 
 
@@ -274,10 +285,10 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
         q = mpmathify(q)
         if abs(q) >= 1:
             raise DomainError(f"the z-factors need |q| < 1 (got |q| = {abs(q)})")
-        u, v, _ = _uva(q)
+        b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
         co = [mp.zero] * (nu_max + 1)
         co[0] = mp.one
-        c = q * u
+        c = q * b.u
         stop = _stop_rule(dps, truncation_scale)
         while True:
             for i in range(nu_max, 0, -1):
@@ -285,7 +296,7 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
             c *= q
             if stop(abs(c)):
                 break
-        c = v
+        c = b.v
         stop = _stop_rule(dps, truncation_scale)
         while True:
             for i in range(1, nu_max + 1):
@@ -346,8 +357,7 @@ def _taylor_order(q_abs: mpf, dps: int) -> int:
     rate = -mp.log(2 * q_abs)
     n = max(40, int(target / rate) + 1)
     g = mp.log(3) / mp.log(2)
-    n = int((target + g * mp.log(n)) / rate) + 2
-    return n
+    return int((target + g * mp.log(n)) / rate) + 2
 
 
 def gf_eval(q, method: str = "taylor", dps: int = 40,
@@ -362,30 +372,25 @@ def gf_eval(q, method: str = "taylor", dps: int = 40,
                  [(1-2q)^-gamma Pi(log_{1/q}(1-2q)) U + V]; q near 1/2
                  (|1-2q| <= 0.2, including complex sector points).
     """
+    if method not in GF_ROUTES:
+        raise ValueError(f"method must be one of {', '.join(GF_ROUTES)}")
     with mp.workdps(dps + _GUARD_DPS):
-        q = mpmathify(q)
-        if method == "taylor":
-            if abs(q) >= mpf(1) / 2:
-                raise DomainError("taylor route requires |q| < 1/2")
-            n = _taylor_order(abs(q), dps)
-            if n > TAYLOR_MAX_TERMS:
-                raise DomainError(
-                    f"taylor route would need {n} exact terms at |q| = "
-                    f"{mp.nstr(abs(q), 6)} (limit {TAYLOR_MAX_TERMS}); use "
-                    "the meromorphic or singular route near |q| = 1/2")
-            counts = _exact_counts(n)
-            acc = mp.zero
-            for c in reversed(counts):
-                acc = acc * q + c
-            return acc * q
-        if method == "meromorphic":
-            return _gf_meromorphic(q, dps, truncation_scale)
-        if method == "doublesum":
-            return _gf_doublesum(q, dps, truncation_scale)
-        if method == "singular":
-            return _gf_singular(q, dps, truncation_scale)
-        raise ValueError(
-            "method must be taylor, meromorphic, doublesum or singular")
+        return GF_ROUTES[method](mpmathify(q), dps, truncation_scale)
+
+
+def _gf_taylor(q, dps, scale):
+    if abs(q) >= mpf(1) / 2:
+        raise DomainError("taylor route requires |q| < 1/2")
+    n = _taylor_order(abs(q), dps)
+    if n > TAYLOR_MAX_TERMS:
+        raise DomainError(
+            f"taylor route would need {n} exact terms at |q| = "
+            f"{mp.nstr(abs(q), 6)} (limit {TAYLOR_MAX_TERMS}); use "
+            "the meromorphic or singular route near |q| = 1/2")
+    acc = mp.zero
+    for c in reversed(_exact_counts(n)):
+        acc = acc * q + c
+    return acc * q
 
 
 def _gf_meromorphic(q, dps, scale):
@@ -399,7 +404,7 @@ def _gf_meromorphic(q, dps, scale):
     ratio = b.pv / pochhammer(q * b.u, q, dps=dps, truncation_scale=scale)
 
     def terms():
-        for nu, d in enumerate(islice(_d_recurrence(q, b.u, b.v), 1, None), 1):
+        for nu, d in enumerate(islice(_ratios(b.v, b.u, q), 1, None), 1):
             den = 1 - 2 * q + q ** (nu + 2)
             if abs(den) < _eps(dps):
                 raise DomainError(f"q is within tail distance of the pole "
@@ -422,7 +427,7 @@ def _gf_doublesum(q, dps, scale):
     b = base_quantities(q, dps=dps, truncation_scale=scale)
 
     def j_terms():
-        for j, ratio in enumerate(_a_ratios(b.a, q)):
+        for j, ratio in enumerate(_ratios(b.a, 1, q)):
             base = b.v * q ** (j + 1)
             nu_terms = (base ** nu / (1 - 2 * q + q ** (nu + 2))
                         for nu in count(1))
@@ -432,63 +437,55 @@ def _gf_doublesum(q, dps, scale):
     return b.D - _singular_prefactor(b) * T
 
 
+def _near_half(q, dps, scale) -> BaseQuantities:
+    """The record of q; the singular and regular series need |1-2q| <= 0.2."""
+    b = base_quantities(q, dps=dps, truncation_scale=scale)
+    if abs(b.t) > mpf("0.201"):
+        raise DomainError(
+            "singular/regular series are evaluated near q = 1/2 "
+            f"(need |1-2q| <= 0.2, got {abs(b.t)})")
+    return b
+
+
 def U_eval(q, dps: int = 40, truncation_scale: float = 1.0):
     """Singular series U(q) = v q^{3 gamma - 2}/log(1/q) *
     (-t/q;q)oo / (-a t/q^2;q)oo with t = 1-2q."""
     with mp.workdps(dps + _GUARD_DPS):
-        q = mpmathify(q)
-        _check_near_half(q)
-        _, v, a = _uva(q)
-        gamma = mp.log(v) / mp.log(1 / q)
-        t = 1 - 2 * q
-        return (v * q ** (3 * gamma - 2) / mp.log(1 / q)
-                * pochhammer(-t / q, q, dps=dps, truncation_scale=truncation_scale)
-                / pochhammer(-a * t / q ** 2, q, dps=dps,
-                             truncation_scale=truncation_scale))
+        return _u_value(_near_half(q, dps, truncation_scale))
+
+
+def _u_value(b: BaseQuantities):
+    """U(q) from the record; the working precision is the caller's."""
+    q, t = b.q, b.t
+    return (b.v * q ** (3 * b.gamma - 2) / b.log_q
+            * b._product(-t / q) / b._product(-b.a * t / q ** 2))
 
 
 def V_eval(q, dps: int = 40, truncation_scale: float = 1.0):
     """Regular series V(q): the pole term plus the contiguous
     q-hypergeometric r-sum in (-a t/q^2)."""
     with mp.workdps(dps + _GUARD_DPS):
-        q = mpmathify(q)
-        _check_near_half(q)
-        _, v, a = _uva(q)
-        pq, pa, pv, pav = (
-            pochhammer(x, q, dps=dps, truncation_scale=truncation_scale)
-            for x in (q, a, v, a * v))
-        return _v_sum(q, v, a, pq, pa, pv, pav, dps, truncation_scale)
+        return _v_sum(_near_half(q, dps, truncation_scale))
 
 
-def _v_sum(q, v, a, pq, pa, pv, pav, dps, scale):
-    """V(q) from its q-products; the working precision is the caller's."""
-    t = 1 - 2 * q
+def _v_sum(b: BaseQuantities):
+    """V(q) from the record; the working precision is the caller's."""
+    q, t, a, v = b.q, b.t, b.a, b.v
     z = -a * t / q ** 2
     if abs(z) >= 1:
         raise DomainError("V's hypergeometric sum needs |a t / q^2| < 1")
-    term1 = -pq / pa / q ** 2 / (1 + t / q ** 2)
+    term1 = -b.pq / b.pa / q ** 2 / (1 + t / q ** 2)
 
     def terms():
-        num = mp.one
-        den = mp.one
-        zr = mp.one
-        r = 0
-        while True:
+        num = den = zr = mp.one
+        for r in count(1):
             yield num / den * zr
-            r += 1
             num *= (1 - q ** r / (a * v))
             den *= (1 - q ** r / v)
             zr *= z
 
-    s = _tail_sum(terms(), dps, scale)
-    return term1 + pq * pav / (pa * pv) / q ** 2 * s
-
-
-def _check_near_half(q) -> None:
-    if abs(1 - 2 * q) > mpf("0.201"):
-        raise DomainError(
-            "singular/regular series are evaluated near q = 1/2 "
-            f"(need |1-2q| <= 0.2, got {abs(1 - 2 * q)})")
+    s = _tail_sum(terms(), b.dps, b.truncation_scale)
+    return term1 + b.pq * b.pav / (b.pa * b.pv) / q ** 2 * s
 
 
 def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
@@ -502,21 +499,16 @@ def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
     raise DomainError.
     """
     with mp.workdps(dps + _GUARD_DPS):
-        q = mpmathify(q)
-        _, v, _ = _uva(q)
-        log_q = mp.log(1 / q)
-        return _pi_sum(mpmathify(w), mp.log(v) / log_q, log_q, dps,
-                       truncation_scale)
+        b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
+        return _pi_sum(mpmathify(w), b.gamma, b.log_q, dps, truncation_scale)
 
 
 def _pi_sum(w, gamma, log_q, dps, scale):
     """Pi(w) for the given gamma and log(1/q), at the caller's precision."""
     stop = _stop_rule(dps, scale)
     total = mp.pi / mp.sin(mp.pi * gamma)
-    k = 0
     size = None
-    while True:
-        k += 1
+    for k in count(1):
         terms = [mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / log_q)
                  * mp.e ** (-2j * sk * mp.pi * w) for sk in (k, -k)]
         total += terms[0] + terms[1]
@@ -529,14 +521,17 @@ def _pi_sum(w, gamma, log_q, dps, scale):
 
 
 def _gf_singular(q, dps, scale):
-    _check_near_half(q)
-    b = base_quantities(q, dps=dps, truncation_scale=scale)
-    t = b.t
-    T = (t ** (-b.gamma) * pi_eval(mp.log(t) / mp.log(1 / q), q, dps=dps,
-                                   truncation_scale=scale)
-         * U_eval(q, dps=dps, truncation_scale=scale)
-         + _v_sum(q, b.v, b.a, b.pq, b.pa, b.pv, b.pav, dps, scale))
-    return b.D - _singular_prefactor(b) * T
+    b = _near_half(q, dps, scale)
+    D = b.D             # at q = 1/2 the Laurent DomainError, before t^-gamma
+    T = (b.t ** (-b.gamma) * _pi_sum(mp.log(b.t) / b.log_q, b.gamma, b.log_q,
+                                     dps, scale)
+         * _u_value(b) + _v_sum(b))
+    return D - _singular_prefactor(b) * T
+
+
+# the routes of gf_eval, by name
+GF_ROUTES = {"taylor": _gf_taylor, "meromorphic": _gf_meromorphic,
+             "doublesum": _gf_doublesum, "singular": _gf_singular}
 
 
 # ---------------------------------------------------------------------------
@@ -747,34 +742,14 @@ def omega_coefficients(terms: int = 5, dps: int = 40) -> dict:
             f"only {OMEGA_MAX_TERMS} expansion terms are available; deriving "
             "higher ones needs symbolic q-Pochhammer derivatives")
     with mp.workdps(dps + _GUARD_DPS):
-        out = {}
-        for (j, l), text in OMEGA_PRINTED.items():
-            if j < terms:
-                out[(j, l)] = mpf(text)
+        out = {key: mpf(text) for key, text in OMEGA_PRINTED.items()
+               if key[0] < terms}
         if terms >= 1:
             out[(0, 0)] = k0 = kappa0(dps=dps)
         if terms >= 2:
             g = mp.log(3) / mp.log(2)
             out[(1, 1)] = -k0 * g * mp.log(3) / mp.log(2) ** 2
         return out
-
-
-def omega_scaled(n: int, terms: int = 5, dps: int = 40,
-                 coeffs: dict | None = None):
-    """Omega_T(n) / 2^n = 1 + sum_{j<T} n^{g-j} sum_l c[(j,l)] log(n)^l."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if coeffs is None:
-        coeffs = omega_coefficients(terms, dps=dps)
-    with mp.workdps(dps + _GUARD_DPS):
-        g = mp.log(3) / mp.log(2)
-        L = mp.log(n)
-        total = mp.one
-        for j in range(terms):
-            poly = sum(coeffs[(j, l)] * L ** l
-                       for l in range(j + 1))
-            total += mp.e ** ((g - j) * L) * poly
-        return total
 
 
 @dataclass(frozen=True)
@@ -797,12 +772,15 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
               counts=None, min_n: int = 2) -> ResidualTable:
     """Scaled counts and their deviation from the T-term model.
 
-    ``counts`` may be a CountTable (exact) or FloatSeries1 (scaled float
-    counts) reaching at least ``max_n``; by default the exact theorem-route
-    counts are computed.
+    The model Omega_T(n) 2^-n = 1 + sum_{j<T} n^{g-j} P_j(log n), with
+    P_j(L) = sum_l c[(j,l)] L^l, is taken in the units of the table,
+    Omega_T(n) 2^-n n^-g = n^-g + sum_{j<T} n^-j P_j(log n): one log and
+    one exponential per row.  ``counts`` may be a CountTable (exact) or
+    FloatSeries1 (scaled float counts) reaching at least ``max_n``; by
+    default the exact theorem-route counts are computed.
     """
-    if max_n < min_n:
-        raise ValueError("max_n must be >= min_n")
+    if not 2 <= min_n <= max_n:
+        raise ValueError("residuals need 2 <= min_n <= max_n")
     if counts is None:
         counts = pa3_series(max_n, "theorem")
     source, available, scaled_count = _scaled_counts(counts)
@@ -814,9 +792,13 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
         g = mp.log(3) / mp.log(2)
         rows = []
         for n in range(min_n, max_n + 1):
-            ng = mp.e ** (g * mp.log(n))
+            L = mp.log(n)
+            ng = mp.e ** (g * L)
             scaled_g = scaled_count(n) / ng
-            model = omega_scaled(n, terms, dps=dps, coeffs=coeffs) / ng
+            model = 1 / ng
+            for j in range(terms):
+                model += sum(coeffs[(j, l)] * L ** l
+                             for l in range(j + 1)) / n ** j
             rows.append((n, scaled_g, scaled_g - model))
         return ResidualTable(tuple(rows), terms, dps, source)
 
@@ -833,13 +815,16 @@ def _scaled_counts(counts):
 
 
 def _window(table: ResidualTable, u_range) -> list:
-    """(u, residual) for the rows whose u = log2 n lies in u_range."""
+    """(u, residual) for the rows whose u = log2 n lies in u_range; the first
+    and the last sample must lie within 0.01 of the window's ends."""
     u0, u1 = u_range
     pts = []
     for n, _, r in table.rows:
         u = mp.log(n) / mp.log(2)
         if u0 <= u <= u1:
             pts.append((u, r))
+    if not pts or pts[0][0] - u0 > mpf("0.01") or u1 - pts[-1][0] > mpf("0.01"):
+        raise DomainError(f"residual table does not cover u in [{u0}, {u1}]")
     return pts
 
 
@@ -855,13 +840,11 @@ def fourier_extract(table: ResidualTable, k: int, u_range) -> mpc:
         raise DomainError("u-window must span an integer number of periods, >= 2")
     with mp.workdps(table.precision + _GUARD_DPS):
         pts = _window(table, u_range)
-        if len(pts) < 16 or pts[0][0] - u0 > mpf("0.01") or u1 - pts[-1][0] > mpf("0.01"):
-            raise DomainError(
-                f"residual table does not cover u in [{u0}, {u1}]")
+        if len(pts) < 16:
+            raise DomainError("not enough samples in the window")
+        fs = [(u, r * mp.e ** (-2j * k * mp.pi * u)) for u, r in pts]
         total = mpc(0)
-        for (ua, ra), (ub, rb) in zip(pts, pts[1:]):
-            fa = ra * mp.e ** (-2j * k * mp.pi * ua)
-            fb = rb * mp.e ** (-2j * k * mp.pi * ub)
+        for (ua, fa), (ub, fb) in zip(fs, fs[1:]):
             total += (fa + fb) / 2 * (ub - ua)
         return total / (pts[-1][0] - pts[0][0])
 
@@ -884,17 +867,14 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
         if len(pts) < 32:
             raise DomainError("not enough samples in the window")
         rows = []
-        ys = []
-        for u, r in pts:
+        for u, _ in pts:
             w = mp.e ** (2j * k * mp.pi * u)
             dec = mpf(2) ** (-u)
             rows.append([mp.one, dec, w.real, -w.imag,
                          (dec * w).real, -(dec * w).imag])
-            ys.append(r)
         A = matrix(rows)
-        y = matrix(ys)
-        At = A.T
-        sol = lu_solve(At * A, At * y)
+        y = matrix([r for _, r in pts])
+        sol = lu_solve(A.T * A, A.T * y)
         return mpc(sol[2], sol[3]) / 2
 
 
@@ -916,7 +896,7 @@ def exponent_fit(counts, dps: int = 40) -> mpf:
             ys.append(mp.log(s) / mp.log(2))
         m = len(xs)
         if m < 8:
-            raise ValueError("need counts up to a larger order to fit")
+            raise DomainError("need counts up to a larger order to fit")
         mx = sum(xs) / m
         my = sum(ys) / m
         num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))

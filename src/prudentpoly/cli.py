@@ -11,9 +11,10 @@ Subcommands
 
 Output is CSV (default) or JSON ({config, columns, rows}).  Every run echoes
 its resolved configuration; reruns are byte-identical except the timestamp
-header, which --no-timestamp suppresses.  Exit codes: 0 success, 1 usage,
-2 domain error, 3 verification mismatch, including a failed internal
-self-check (reported as "internal error: ..." on stderr).
+header, which --no-timestamp suppresses.  Exit codes: 0 success; 1 usage
+error, found before any work is done, or an --output path that cannot be
+written; 2 domain error; 3 verification mismatch, including a broken
+internal invariant (reported as "internal error: ..." on stderr).
 PRUDENTPOLY_DIGITS overrides the default precision (40 digits).
 """
 
@@ -55,11 +56,47 @@ def _digits(text: str) -> int:
         "or PRUDENTPOLY_DIGITS)")
 
 
-def _count(text: str) -> int:
-    value = int(text)                   # argparse reports a ValueError too
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (got {text!r})")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        value = int(text)       # argparse reports "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low} (got {text!r})")
+        return value
+    return integer
+
+
+_count = _at_least(0)
+_positive = _at_least(1)
+
+
+def _parse_q(text: str):
+    """'re' or 're,im' at the caller's precision, else a ValueError."""
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise ValueError(text)
+    return mpc(*map(mpf, parts)) if len(parts) == 2 else mpf(parts[0])
+
+
+def _point(text: str) -> str:
+    """--q, checked here; the command parses it again."""
+    try:
+        finite = mp.isfinite(_parse_q(text))
+    except ValueError:
+        finite = False
+    if not finite:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, 're' or 're,im' (got {text!r})")
+    return text
+
+
+def _routes(text: str) -> list:
+    """--methods: two route names of asymptotics.GF_ROUTES, comma-separated."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if len(methods) != 2 or not set(methods) <= set(asymptotics.GF_ROUTES):
+        raise argparse.ArgumentTypeError(
+            "needs two route names out of " + ", ".join(asymptotics.GF_ROUTES))
+    return methods
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -81,14 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[], help="series counts")
     p.add_argument("--k", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--max-area", type=int, required=True)
+    p.add_argument("--max-area", type=_positive, required=True)
     p.add_argument("--method", choices=("theorem", "functional"), default=None,
                    help="3-sided route (theorem default)")
     _add_common(p)
 
     p = sub.add_parser("oracle", help="brute-force counts")
     p.add_argument("--k", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--max-area", type=int, required=True)
+    p.add_argument("--max-area", type=_positive, required=True)
     p.add_argument("--walk-class", choices=("prudent", "boundary"),
                    default="prudent",
                    help="boundary drops the ray condition (see README)")
@@ -96,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle vs series")
     p.add_argument("--k", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--max-area", type=int, required=True)
+    p.add_argument("--max-area", type=_positive, required=True)
     _add_common(p)
 
     p = sub.add_parser("constants", help="asymptotic constants")
@@ -104,24 +141,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("gf-check", help="compare PA(q) routes")
-    p.add_argument("--q", required=True,
+    p.add_argument("--q", type=_point, required=True,
                    help="evaluation point, 're' or 're,im'")
-    p.add_argument("--methods", required=True,
+    p.add_argument("--methods", type=_routes, required=True,
                    help="comma-separated pair, e.g. taylor,singular")
     _add_common(p)
 
     p = sub.add_parser("residuals", help="scaled counts minus the model")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_positive, required=True)
     p.add_argument("--terms", type=_count, default=5)
-    p.add_argument("--min-n", type=int, default=2)
+    p.add_argument("--min-n", type=_at_least(2), default=2)
     _add_common(p)
 
     p = sub.add_parser("fit", help="critical exponent fit")
     p.add_argument("--k", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_positive, required=True)
     _add_common(p)
 
     return top
+
+
+def _cross_check(args) -> str | None:
+    """The usage error between two options, if any."""
+    if args.command == "enumerate" and args.method and args.k != 3:
+        return "--method applies to --k 3 only"
+    if args.command == "residuals" and args.min_n > args.max_n:
+        return "--min-n must not exceed --max-n"
+    return None
 
 
 def _emit(args, config: dict, columns: list, rows: list) -> None:
@@ -139,8 +185,11 @@ def _emit(args, config: dict, columns: list, rows: list) -> None:
         lines.extend(",".join(str(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -158,10 +207,7 @@ def _series_for(k: int, max_area: int, method: str = "theorem"):
 
 
 def _cmd_enumerate(args) -> int:
-    method = args.method
-    if method is not None and args.k != 3:
-        raise UsageError("--method applies to --k 3 only")
-    table = _series_for(args.k, args.max_area, method or "theorem")
+    table = _series_for(args.k, args.max_area, args.method or "theorem")
     config = {"command": "enumerate", "k": args.k, "max_area": args.max_area,
               "method": table.method}
     rows = [[n, table.count(n)] for n in range(1, args.max_area + 1)]
@@ -220,20 +266,8 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _parse_q(text: str):
-    parts = text.split(",")
-    if len(parts) == 1:
-        return mpf(parts[0])
-    if len(parts) == 2:
-        return mpc(mpf(parts[0]), mpf(parts[1]))
-    raise UsageError("--q must be 're' or 're,im'")
-
-
 def _cmd_gf_check(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if len(methods) != 2:
-        raise UsageError("--methods needs exactly two route names")
-    q = _parse_q(args.q)
+    methods, q = args.methods, _parse_q(args.q)
     d = args.digits
     with mp.workdps(d + 10):
         values = [asymptotics.gf_eval(q, m, dps=d) for m in methods]
@@ -298,16 +332,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    problem = _cross_check(args)
+    if problem:
+        print(f"{parser.prog} {args.command}: error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:           # asymptotics.DomainError included
+    except enumeration.DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except AssertionError as exc:
-        # a failed self-check of a fixed point or a Newton solve
+    except (ValueError, AssertionError) as exc:
+        # a broken invariant: a failed self-check of a fixed point or a
+        # Newton solve, or a count table that breaks its own rules
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import CountTable
+from .enumeration import CountTable, DomainError
 
 _STEPS = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
 
@@ -206,7 +206,7 @@ def enumerate_prudent_polygons(
     if max_area < 1:
         raise ValueError("max_area must be >= 1")
     if max_area > _MAX_ORACLE_AREA:
-        raise ValueError(
+        raise DomainError(
             f"max_area {max_area} exceeds the oracle budget "
             f"({_MAX_ORACLE_AREA}); the search is exponential in walk length")
     ray = walk_class == "prudent"

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 import prudentpoly
 from prudentpoly import cli
@@ -146,6 +147,61 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "must be >= 0" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["gf-check", "--q", "abc", "--methods", "taylor,meromorphic"], "--q"),
+        (["gf-check", "--q", "nan", "--methods", "taylor,meromorphic"], "--q"),
+        (["gf-check", "--q", "0.25", "--methods", "taylor,bogus"],
+         "--methods"),
+        (["enumerate", "--k", "3", "--max-area", "0"], "--max-area"),
+        (["residuals", "--max-n", "20", "--min-n", "1"], "--min-n")],
+        ids=["q-not-a-number", "q-nan", "unknown-route", "max-area-0",
+             "min-n-1"])
+    def test_bad_input_is_usage_error(self, argv, option, capsys):
+        code, out, err = run(argv + ["--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert f"error: argument {option}" in err
+
+    def test_min_n_past_max_n_is_usage_error(self, capsys):
+        code, out, err = run(["residuals", "--max-n", "20", "--min-n", "21",
+                              "--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert "--min-n must not exceed --max-n" in err
+
+    def test_unwritable_output_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(["enumerate", "--k", "2", "--max-area", "3",
+                              "--output", str(path), "--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and str(path) in err
+        assert "Traceback" not in err
+
+    def test_odd_three_sided_count_exit_three(self, capsys, monkeypatch):
+        # a theorem kernel that returns one odd count breaks the reflection
+        # symmetry the count table checks
+        kernel = cli.enumeration._pa3_theorem_coeffs
+        monkeypatch.setattr(cli.enumeration, "_pa3_theorem_coeffs",
+                            lambda n: [c + (i == 5) for i, c in
+                                       enumerate(kernel(n))])
+        code, out, err = run(["enumerate", "--k", "3", "--max-area", "10",
+                              "--no-timestamp"], capsys)
+        assert code == 3 and out == ""
+        assert "internal error" in err and "must be even" in err
+        assert "Traceback" not in err
+
+    def test_block_past_the_width_cap_exit_three(self, capsys, monkeypatch):
+        # a functional route that puts width 5 at area 0 breaks the series'
+        # own bound, catalytic degree <= area degree
+        blocks = cli.enumeration._w_blocks
+        monkeypatch.setattr(cli.enumeration, "_w_blocks",
+                            lambda n: blocks(n)[:5] + [[1] + [0] * n])
+        code, out, err = run(["enumerate", "--k", "3", "--method",
+                              "functional", "--max-area", "10",
+                              "--no-timestamp"], capsys)
+        assert code == 3 and out == ""
+        assert "internal error" in err
+        assert "catalytic degree 5 exceeds area degree" in err
+        assert "Traceback" not in err
+
     def test_four_sided_memory_guard_exit_two(self, capsys):
         # the first order past the solver's memory budget is refused at once
         e = cli.enumeration
@@ -228,7 +284,59 @@ class TestEnvPrecision:
         assert "positive integer" in err
 
 
+# sha256 of the stdout of each command with --no-timestamp, recorded before
+# the evaluators shared one record of q.  The commands run at mpmath's
+# default precision, as from a fresh interpreter: --q is parsed at the
+# caller's precision.
+OUTPUT_SHA256 = [
+    (["residuals", "--max-n", "1024", "--terms", "5", "--digits", "40"],
+     "1c1748cadac3840b9f4af5699dcb161155042b364b29afd2c15b83d1fbd88094"),
+    (["residuals", "--max-n", "1024", "--terms", "5", "--digits", "60"],
+     "2c7a04ebec5487128496ff9a8e46b8655a64d4777db3b84999ab34a572e0df82"),
+    (["gf-check", "--q", "0.25", "--methods", "taylor,meromorphic",
+      "--digits", "100"],
+     "623e40cd660d57d2b15156f2684d6cf342ca9add5386c890d9dea1af7b65fdd4"),
+    (["gf-check", "--q", "0.4,0.05", "--methods", "taylor,meromorphic",
+      "--digits", "100"],
+     "0c71eb74a34f747aeddb705fc48d49fcae7de5e4f618f4cb1bdf8307bfed362e"),
+    (["gf-check", "--q", "0.47", "--methods", "doublesum,singular",
+      "--digits", "100"],
+     "79711c5c389f448003d7b84a4a62733fd312103e337fe4679f9a1d8003e8b38f"),
+    (["gf-check", "--q", "0.49", "--methods", "doublesum,singular",
+      "--digits", "100"],
+     "8f310c5fa33e04dee5f2735ef0de19a5c11e1e71311750e5d469a087ac607c00"),
+    (["gf-check", "--q", "0.45", "--methods", "meromorphic,singular",
+      "--digits", "100"],
+     "350c42ebc46097602ac740b00a1c3a37cf30713d1b825af6937c810d75851066"),
+    (["gf-check", "--q", "0.45", "--methods", "taylor,singular",
+      "--digits", "40"],
+     "e1c2af80910629badcf143b9df0f8d9a8f86cf6487b4a088f045b7b0799da334"),
+    (["gf-check", "--q", "0.515,0.025980762113533159",
+      "--methods", "meromorphic,singular", "--digits", "40"],
+     "6ce9cec1aaeb87a22d8a9b7529f9334711b40bbe07b98fad9e4e098a49e76a50"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", OUTPUT_SHA256,
+                         ids=[" ".join(a[1:]) for a, _ in OUTPUT_SHA256])
+def test_output_digest(argv, digest, capsys):
+    with mp.workdps(15):
+        code, out, _ = run(argv + ["--no-timestamp"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestGfCheck:
+    def test_zero_needs_no_log(self, capsys):
+        # q = 0 is in the taylor and meromorphic domains; neither reads
+        # gamma = log(v)/log(1/q)
+        code, out, err = run(["gf-check", "--q", "0", "--methods",
+                              "taylor,meromorphic", "--no-timestamp"], capsys)
+        assert code == 0, err
+        rows = dict(line.split(",", 1) for line in out.splitlines()
+                    if not line.startswith("#"))
+        assert rows["taylor"] == rows["meromorphic"] == "0.0,0.0"
+
     def test_route_pair(self, capsys):
         code, out, _ = run(["gf-check", "--q", "0.25",
                             "--methods", "taylor,meromorphic",
