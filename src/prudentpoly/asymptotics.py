@@ -165,8 +165,9 @@ class BaseQuantities:
     (av;q)oo are computed on their first read and kept, at the working
     precision and truncation of the call that built the record, so an
     evaluator pays only for what it reads.  A, C and D have a double pole
-    at q = 1/2, where reading one raises DomainError; the Laurent data
-    (A_LAURENT_AT_HALF / C_LAURENT_AT_HALF) stand in for them there.
+    at q = 1/2, where reading one raises DomainError.  The Laurent data
+    A_LAURENT_AT_HALF and C_LAURENT_AT_HALF record A and C about that
+    pole; no evaluator reads them.
     """
 
     q: object
@@ -183,8 +184,8 @@ class BaseQuantities:
 
     def _t_squared(self):
         if self.t == 0:
-            raise DomainError("A, C, D have a pole at q = 1/2; evaluate via "
-                              "the Laurent data instead")
+            raise DomainError("A, C, D have a double pole at q = 1/2 (see "
+                              "the Laurent data A/C_LAURENT_AT_HALF)")
         return self.t ** 2
 
     @_derived
@@ -631,8 +632,10 @@ def oscillation_amplitude(dps: int = 40):
 
     kappa(u) = 2 Re sum_k kappa_k e^{2 pi i k u}, its harmonics added by the
     truncation rule on |kappa_k/kappa_1| (~1.6e-7 per step, so 8 harmonics
-    at 40 digits and 17 at 100).  Newton on kappa'(u) = 0 starts at the
-    extremes of the kappa_1 term alone, u = -arg(kappa_1)/(2 pi) and u + 1/2.
+    at 40 digits and 17 at 100).  The kappa_1 term alone has its extremes at
+    u = -arg(kappa_1)/(2 pi) and u + 1/2; the higher harmonics are far too
+    small to move a root of kappa'(u) a quarter period, so each extreme of
+    kappa(u) is the root of kappa' bracketed within 1/4 of one of them.
     The readings differ by at most 2 sum_{k>=2} |kappa_k| (~2e-16).
     """
     with mp.workdps(dps + _GUARD_DPS):
@@ -640,15 +643,16 @@ def oscillation_amplitude(dps: int = 40):
         while not stop(abs(ks[-1] / ks[0])):
             ks.append(kappa(len(ks) + 1, dps=dps))
 
-        def kappa_d(u, order):    # d^order kappa / du^order
+        def kappa_d(order, u):    # d^order kappa / du^order
             return 2 * sum((c * (2j * mp.pi * k) ** order
                             * mp.expjpi(2 * k * u)).real
                            for k, c in enumerate(ks, 1))
 
         top = -mp.arg(ks[0]) / (2 * mp.pi)
-        best = max(abs(kappa_d(_newton(lambda u: kappa_d(u, 1),
-                                       lambda u: kappa_d(u, 2), u, dps), 0))
-                   for u in (top, top + mpf(1) / 2))
+        quarter = mpf(1) / 4
+        best = max(abs(kappa_d(0, _root(functools.partial(kappa_d, 1),
+                                        x - quarter, x + quarter, dps)))
+                   for x in (top, top + mpf(1) / 2))
         return 2 * abs(ks[0]), best
 
 
@@ -656,60 +660,33 @@ def poles(k_max: int, dps: int = 40) -> list:
     """Roots z_k in (1/2, 1) of 1 - 2x + x^{k+2}, k = 1..k_max.
 
     z_k = 1/2 + delta_k with delta_k ~ 2^-(k+3).  The polynomial is positive
-    at delta = 0 and negative at delta = 2^-(k+2) for every k, so bisection
-    in that bracket finds z_k and never the trivial root x = 1; Newton then
-    polishes it.
+    at delta = 0 and negative at delta = 2^-(k+2) for every k, so the
+    bracketing solver finds z_k in that bracket and never the trivial root
+    x = 1.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     half = mpf(1) / 2
-    return [_poly_root(lambda x, k=k: 1 - 2 * x + x ** (k + 2),
-                       lambda x, k=k: -2 + (k + 2) * x ** (k + 1),
-                       half, half + mpf(2) ** -(k + 2), dps)
+    return [_root(lambda x, k=k: 1 - 2 * x + x ** (k + 2),
+                  half, half + mpf(2) ** -(k + 2), dps)
             for k in range(1, k_max + 1)]
 
 
 def theta_root(dps: int = 40) -> mpf:
     """The unique real root of 1 - 2x + x^2 - x^3 (~0.56984)."""
-    return _poly_root(lambda x: 1 - 2 * x + x * x - x ** 3,
-                      lambda x: -2 + 2 * x - 3 * x * x,
-                      mpf(0), mpf(1), dps)
+    return _root(lambda x: 1 - 2 * x + x * x - x ** 3, 0, 1, dps)
 
 
-def _poly_root(f, fp, lo, hi, dps: int) -> mpf:
-    """The root of f in [lo, hi], where f changes sign exactly once.
-
-    Bisection to 1/1000 of the bracket, then Newton; the result leaves
-    |f| < 10^-dps or an AssertionError is raised.
-    """
+def _root(f, lo, hi, dps: int) -> mpf:
+    """The root of f in [lo, hi], where f changes sign exactly once, by
+    mpmath's bracketing Illinois solver at dps + _GUARD_DPS digits; the
+    result leaves |f| < 10^-dps or an AssertionError is raised."""
     with mp.workdps(dps + _GUARD_DPS):
-        lo = mpf(lo)
-        hi = mpf(hi)
-        width = (hi - lo) / 1000
-        flo = f(lo)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if f(mid) * flo > 0:
-                lo = mid
-                flo = f(lo)
-            else:
-                hi = mid
-        x = _newton(f, fp, (lo + hi) / 2, dps)
+        x = mp.findroot(f, (lo, hi), solver="illinois")
         if abs(f(x)) >= mpf(10) ** -dps:
             raise AssertionError(
                 f"root leaves a residual of {mp.nstr(abs(f(x)), 3)}")
         return x
-
-
-def _newton(f, fp, x, dps: int) -> mpf:
-    """Newton on f from x until a step is below 10^-(dps+5); an
-    AssertionError after 200 steps.  The working precision is the caller's."""
-    for _ in range(200):
-        step = f(x) / fp(x)
-        x -= step
-        if abs(step) < mpf(10) ** (-dps - 5):
-            return x
-    raise AssertionError("Newton iteration did not converge")
 
 
 # Printed coefficients of the non-oscillating 5-term expansion
@@ -860,22 +837,29 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
     plain trapezoidal estimate is still drifting.
     """
     u0, u1 = u_range
+    if k < 1:
+        raise DomainError(f"the detrended fit needs a harmonic k >= 1 (got {k})")
     if u1 - u0 < 2:
         raise DomainError("u-window must span at least 2 periods")
     with mp.workdps(table.precision + _GUARD_DPS):
         pts = _window(table, u_range)
         if len(pts) < 32:
             raise DomainError("not enough samples in the window")
-        rows = []
+        samples = []
         for u, _ in pts:
             w = mp.e ** (2j * k * mp.pi * u)
             dec = mpf(2) ** (-u)
-            rows.append([mp.one, dec, w.real, -w.imag,
-                         (dec * w).real, -(dec * w).imag])
-        A = matrix(rows)
-        y = matrix([r for _, r in pts])
-        sol = lu_solve(A.T * A, A.T * y)
+            samples.append((mp.one, dec, w.real, -w.imag,
+                            (dec * w).real, -(dec * w).imag))
+        sol = _least_squares(list(zip(*samples)), [r for _, r in pts])
         return mpc(sol[2], sol[3]) / 2
+
+
+def _least_squares(columns, ys) -> list:
+    """The coefficients x minimising |sum_i x_i columns[i] - ys|, from the
+    normal equations, at the caller's working precision."""
+    normal = matrix([[mp.fdot(a, b) for b in columns] for a in columns])
+    return list(lu_solve(normal, matrix([mp.fdot(a, ys) for a in columns])))
 
 
 def exponent_fit(counts, dps: int = 40) -> mpf:
@@ -894,12 +878,7 @@ def exponent_fit(counts, dps: int = 40) -> mpf:
                 continue
             xs.append(mp.log(n) / mp.log(2))
             ys.append(mp.log(s) / mp.log(2))
-        m = len(xs)
-        if m < 8:
+        if len(xs) < 8:
             raise DomainError("need counts up to a larger order to fit")
-        mx = sum(xs) / m
-        my = sum(ys) / m
-        num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        den = sum((x - mx) ** 2 for x in xs)
-        return num / den
+        return _least_squares([[mp.one] * len(xs), xs], ys)[1]
 

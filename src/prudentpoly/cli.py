@@ -267,9 +267,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_gf_check(args) -> int:
-    methods, q = args.methods, _parse_q(args.q)
-    d = args.digits
+    methods, d = args.methods, args.digits
     with mp.workdps(d + 10):
+        q = _parse_q(args.q)
         values = [asymptotics.gf_eval(q, m, dps=d) for m in methods]
         diff = values[0] - values[1]
         rows = [[methods[i], _num(mpc(values[i]).real, d),

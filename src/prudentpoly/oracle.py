@@ -63,10 +63,9 @@ class SideMembership:
 
 
 class LatticeWalk:
-    """A step sequence with vertices, occupancy set and bounding-box history."""
+    """A self-avoiding walk: its vertices, occupancy set and bounding box."""
 
     def __init__(self, steps: str = ""):
-        self.steps: list[str] = []
         self.vertices: list[tuple[int, int]] = [(0, 0)]
         self.occupied = {(0, 0)}
         self.box = [0, 0, 0, 0]  # xmin, xmax, ymin, ymax
@@ -85,7 +84,6 @@ class LatticeWalk:
         nxt = (x + dx, y + dy)
         if nxt in self.occupied:
             return False
-        self.steps.append(step)
         self.vertices.append(nxt)
         self.occupied.add(nxt)
         b = self.box

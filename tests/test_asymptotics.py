@@ -389,6 +389,30 @@ class TestResidualPipeline:
             with pytest.raises(DomainError, match="does not cover"):
                 extract(table, 1, (9, 12))
 
+    def test_detrended_refuses_k_below_one(self):
+        # for k = 0 the harmonic columns are 1 and 0: no fit exists
+        table = asy.residuals(1400, min_n=256)
+        with pytest.raises(DomainError, match="k >= 1"):
+            asy.fourier_extract_detrended(table, 0, (8.2, 10.4))
+
+    def test_detrended_matches_an_independent_solve(self):
+        # the window covers every row; the same design matrix, solved by
+        # QR at 20 more digits
+        table = asy.residuals(1024, min_n=256)
+        alpha = asy.fourier_extract_detrended(table, 1, (8, 10))
+        with mp.workdps(table.precision + 20):
+            rows, ys = [], []
+            for n, _, r in table.rows:
+                u = mp.log(n, 2)
+                w = mp.expjpi(2 * u)
+                dec = mpf(2) ** -u
+                rows.append([1, dec, w.real, -w.imag,
+                             dec * w.real, -dec * w.imag])
+                ys.append(r)
+            sol, _ = mp.qr_solve(mp.matrix(rows), mp.matrix(ys))
+            reference = mpc(sol[2], sol[3]) / 2
+            assert abs(alpha - reference) < mpf(10) ** -45 * abs(reference)
+
     def test_min_n_below_two_is_refused(self):
         with pytest.raises(ValueError, match="2 <= min_n"):
             asy.residuals(10, min_n=1)

@@ -202,6 +202,15 @@ class TestErrors:
         assert "catalytic degree 5 exceeds area degree" in err
         assert "Traceback" not in err
 
+    def test_root_leaving_a_residual_exit_three(self, capsys, monkeypatch):
+        # a solver that returns the low end of its bracket, not the root
+        monkeypatch.setattr(cli.asymptotics.mp, "findroot",
+                            lambda f, bracket, **kwargs: bracket[0])
+        code, out, err = run(["constants", "--no-timestamp"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "internal error: root leaves a residual" in err
+
     def test_four_sided_memory_guard_exit_two(self, capsys):
         # the first order past the solver's memory budget is refused at once
         e = cli.enumeration
@@ -284,10 +293,12 @@ class TestEnvPrecision:
         assert "positive integer" in err
 
 
-# sha256 of the stdout of each command with --no-timestamp, recorded before
-# the evaluators shared one record of q.  The commands run at mpmath's
-# default precision, as from a fresh interpreter: --q is parsed at the
-# caller's precision.
+# sha256 of the stdout of each command with --no-timestamp.  The residuals
+# and q = 0.25 digests were recorded before the evaluators shared one record
+# of q, the other gf-check digests when --q began to be parsed at the working
+# precision, and the fit and constants digests before the roots and fits
+# moved to mpmath's solvers.  The commands run at mpmath's default
+# precision, as from a fresh interpreter, which --q must not depend on.
 OUTPUT_SHA256 = [
     (["residuals", "--max-n", "1024", "--terms", "5", "--digits", "40"],
      "1c1748cadac3840b9f4af5699dcb161155042b364b29afd2c15b83d1fbd88094"),
@@ -298,22 +309,30 @@ OUTPUT_SHA256 = [
      "623e40cd660d57d2b15156f2684d6cf342ca9add5386c890d9dea1af7b65fdd4"),
     (["gf-check", "--q", "0.4,0.05", "--methods", "taylor,meromorphic",
       "--digits", "100"],
-     "0c71eb74a34f747aeddb705fc48d49fcae7de5e4f618f4cb1bdf8307bfed362e"),
+     "c4d0ff62dbd39461f1e36cea271037d212709b29e5756db2cfd2018a7bcd9d37"),
     (["gf-check", "--q", "0.47", "--methods", "doublesum,singular",
       "--digits", "100"],
-     "79711c5c389f448003d7b84a4a62733fd312103e337fe4679f9a1d8003e8b38f"),
+     "c9026496d9a87016afbb1bf8171850645a55f8ca4eb8f3c5e87ec74f15a605e2"),
     (["gf-check", "--q", "0.49", "--methods", "doublesum,singular",
       "--digits", "100"],
-     "8f310c5fa33e04dee5f2735ef0de19a5c11e1e71311750e5d469a087ac607c00"),
+     "43262bf369c997aad31ef183e32498fc64cdd8c5a06b4c55cea96bd0aa613f14"),
     (["gf-check", "--q", "0.45", "--methods", "meromorphic,singular",
       "--digits", "100"],
-     "350c42ebc46097602ac740b00a1c3a37cf30713d1b825af6937c810d75851066"),
+     "15b44a92548a578cae2e743e1090e87fd4983752bd0cbc6226fff79e04cbd591"),
     (["gf-check", "--q", "0.45", "--methods", "taylor,singular",
       "--digits", "40"],
-     "e1c2af80910629badcf143b9df0f8d9a8f86cf6487b4a088f045b7b0799da334"),
+     "0f2c9af8b33f414fef7c32b5faf0406950cf5c439280c1af03710a33ba224c72"),
     (["gf-check", "--q", "0.515,0.025980762113533159",
       "--methods", "meromorphic,singular", "--digits", "40"],
-     "6ce9cec1aaeb87a22d8a9b7529f9334711b40bbe07b98fad9e4e098a49e76a50"),
+     "cfacdde6c340e2d1160ba996b2e68e3d7463f2c2c51f4d2fe64a8f2157f8c4db"),
+    (["fit", "--k", "2", "--max-n", "64"],
+     "12611567bd159a3372fdbb3350a981876a837985cbadbfb5bf623fc018382f36"),
+    (["fit", "--k", "4", "--max-n", "64", "--digits", "40"],
+     "629aef58f43f9a68f78ecdea8956f3948740572700bbd9e7f5a4d431a6c92f7e"),
+    (["fit", "--k", "3", "--max-n", "1000"],
+     "e7ff614770649bd1a9d4ff431b008e0ca68c23bc331711cd492baa0935c105da"),
+    (["constants"],
+     "0c173966ddb6b886490db75e6a7926b8346e29f07c2472ee350f1b447cdfb123"),
 ]
 
 
@@ -336,6 +355,19 @@ class TestGfCheck:
         rows = dict(line.split(",", 1) for line in out.splitlines()
                     if not line.startswith("#"))
         assert rows["taylor"] == rows["meromorphic"] == "0.0,0.0"
+
+    def test_q_parsed_at_working_precision(self, capsys):
+        # PA(q) = 6q + 10q^2 + O(q^3); q parsed at the caller's 15 digits
+        # would spoil the 17th digit
+        with mp.workdps(15):
+            code, out, _ = run(["gf-check", "--q", "1e-30", "--methods",
+                                "taylor,meromorphic", "--no-timestamp"],
+                               capsys)
+        assert code == 0
+        rows = dict(line.split(",", 1) for line in out.splitlines()
+                    if not line.startswith("#"))
+        expected = "6.000000000000000000000000000010000000000e-30,0.0"
+        assert rows["taylor"] == rows["meromorphic"] == expected
 
     def test_route_pair(self, capsys):
         code, out, _ = run(["gf-check", "--q", "0.25",
