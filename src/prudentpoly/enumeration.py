@@ -8,11 +8,14 @@ Routes implemented:
   the origin, by iterating the substitution; then 2*(W(q,1) + q/(1-q) +
   q/(1-2q)).
 * 3-sided, ``theorem``: the explicit sum whose term m carries the product
-  prod_{k=1}^{m-1} (1-q-q^k+q^{k+1}-q^{k+2})/(1-q-q^{k+1}); evaluated with an
-  incremental running term, all in exact integers.  Each step multiplies by
-  the factorised numerator (1-q) - q^m (1-q+q^2) as lazy shifted
-  subtractions, divides by 1-2q as one running sum, and by 1-q-q^{m+2}
-  block by block, one running sum per m+2 degrees.
+  prod_{k=1}^{m-1} (1-q-q^k+q^{k+1}-q^{k+2})/(1-q-q^{k+1}); summed by
+  Horner's rule from the innermost term outwards, all in exact integers.
+  The step ratio is -q^2 N_m/((1-2q) D_m) with N_m = (1-q) - q^m (1-q+q^2)
+  and D_m = 1-q-q^{m+2}; the partial sum H'_m = (-1)^m + q^2 N_m/((1-2q)
+  D_m) H'_{m+1} carries the signs, so nothing is negated.  Each step uses
+  N_m = D_m (1-q^m) - q^{2m+2}: one lagged subtraction, a short division by
+  D_m block by block (one running sum per m+2 degrees), and 1/(1-2q) as one
+  running sum.
 * 4-sided: the three trivariate functional equations coupling the
   row/column-addition classes X, Y, Z, solved one q-degree at a time;
   returns 8*(X+Y+Z) at u=v=1.
@@ -24,7 +27,7 @@ variable x = 2q; it is a view of those counts, not a separate route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice
 from operator import add, sub
 
 from . import _intpoly
@@ -186,15 +189,14 @@ def _twice_plus(a, x):
     return a + a + x
 
 
-def _div_2q_lag(c, size: int, lag: int) -> list[int]:
-    """The first ``size`` coefficients of c/((1-2q)(1-q-q^lag)), c iterable.
+def _div_lag(c, size: int, lag: int) -> list[int]:
+    """The first ``size`` coefficients of c/(1-q-q^lag), c iterable.
 
-    1/(1-2q) is one running ``a + a + x``.  1/(1-q-q^lag) runs in blocks of
-    ``lag`` degrees, so the lagged read of every block is the whole block
-    before it, and each block is one running sum seeded by the last value.
+    It runs in blocks of ``lag`` degrees, so the lagged read of every block
+    is the whole block before it, and each block is one running sum seeded
+    by the last value.
     """
-    size = max(size, 0)
-    e = accumulate(islice(c, size), _twice_plus)
+    e = islice(c, max(size, 0))
     f = [0] * lag                       # the zero block below degree 0
     for _ in range(0, size, lag):
         f[-1:] = accumulate(map(add, islice(e, lag), f[-lag:]), initial=f[-1])
@@ -202,38 +204,38 @@ def _div_2q_lag(c, size: int, lag: int) -> list[int]:
     return f
 
 
-def _pa3_numerator(term: list[int], m: int):
-    """term * ((1-q) - q^m (1-q+q^2)), the step's numerator, lazily."""
-    # (1-q) term, minus (1-q+q^2) term read m degrees behind
-    lagged = map(add, map(sub, term, chain((0,), term)), chain((0, 0), term))
-    return map(sub, map(sub, term, chain((0,), term)),
-               chain(repeat(0, m), lagged))
-
-
 def _pa3_theorem_coeffs(order: int) -> list[int]:
     """Exact theorem-route coefficients of the 3-sided area series.
 
-    The sum runs over term_m, of valuation 2m, from term_1 =
-    -q^2/((1-2q)(1-q-q^2)) by
-        term_{m+1} = -q^2 term_m ((1-q) - q^m (1-q+q^2))
-                     / ((1-2q)(1-q-q^{m+2})).
-    Every step is a few passes over whole lists at C level (``map`` and
-    ``accumulate``), never an indexed Python loop: the numerator subtracts
-    the term shifted by 1, 2 and m..m+2 degrees, lazily; 1/(1-2q) is one
-    running sum, and 1/(1-q-q^{m+2}) one running sum per block of m+2
-    degrees (``_div_2q_lag``).  A term is held from its valuation up to
-    degree order-3, the last one the q^3 prefactor reads, and without its
-    sign (-1)^m, which is applied as it is added into the total.
+    The sum S = sum_{m>=1} T_m starts at T_1 = -q^2/((1-2q)(1-q-q^2)) and
+    steps by T_{m+1} = -rho_m T_m, where
+        rho_m = q^2 N_m / ((1-2q) D_m),
+        N_m = (1-q) - q^m (1-q+q^2),   D_m = 1-q-q^{m+2}.
+    It is summed by Horner's rule from the innermost m outwards:
+        H'_m = (-1)^m + rho_m H'_{m+1},   S = q^2 H'_1 / ((1-2q)(1-q-q^2)),
+    so H'_m = sum_{j>=m} (-1)^j rho_m ... rho_{j-1} carries the signs of
+    the terms and nothing is negated.  H'_m is held from degree 0 up to
+    degree order-3-2m, the last one that reaches degree order-3 of S, which
+    the q^3 prefactor reads.  Each step uses N_m = D_m (1-q^m) - q^{2m+2}:
+        rho_m h = q^2/(1-2q) ((1-q^m) h - q^{2m+2} h/D_m),
+    where only the first order-6-4m coefficients of h/D_m are read, none
+    once 4m+6 >= order; they are one running sum per block of m+2 degrees
+    (``_div_lag``), and 1/(1-2q) is one running ``a + a + x``.  Every step
+    is a few passes over whole lists at C level (``map`` and
+    ``accumulate``), never an indexed Python loop.
     """
     n = order
-    total = [0] * max(n - 2, 0)         # degrees 0..n-3
-    term = _div_2q_lag(chain((1,), repeat(0)), n - 4, 2)
-    m = 1
-    while term:
-        top = 2 * m + len(term)
-        total[2 * m:top] = map(sub if m % 2 else add, total[2 * m:top], term)
-        term = _div_2q_lag(_pa3_numerator(term, m), len(term) - 2, m + 2)
-        m += 1
+    h = []                              # H'_{m+1}, none past the innermost m
+    for m in range((n - 3) // 2, 0, -1):
+        size = n - 2 - 2 * m            # H'_m: degrees 0..n-3-2m
+        k = h[:size - 2]
+        k[m:] = map(sub, k[m:], h)
+        k[2 * m + 2:] = map(sub, k[2 * m + 2:],
+                            _div_lag(h, size - 4 - 2 * m, m + 2))
+        # the innermost H' may run one degree long; the slices drop it
+        h = [-1 if m % 2 else 1, *accumulate(k, _twice_plus, initial=0)]
+    # S over degrees 0..n-3
+    total = [0, 0, *accumulate(_div_lag(h, n - 4, 2), _twice_plus)]
     # prefactor -2q^3(1-q)^2/(1-2q)^2, as (1-q)/(1-2q) twice
     for _ in range(2):
         total = list(accumulate(map(sub, total, [0] + total), _twice_plus))

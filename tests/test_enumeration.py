@@ -137,11 +137,42 @@ class TestPa3:
     @pytest.mark.parametrize("n, digest", [
         (1000, "93cb7e67f09acfb2d2f0da106bb6ba69cc95e996bf88c4a712f0c5b829042c5a"),
         (3072, "b662730d1c47348d58897fd176aaa2348e072b2d90e4a98e280641b75f13301b"),
+        (4096, "3ee0eff3cd25ebf3ff677918346be426e67d8b0ccf86b67aafcbea269b3f2795"),
     ])
     def test_counts_digest(self, n, digest):
-        # sha256 of the counts from the index-loop kernel that preceded this one
+        # sha256 of the counts from the index-loop kernel that preceded this
+        # one; order 4096 from the forward-summing kernel that preceded the
+        # Horner-order one, recorded before that kernel was changed
         text = ",".join(map(str, pa3_series(n, "theorem").counts))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_literal_sum_in_series1(self):
+        # the paper's sum S of the T_m from generic Series1 arithmetic, with
+        # no factoring: T_1 = -q^2/((1-2q)(1-q-q^2)) and T_{m+1} = T_m r_m
+        # as truncated Series1 products, r_m = -q^2 N_m/((1-2q) D_m) expanded
+        # as it reads, N_m = (1-q) - q^m (1-q+q^2), D_m = 1-q-q^{m+2}; then
+        # PA3 = 2q(3-10q+9q^2-q^3)/((1-2q)^2(1-q)) - 2q^3(1-q)^2/(1-2q)^2 S
+        def times_1m2q(p):
+            return [a - 2 * b for a, b in zip(p + [0], [0] + p)]
+
+        for n in [*range(1, 61), 150]:
+            term = expand_rational((0, 0, -1), times_1m2q([1, -1, -1]), n)
+            total = term
+            m = 1
+            while any(term.coeffs):
+                num = [1, -1] + [0] * (m + 1)       # N_m
+                for d, c in enumerate((1, -1, 1)):
+                    num[m + d] -= c
+                den = [1, -1] + [0] * m + [-1]      # D_m
+                r = expand_rational([0, 0] + [-c for c in num],
+                                    times_1m2q(den), n)
+                term = term * r
+                total = total + term
+                m += 1
+            pa3 = (expand_rational((0, 6, -20, 18, -2), (1, -5, 8, -4), n)
+                   - expand_rational((0, 0, 0, 2, -4, 2), (1, -4, 4), n)
+                   * total)
+            assert pa3_series(n, "theorem").counts == pa3.coeffs[1:], n
 
     def test_counts_even_and_increasing(self):
         t = pa3_series(64)
