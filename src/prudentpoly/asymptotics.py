@@ -99,22 +99,39 @@ def _tail_sum(terms, dps: int, scale: float):
 
 
 def _a_ratio_sum(a, q, f, dps, scale):
-    """[(a;q)oo/(q;q)oo] sum_j prod_{m<=j}[(a-q^m)/(1-q^m)] f(j), the
-    partial-fraction sum behind d_nu's j-sum and the Mittag-Leffler check."""
+    """[(a;q)oo/(q;q)oo] sum_j prod_{m<=j}[(a-q^m)/(1-q^m)] f(q^j), the
+    partial-fraction sum behind d_nu's j-sum and the Mittag-Leffler check.
+
+    ``f`` receives the power q^j itself, kept as a running product."""
     pref = (pochhammer(a, q, dps=dps, truncation_scale=scale)
             / pochhammer(q, q, dps=dps, truncation_scale=scale))
-    terms = (ratio * f(j) for j, ratio in enumerate(_ratios(a, 1, q)))
-    return pref * _tail_sum(terms, dps, scale)
+
+    def terms():
+        qj = mp.one
+        for ratio in _ratios(a, 1, q):
+            yield ratio * f(qj)
+            qj *= q
+
+    return pref * _tail_sum(terms(), dps, scale)
 
 
 def _ratios(x, y, q):
     """r_0 = 1, r_j = r_{j-1} (x - y q^j)/(1 - q^j) for j = 1, 2, ...: the
     a-ratios prod_{m<=j} (a - q^m)/(1 - q^m) at (x, y) = (a, 1) and d_nu at
-    (v, u)."""
-    r = mp.one
-    for j in count(1):
+    (v, u).
+
+    q^j is a running product, one multiplication per term, as is every
+    power of q that a term loop in this module steps through.  mpmath's
+    q ** j costs more and, for complex q, switches to exp(j log q) once j
+    times the working bits passes 10^4.  Each multiplication rounds once,
+    so after N terms the power carries at most N roundings: log10(N)
+    digits, about 3 of the _GUARD_DPS digits at N ~ 500.
+    """
+    r = qj = mp.one
+    while True:
         yield r
-        r = r * (x - y * q ** j) / (1 - q ** j)
+        qj *= q
+        r = r * (x - y * qj) / (1 - qj)
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +144,25 @@ def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
 
     The factors are multiplied until the geometric bound on the remaining
     log-tail, |x q^J|/(1-|q|), drops below the target precision; |q| <= 0.9
-    is required so that bound is usable.
+    is required so that bound is usable.  x q^J is a running product and
+    1-|q| is computed once, so a factor costs two multiplications and one
+    abs.
     """
     with mp.workdps(dps + _GUARD_DPS):
         x = mpmathify(x)
         q = mpmathify(q)
-        if abs(q) > mpf("0.9"):
+        q_abs = abs(q)
+        if q_abs > mpf("0.9"):
             raise DomainError(
-                f"infinite q-Pochhammer needs |q| <= 0.9 (got |q| = {abs(q)})")
+                f"infinite q-Pochhammer needs |q| <= 0.9 (got |q| = {q_abs})")
         stop = _stop_rule(dps, truncation_scale)
+        gap = 1 - q_abs
         p = mp.one
         t = x
         while True:
             p *= (1 - t)
             t *= q
-            if stop(abs(t) / (1 - abs(q))):
+            if stop(abs(t) / gap):
                 return p
 
 
@@ -270,7 +291,7 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
             raise ValueError("method must be 'recurrence' or 'sum'")
         if nu == 0:
             return mp.one
-        return _a_ratio_sum(b.a, b.q, lambda j: (b.v * b.q ** j) ** nu, dps,
+        return _a_ratio_sum(b.a, b.q, lambda qj: (b.v * qj) ** nu, dps,
                             truncation_scale)
 
 
@@ -323,14 +344,19 @@ def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
         if abs(q) >= 1:
             raise DomainError(
                 f"the expansion requires |q| < 1 (got |q| = {abs(q)})")
-        j = 0
-        while abs(q) ** (-j) <= abs(z) + 1:
-            if abs(z - q ** (-j)) < mpf(10) ** -6:
+        # the poles q^-j with |q^-j| <= |z| + 1; at q = 0 only z = 1
+        pole, reach = mp.one, abs(z) + 1
+        for j in count():
+            if abs(pole) > reach:
+                break
+            if abs(z - pole) < mpf(10) ** -6:
                 raise DomainError(f"z within 1e-6 of the pole q^-{j}")
-            j += 1
+            if q == 0:
+                break
+            pole /= q
         lhs = (pochhammer(a * z, q, dps=dps, truncation_scale=truncation_scale)
                / pochhammer(z, q, dps=dps, truncation_scale=truncation_scale))
-        rhs = 1 + _a_ratio_sum(a, q, lambda j: z * q ** j / (1 - z * q ** j),
+        rhs = 1 + _a_ratio_sum(a, q, lambda qj: z * qj / (1 - z * qj),
                                dps, truncation_scale)
         return lhs, rhs
 
@@ -403,14 +429,17 @@ def _gf_meromorphic(q, dps, scale):
     if abs(b.v * q) >= 1:
         raise DomainError("meromorphic tail needs |v(q) q| < 1")
     ratio = b.pv / pochhammer(q * b.u, q, dps=dps, truncation_scale=scale)
+    eps = _eps(dps)
 
     def terms():
+        power = q * q                   # q^{nu+2}
         for nu, d in enumerate(islice(_ratios(b.v, b.u, q), 1, None), 1):
-            den = 1 - 2 * q + q ** (nu + 2)
-            if abs(den) < _eps(dps):
+            power *= q
+            den = b.t + power
+            if abs(den) < eps:
                 raise DomainError(f"q is within tail distance of the pole "
                                   f"of 1/(1-2q+q^{nu + 2})")
-            yield d * q ** (nu + 2) / den
+            yield d * power / den
 
     core = q * q / (1 - q) ** 2 + _tail_sum(terms(), dps, scale)
     return b.C - b.A * ratio * core
@@ -423,16 +452,36 @@ def _singular_prefactor(b: BaseQuantities):
 
 
 def _gf_doublesum(q, dps, scale):
+    """D - q^2 A (a;q)oo(v;q)oo/((q;q)oo(av;q)oo) * sum_j r_j sum_nu
+    (v q^{j+1})^nu / (1-2q+q^{nu+2}), r_j the a-ratios.  The powers of
+    base = v q^{j+1} and of q are running products; the denominators are
+    the same for every j and are built once, as far as the longest nu-sum
+    (the one at j = 0) reads them."""
     if abs(q.imag) > 0 or not (mpf("0.35") < q.real < mpf(1) / 2):
         raise DomainError("doublesum route is implemented for real q in (0.35, 1/2)")
     b = base_quantities(q, dps=dps, truncation_scale=scale)
 
+    def den_values():                   # 1-2q+q^{nu+2}, nu = 1, 2, ...
+        power = q * q
+        while True:
+            power *= q
+            yield b.t + power
+
+    dens, more = [], den_values()
+
+    def nu_terms(base):
+        power = base
+        for i in count():
+            if i == len(dens):
+                dens.append(next(more))
+            yield power / dens[i]
+            power *= base
+
     def j_terms():
-        for j, ratio in enumerate(_ratios(b.a, 1, q)):
-            base = b.v * q ** (j + 1)
-            nu_terms = (base ** nu / (1 - 2 * q + q ** (nu + 2))
-                        for nu in count(1))
-            yield ratio * _tail_sum(nu_terms, dps, scale)
+        base = b.v * q
+        for ratio in _ratios(b.a, 1, q):
+            yield ratio * _tail_sum(nu_terms(base), dps, scale)
+            base *= q
 
     T = _tail_sum(j_terms(), dps, scale)
     return b.D - _singular_prefactor(b) * T
@@ -476,13 +525,15 @@ def _v_sum(b: BaseQuantities):
     if abs(z) >= 1:
         raise DomainError("V's hypergeometric sum needs |a t / q^2| < 1")
     term1 = -b.pq / b.pa / q ** 2 / (1 + t / q ** 2)
+    av = a * v
 
     def terms():
-        num = den = zr = mp.one
-        for r in count(1):
+        num = den = zr = qr = mp.one
+        while True:
             yield num / den * zr
-            num *= (1 - q ** r / (a * v))
-            den *= (1 - q ** r / v)
+            qr *= q
+            num *= (1 - qr / av)
+            den *= (1 - qr / v)
             zr *= z
 
     s = _tail_sum(terms(), b.dps, b.truncation_scale)
@@ -552,9 +603,16 @@ def h_direct(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
         v = mpmathify(v)
         if not t > 0:
             raise DomainError("h_j direct sum needs t > 0")
-        terms = ((v * q ** j) ** nu / (1 + t * q ** (-nu - 2))
-                 for nu in count(1))
-        return _tail_sum(terms, dps, truncation_scale) / q ** 2
+        base = v * q ** j
+
+        def terms():
+            power, q_nu = base, q ** 3      # (v q^j)^nu, q^{nu+2}
+            while True:
+                yield power / (1 + t / q_nu)
+                power *= base
+                q_nu *= q
+
+        return _tail_sum(terms(), dps, truncation_scale) / q ** 2
 
 
 def h_representation(j: int, t, q, v, dps: int = 40,
@@ -579,9 +637,18 @@ def h_representation(j: int, t, q, v, dps: int = 40,
         sing = ((-1) ** j * v * q ** (3 * gamma - 2 * j - 2) / log_q
                 * t ** (j - gamma) * _pi_sum(mp.log(t) / log_q, gamma, log_q,
                                              dps, truncation_scale))
-        terms = ((-1) ** r * v * q ** (j - 3 * r) / (1 - v * q ** (j - r)) * t ** r
-                 for r in count())
-        return sing + _tail_sum(terms, dps, truncation_scale) / q ** 2
+        step = -t / q ** 3
+
+        def terms():
+            # (-1)^r v q^{j-3r} t^r = v q^j (-t/q^3)^r, and q^{j-r}
+            q_jr = q ** j
+            power = v * q_jr
+            while True:
+                yield power / (1 - v * q_jr)
+                power *= step
+                q_jr /= q
+
+        return sing + _tail_sum(terms(), dps, truncation_scale) / q ** 2
 
 
 def hj_check(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
@@ -864,7 +931,11 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
 def _least_squares(columns, ys) -> list:
     """The coefficients x minimising |sum_i x_i columns[i] - ys|, from the
     normal equations, at the caller's working precision."""
-    normal = matrix([[mp.fdot(a, b) for b in columns] for a in columns])
+    size = len(columns)
+    normal = matrix(size, size)
+    for i in range(size):           # symmetric: one fdot per pair
+        for k in range(i + 1):
+            normal[i, k] = normal[k, i] = mp.fdot(columns[i], columns[k])
     return list(lu_solve(normal, matrix([mp.fdot(a, ys) for a in columns])))
 
 

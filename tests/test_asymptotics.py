@@ -81,6 +81,17 @@ class TestDnu:
         v = (1 - q + q * q) / (1 - q)
         assert close(asy.d_nu(1, q), (v - u * q) / (1 - q), 1e-45)
 
+    def test_complex_q_past_the_power_switch(self):
+        # mpmath's q ** n for complex q goes by exp(n log q) from n = 27 on
+        # at these digits; the stepped powers must agree past it
+        q = mpc("0.4", "0.05")
+        series_route = asy.d_nu_by_series_division(60, q)
+        for nu in (1, 26, 27, 28, 45, 60):
+            rec = asy.d_nu(nu, q, method="recurrence")
+            tot = asy.d_nu(nu, q, method="sum")
+            assert close(rec, series_route[nu], 1e-35 * abs(rec)), nu
+            assert close(rec, tot, 1e-35 * abs(rec)), nu
+
     def test_growth_rate(self):
         val = abs(asy.d_nu(60, mpf(1) / 2)) ** (mpf(1) / 60)
         assert close(val, mpf(3) / 2, 0.05)
@@ -114,6 +125,15 @@ class TestMittagLeffler:
     def test_pole_guard(self):
         with pytest.raises(DomainError):
             asy.mittag_leffler_check(mpf(1) / 3, mpf(1) / 2, mpf(2) + mpf(10) ** -8)
+
+    def test_q_zero_has_the_single_pole_one(self):
+        # (z;0)oo = 1 - z: the pole scan stops after q^0 = 1
+        a, z = mpf("0.3"), mpf("0.5")
+        lhs, rhs = asy.mittag_leffler_check(a, 0, z)
+        assert close(lhs, (1 - a * z) / (1 - z), 1e-45)
+        assert close(lhs, rhs, 1e-40)
+        with pytest.raises(DomainError, match="pole q\\^-0"):
+            asy.mittag_leffler_check(a, 0, 1 + mpf(10) ** -8)
 
     def test_q_on_the_unit_circle_fails_at_once(self):
         # the pole scan q^-j <= |z| + 1 never ends at |q| = 1
@@ -504,18 +524,28 @@ class TestTruncationDoubling:
 class TestCrossPrecision:
     """A value asked for at 30 digits agrees with the same value at 60."""
 
+    SECTOR = mpf(1) / 2 + mpf("0.03") * mp.expjpi(mpf(1) / 3)
+
     @staticmethod
-    def value(name, dps):
-        q = mpf("0.45")
+    def value(name, dps, q):
         if name == "kappa(1)":
             return asy.kappa(1, dps=dps)
         if name in ("U_eval", "V_eval"):
             return getattr(asy, name)(q, dps=dps)
         return asy.gf_eval(q, name, dps=dps)
 
-    @pytest.mark.parametrize("name", ["taylor", "meromorphic", "doublesum",
-                                      "singular", "kappa(1)", "U_eval",
-                                      "V_eval"])
-    def test_dps_30_agrees_with_dps_60(self, name):
-        low, high = self.value(name, 30), self.value(name, 60)
+    # at q = 0.45 by name; then the points whose term loops step through
+    # the most powers of q
+    @pytest.mark.parametrize("name, q", [
+        *[pytest.param(name, mpf("0.45"), id=name)
+          for name in ("taylor", "meromorphic", "doublesum", "singular",
+                       "kappa(1)", "U_eval", "V_eval")],
+        pytest.param("meromorphic", mpc("0.4", "0.05"),
+                     id="meromorphic-0.4+0.05i"),
+        pytest.param("meromorphic", SECTOR, id="meromorphic-sector"),
+        pytest.param("singular", SECTOR, id="singular-sector"),
+        pytest.param("V_eval", SECTOR, id="V_eval-sector"),
+        pytest.param("doublesum", mpf("0.49"), id="doublesum-0.49")])
+    def test_dps_30_agrees_with_dps_60(self, name, q):
+        low, high = self.value(name, 30, q), self.value(name, 60, q)
         assert abs(low - high) <= mpf(10) ** -30 * abs(high)
