@@ -943,19 +943,21 @@ def exponent_fit(counts, dps: int = 40) -> mpf:
     """Least-squares slope of log2(PA_n 2^-n) against log2 n, top half of range.
 
     Accepts a CountTable or FloatSeries1 (scaled float counts).  For counts
-    growing like 2^n n^rho the fit approaches rho.
+    growing like 2^n n^rho the fit approaches rho.  A count in the fitted
+    range that is not positive raises DomainError.
     """
     _, n_max, scaled = _scaled_counts(counts)
+    lo = max(2, n_max // 2)
+    if n_max - lo < 7:
+        raise DomainError("need counts up to a larger order to fit")
     with mp.workdps(dps + _GUARD_DPS):
-        lo = max(2, n_max // 2)
         xs, ys = [], []
         for n in range(lo, n_max + 1):
             s = scaled(n)
             if s <= 0:
-                continue
+                raise DomainError(f"count PA_{n} is not positive; its log "
+                                  "cannot be fitted")
             xs.append(mp.log(n) / mp.log(2))
             ys.append(mp.log(s) / mp.log(2))
-        if len(xs) < 8:
-            raise DomainError("need counts up to a larger order to fit")
         return _least_squares([[mp.one] * len(xs), xs], ys)[1]
 

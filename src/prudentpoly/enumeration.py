@@ -27,7 +27,7 @@ variable x = 2q; it is a view of those counts, not a separate route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import add, sub
 
 from . import _intpoly
@@ -280,35 +280,37 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
 #     Y: W_Y(i, j-1) + W_Z(j-2, i) + X_{m-j}[j-1][i-1] + Y_{m-j}[i-1][j-1]
 #        + Z_{m-j}[j-2][i-1], plus 1 at (1, 1, 1);
 #     Z: W_Z(i, j-1) + Y_{m-j}[j-1][i] + Z_{m-j}[i-1][j-1].
-# Y and Z are also kept transposed, so every term reads whole stored rows:
-# window terms row i (built along j), lag terms row j-1 or j-2 (built along
-# i, then transposed).  A raw degree is S_k = P_S[k] - P_S[k-1].
+# X and Y^T are read only together, as are Y and Z^T one v-degree apart, so
+# the prefix sums stored are those of A = X + Y^T, B = Y + v Z^T and Z.  A
+# window term reads row i; a lag term reads row j-1 of A or B or j-2 of Z of
+# the raw degree S_k = P_S[k] - P_S[k-1], built along i, then transposed.
+# Each is one add pass of the newer prefix row and one subtract pass of the
+# older.  X, Y, A and B vanish for i + j > m + 1 and Z for i + j > m, so row
+# a of degree k is stored for j <= k + s - a, capped at k (s = 1, or 0 for
+# Z), a shape that is its own transpose.  A nonzero term past the end of a
+# row raises AssertionError: a bound too tight fails rather than drop terms.
 # ---------------------------------------------------------------------------
 
 
-def _diff(a, b) -> list:
-    """The row a - b, where b is no longer than a."""
-    out = list(a)
-    out[:len(b)] = map(sub, a, b)
-    return out
+def _staircase(k: int, s: int) -> list:
+    """A zero triangle of degree k over its support."""
+    return [[0] * (min(k, k + s - a) + 1) for a in range(k + 1)]
 
 
-def _add_at(out: list, row, shift: int) -> None:
-    """out[shift + t] += row[t]; no nonzero term may fall past the end."""
-    end = min(len(out), shift + len(row))
-    out[shift:end] = map(add, out[shift:end], row)
-    if any(row[end - shift:]):
-        raise AssertionError("a term fell outside the triangle i, j <= m")
+def _add_transposed(out: list, rows, shift: int = 0) -> None:
+    """out[a][shift + b] += rows[b][a]; none may fall past out[a]'s end."""
+    for r, col in zip(out, zip_longest(*rows, fillvalue=0)):
+        r[shift:] = map(add, r[shift:], col)
+        if any(col[len(r) - shift:]):
+            raise AssertionError("a term fell outside the support")
 
 
 class _Prefix:
-    """Prefix sums P[k] = S_0 + ... + S_k of one series, one triangle per degree.
-
-    P[k][a][b] is the sum of the coefficients of u^a v^b up to q^k, for
-    a, b <= k.  Row a of P[k] is last read at degree k + a + life; after
-    degree m, ``release(m)`` drops the rows whose last reader was m, and a
-    later read of one raises AssertionError.
-    """
+    """Prefix sums P[k] = S_0 + ... + S_k of one series, one triangle per
+    degree with rows as long as those of S_k: P[k][a][b] sums u^a v^b up to
+    q^k.  Row a of P[k] is last read at degree k + a + life; ``release(m)``
+    drops the rows whose last reader was m, and a later read of one raises
+    AssertionError."""
 
     __slots__ = ("tri", "life")
 
@@ -324,76 +326,73 @@ class _Prefix:
                 f"row {a} of prefix degree {k} read after its release")
         return r
 
-    def window(self, a: int, i: int) -> list:
-        """Row a of P[top] - P[top-i], top the newest degree."""
-        top = len(self.tri) - 1
-        return _diff(self.row(top, a), self.row(top - i, a))
-
-    def raw(self, k: int, a: int) -> list:
-        """Row a of the degree-k coefficients S_k."""
-        return _diff(self.row(k, a), self.row(k - 1, a))
+    def add_diff(self, out: list, shift: int, a: int, hi: int, lo: int) -> None:
+        """out[shift + t] += P[hi][a][t] - P[lo][a][t], lo < hi: two passes."""
+        r = self.row(hi, a)
+        out[shift:shift + len(r)] = map(add, out[shift:shift + len(r)], r)
+        t = self.row(lo, a)
+        if t:
+            out[shift:shift + len(t)] = map(sub, out[shift:shift + len(t)], t)
+        n = len(out) - shift
+        if len(r) > n and any(map(sub, r[n:], chain(t[n:], repeat(0)))):
+            raise AssertionError("a term fell outside the support")
 
     def push(self, s: list) -> None:
-        """Append P[m] = P[m-1] + S_m for the next degree m."""
-        top = len(self.tri) - 1
-        new = [list(r) for r in s]
-        for a in range(top + 1):
-            new[a][:top + 1] = map(add, self.row(top, a), s[a])
-        self.tri.append(new)
+        """Append P[m] = P[m-1] + S_m, m the next degree, in the rows of s."""
+        k = len(self.tri) - 1
+        for a, r in enumerate(s[:-1]):
+            p = self.row(k, a)
+            r[:len(p)] = map(add, p, r)
+        self.tri.append(s)
 
     def release(self, m: int) -> None:
-        for k in range(m - self.life + 1):
-            a = m - self.life - k
-            if a <= k:
-                self.tri[k][a] = None
+        for k in range((m - self.life + 1) // 2, m - self.life + 1):
+            self.tri[k][m - self.life - k] = None
 
 
 def _pa4_degrees(order: int):
-    """Yield the raw (X_m, Y_m, Z_m) triangles [i][j] for m = 1..order."""
-    px, py, pyt, pzt = (_Prefix(2) for _ in range(4))
+    """Yield the raw (X_m, Y_m, Z_m) triangles [i][j] for m = 1..order, each
+    row over its support: j <= min(m, m+1-i) for X and Y, j <= m-i for Z."""
+    pa, pb = _Prefix(2), _Prefix(2)
     pz = _Prefix(3)    # the raw Z_{m-j}[j-2] of Y reads P_Z[m-j-1][j-2]
     for m in range(1, order + 1):
-        size = m + 1
-        x, y, z, ylag, zlag = ([[0] * size for _ in range(size)]
-                               for _ in range(5))
-        for i in range(size):
-            _add_at(x[i], px.window(i, i), 1)
-            _add_at(x[i], pyt.window(i, i), 1)
-            _add_at(x[i], pz.window(i - 1, i), 1)
-            _add_at(y[i], py.window(i, i), 1)
-            _add_at(y[i], pzt.window(i, i), 2)
-            _add_at(z[i], pz.window(i, i), 1)
-        for j in range(1, size):
+        top = m - 1
+        x, y, ylag, z, zlag = (_staircase(m, s) for s in (1, 1, 1, 0, 0))
+        for i in range(1, m + 1):       # the window over 0 degrees is empty
+            pa.add_diff(x[i], 1, i, top, top - i)
+            pz.add_diff(x[i], 1, i - 1, top, top - i)
+            pb.add_diff(y[i], 1, i, top, top - i)
+            pz.add_diff(z[i], 1, i, top, top - i)
+        for j in range(1, m // 2 + 2):  # past it, every row is past its degree
             k = m - j
-            _add_at(ylag[j], px.raw(k, j - 1), 1)
-            _add_at(ylag[j], pyt.raw(k, j - 1), 1)
-            _add_at(ylag[j], pz.raw(k, j - 2), 1)
-            _add_at(zlag[j], py.raw(k, j - 1), 0)
-            _add_at(zlag[j], pzt.raw(k, j - 1), 1)
-        y = [list(map(add, r, c)) for r, c in zip(y, zip(*ylag))]
-        z = [list(map(add, r, c)) for r, c in zip(z, zip(*zlag))]
+            pa.add_diff(ylag[j], 1, j - 1, k, k - 1)
+            pz.add_diff(ylag[j], 1, j - 2, k, k - 1)
+            pb.add_diff(zlag[j], 0, j - 1, k, k - 1)
+        _add_transposed(y, ylag)
+        _add_transposed(z, zlag)
         if m == 1:
             y[1][1] += 1
-        for p in (px, py, pyt, pz, pzt):
+        for p in (pa, pb, pz):
             p.release(m)
-        px.push(x)
-        py.push(y)
-        pz.push(z)
-        pyt.tri.append(list(zip(*py.tri[-1])))
-        pzt.tri.append(list(zip(*pz.tri[-1])))
+        a, b = [list(r) for r in x], [list(r) for r in y]
+        _add_transposed(a, y)
+        _add_transposed(b, z, 1)
+        pa.push(a)
+        pb.push(b)
+        pz.push([list(r) for r in z])
         yield x, y, z
 
 
 # The solver's peak memory above the interpreter grows as n^3 stored prefix
 # coefficients of width about n bits.  The estimate below is fitted to the
-# peak RSS growth measured at orders 100 to 350 (within 2.5%; 735 MiB at 300,
-# 1220 MiB at 350).  Orders whose estimate passes the budget are refused
-# before any work.
+# peak RSS growth of ``pa4_series`` measured at orders 100 to 400 (within 6%,
+# within 3% from order 200 on; 469 MiB at 300, 1226 MiB at 400).  Orders whose
+# estimate passes the budget, from 468 on, are refused before any work.
 _PA4_MAX_MIB = 2048
 
 
 def _pa4_mib(order: int) -> float:
-    return 2.2e-5 * order ** 3 + 1.8e-8 * order ** 4
+    return 1.4e-5 * order ** 3 + 1.3e-8 * order ** 4
 
 
 def _check_pa4_order(order: int) -> None:
@@ -416,13 +415,14 @@ def _pa4_rows(tris, order: int) -> dict:
     """(i, j) -> q-row of one series, from its triangles of degrees 1..order.
 
     Row i of every triangle from degree max(i, 1) on, padded with zeros to
-    the order, is one column of the (i, j) rows; ``zip`` transposes them.
+    length order + 1, is one column of the (i, j) rows; ``zip`` transposes
+    them.
     """
     blocks = {}
     for i in range(order + 1):
         lo = max(i, 1)
-        padded = (tri[i] + [0] * (order - m)
-                  for m, tri in enumerate(tris[lo - 1:], lo))
+        padded = (tri[i] + [0] * (order + 1 - len(tri[i]))
+                  for tri in tris[lo - 1:])
         for j, col in enumerate(zip(*padded)):
             if any(col):
                 blocks[(i, j)] = (0,) * lo + col

@@ -185,11 +185,10 @@ def enumerate_prudent_polygons(
 
     The DFS extends walks step by step, pruning by self-avoidance, the
     prudence ray condition (unless ``walk_class="boundary"``), the k-sided
-    prefix side condition, the 3-sided exclusion rule, a box bound (a
-    polygon whose box spans w x h cells has area >= w+h-1) and a length
-    bound (a walk at (x, y) needs |x|+|y|-1 more steps to end beside the
-    origin).  Every walk of length >= 3 ending at a neighbor of the origin
-    is tallied by area.
+    prefix side condition, the 3-sided exclusion rule and a length bound (a
+    walk at (x, y) needs |x|+|y|-1 more steps to end beside the origin).
+    Every walk of length >= 3 ending at a neighbor of the origin is tallied
+    by area.
 
     No node builds or copies a container: the occupied vertices are flags
     in one bytearray grid, the box and twice the running shoelace sum are
@@ -223,9 +222,11 @@ def enumerate_prudent_polygons(
             area = abs(twice_area) // 2
             if 1 <= area <= max_area:
                 tally[area] += 1
+        # No box bound is needed: the walk, closed by a Manhattan return to
+        # the origin, spans its w x h box, so length + |x| + |y| >= 2(w + h);
+        # a box with w + h - 1 > max_area already fails the length test,
+        # as 2(w + h) - 1 >= 2 max_area + 3 > maxlen.
         if length >= maxlen or length + abs(x) + abs(y) - 1 > maxlen:
-            return
-        if (xmax - xmin) + (ymax - ymin) - 1 > max_area:
             return
         for step, dx, dy, d in steps:
             nat = at + d

@@ -9,7 +9,8 @@ from mpmath import mp, mpc, mpf
 
 from prudentpoly import asymptotics as asy
 from prudentpoly.asymptotics import DomainError
-from prudentpoly.enumeration import pa2_series, pa3_scaled_float, pa3_series
+from prudentpoly.enumeration import (
+    CountTable, pa2_series, pa3_scaled_float, pa3_series)
 
 mp.dps = 60
 
@@ -475,6 +476,39 @@ class TestExponentFit:
     def test_three_sided_rough(self):
         fit = asy.exponent_fit(pa3_series(500, "theorem"))
         assert abs(fit - mp.log(3) / mp.log(2)) < 0.1
+
+
+# n = 2..8, so u = log2 n covers [1, 3] with 7 samples
+SHORT_TABLE = asy.residuals(8, terms=2)
+# the 2-sided counts 2^n + 2 to n = 20, with PA_15 set to 0
+ZERO_COUNT = CountTable(2, [0 if n == 15 else 2 ** n + 2
+                            for n in range(1, 21)], "closed-form")
+
+
+@pytest.mark.parametrize("call, args, error, match", [
+    (asy.gf_eval, (mpf("0.55"), "meromorphic"), DomainError,
+     r"requires \|q\| < 0.55"),
+    (asy.gf_eval, (mpc("0.3", "0.5"), "meromorphic"), DomainError,
+     r"requires \|q\| < 0.55"),
+    (asy.gf_eval, (mpf("0.5"), "meromorphic"), DomainError, "slit"),
+    (asy.gf_eval, (mpf("0.52"), "meromorphic"), DomainError, "slit"),
+    (asy.gf_eval, (mpf("0.3"), "doublesum"), DomainError, "real q in"),
+    (asy.gf_eval, (mpf("0.5"), "doublesum"), DomainError, "real q in"),
+    (asy.gf_eval, (mpc("0.45", "0.01"), "doublesum"), DomainError,
+     "real q in"),
+    (asy.fourier_extract, (SHORT_TABLE, 1, (1, 3)), DomainError,
+     "not enough samples"),
+    (asy.fourier_extract_detrended, (SHORT_TABLE, 1, (1, 2.5)), DomainError,
+     "at least 2 periods"),
+    (asy.exponent_fit, (pa3_series(12),), DomainError, "larger order"),
+    (asy.exponent_fit, (ZERO_COUNT,), DomainError, "PA_15 is not positive"),
+], ids=["meromorphic-0.55", "meromorphic-complex-modulus", "meromorphic-0.5",
+        "meromorphic-slit", "doublesum-0.3", "doublesum-0.5",
+        "doublesum-complex", "fourier-samples", "detrended-periods",
+        "fit-order", "fit-zero-count"])
+def test_raise_site(call, args, error, match):
+    with pytest.raises(error, match=match):
+        call(*args)
 
 
 class TestTruncationDoubling:

@@ -125,6 +125,25 @@ class TestErrors:
         assert "internal error" in err and "after its release" in err
         assert "Traceback" not in err
 
+    def test_support_bound_exit_three(self, capsys, monkeypatch):
+        # storing row 2 of the 4-sided solver's X and Y triangles one entry
+        # short of its support drops a nonzero term, which its guard reports
+        staircase = cli.enumeration._staircase
+
+        def tight(k, s):
+            tri = staircase(k, s)
+            if s == 1 and k > 2:
+                tri[2].pop()
+            return tri
+
+        monkeypatch.setattr(cli.enumeration, "_staircase", tight)
+        code, out, err = run(["enumerate", "--k", "4", "--max-area", "12",
+                              "--no-timestamp"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err and "outside the support" in err
+        assert "Traceback" not in err
+
     def test_functional_route_invariant_exit_three(self, capsys, monkeypatch):
         # a seed with a constant term makes the 3-sided functional route
         # contribute below its q-valuation bound, which its guard reports
@@ -301,7 +320,8 @@ class TestEnvPrecision:
 # term loops began to step their powers of q by one multiplication; its
 # value rows kept every byte, its difference rows moved by <= 1.3e-51.  The
 # commands run at mpmath's default precision, as from a fresh interpreter,
-# which --q must not depend on.
+# which --q must not depend on.  The two oracle digests were recorded before
+# the oracle lost its box bound, which the length bound implies.
 OUTPUT_SHA256 = [
     (["residuals", "--max-n", "1024", "--terms", "5", "--digits", "40"],
      "1c1748cadac3840b9f4af5699dcb161155042b364b29afd2c15b83d1fbd88094"),
@@ -336,6 +356,10 @@ OUTPUT_SHA256 = [
      "e7ff614770649bd1a9d4ff431b008e0ca68c23bc331711cd492baa0935c105da"),
     (["constants"],
      "0c173966ddb6b886490db75e6a7926b8346e29f07c2472ee350f1b447cdfb123"),
+    (["oracle", "--k", "4", "--max-area", "6", "--walk-class", "boundary"],
+     "b342951729762bad415efc919c13ce2978642946853f3975dbc3e6733c742939"),
+    (["oracle", "--k", "4", "--max-area", "6"],
+     "bfd31092b3b7f3eb546d088e8e01475ab01a7cbfa10de415b07db8754862a62c"),
 ]
 
 

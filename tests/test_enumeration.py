@@ -223,6 +223,23 @@ class TestPa4:
             with pytest.raises(DomainError, match=r"needs about \d+ MiB"):
                 solve(cap + 1)
 
+    @pytest.mark.parametrize("s", [0, 1], ids=["Z", "X-Y"])
+    def test_support_one_short_raises(self, s, monkeypatch):
+        # row 2 of each triangle of support shape s, one entry short, drops
+        # a nonzero term, which the solver reports instead of dropping it
+        staircase = enumeration._staircase
+
+        def tight(k, shape):
+            tri = staircase(k, shape)
+            if shape == s and k > 2:
+                tri[2].pop()
+            return tri
+
+        monkeypatch.setattr(enumeration, "_staircase", tight)
+        for solve in (pa4_series, pa4_system_solution):
+            with pytest.raises(AssertionError, match="outside the support"):
+                solve(12)
+
     def test_functional_equation_residuals_zero(self):
         n = 18
         x, y, z = pa4_system_solution(n)
