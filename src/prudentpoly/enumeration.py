@@ -5,8 +5,8 @@ Routes implemented:
 * 2-sided: closed form 2q/(1-2q) + 2q/(1-q), i.e. counts 2^n + 2.
 * 3-sided, ``functional``: solve W(q,u) = F(q,u) + G(q,u) W(q,qu) for the
   area-width series of counter-clockwise polygons ending one step west of
-  the origin, by iterating the substitution; then 2*(W(q,1) + q/(1-q) +
-  q/(1-2q)).
+  the origin, one u-block W_k at a time from W_{k-1} (one division by
+  (1-q)(1-2q+q^{k+1}) each); then 2*(W(q,1) + q/(1-q) + q/(1-2q)).
 * 3-sided, ``theorem``: the explicit sum whose term m carries the product
   prod_{k=1}^{m-1} (1-q-q^k+q^{k+1}-q^{k+2})/(1-q-q^{k+1}); summed by
   Horner's rule from the innermost term outwards, all in exact integers.
@@ -92,94 +92,60 @@ def pa2_series(order: int) -> CountTable:
     return CountTable(2, s.coeffs[1:], "closed-form")
 
 
-# A row of the functional route is a pair (s, r): r holds the coefficients of
-# q^s, ..., q^order, so every row of one solve ends at the same degree.
+# u^1 of the functional route's forcing term, times (1-2q)(1-q-qu): q(1-q)^2.
+_W_FORCING = (0, 1, -2, 1)
 
 
-def _w_shift(row, d: int):
-    """row * q^d, cut at the same top degree."""
-    s, r = row
-    d = min(d, len(r))
-    return s + d, r[:len(r) - d]
+def _w_divide(c, size: int, lag: int) -> list[int]:
+    """The first ``size`` coefficients of c/(1-2q+q^lag), c iterable.
 
-
-def _w_plus(a, b):
-    """a + b, added into the list of the row that starts lower; the caller
-    passes rows it does not read again."""
-    if a[0] > b[0]:
-        a, b = b, a
-    (s, out), (sb, rb) = a, b
-    out[sb - s:] = map(add, out[sb - s:], rb)
-    return s, out
+    f_n = 2 f_{n-1} + c_n - f_{n-lag}: in blocks of ``lag`` degrees the
+    lagged read is the whole block before, so each block is one running
+    ``2a + x`` seeded by the last value.
+    """
+    e = iter(c)
+    f = [0] * lag                       # the zero block below degree 0
+    for _ in range(0, size, lag):
+        f[-1:] = accumulate(map(sub, islice(e, lag), f[-lag:]),
+                            lambda a, x: 2 * a + x, initial=f[-1])
+    del f[:lag]
+    return f
 
 
 def _w_blocks(order: int) -> list[list[int]]:
-    """Solve W = F + G W(q,qu) by substitution iteration, as u-degree blocks.
+    """Solve W = F + G W(q,qu) one u-block at a time.
 
-    Both F and G factor through 1/(1-q-qu), so multiplying by G is one
-    numerator pass, 1/(1-2q), and the prefix recurrence Y_k = (A_k + q
-    Y_{k-1})/(1-q) per u-block.  Rows are held over their support only, as
-    (start, coefficients up to the order), and every step is a whole-row
-    ``map`` or ``accumulate`` pass.  Block k of iteration m vanishes below
-    q-degree 2m + max(k-1, 1), so no iteration contributes below 2m+1: each
-    new row's head below that bound is checked to be zero and dropped, and
-    the iteration stops once 2m+1 passes the order.
+    Times (1-2q)(1-q-qu), the equation's u^k block reads, with W_0 = 0,
+        (1-q)(1-2q+q^{k+1}) W_k
+            = [k=1] q(1-q)^2 + q((1-2q) + q^{k-1}(1-q+q^2)) W_{k-1},
+    because [u^k] W(q,qu) = q^k W_k.  So W_k is one numerator pass over
+    W_{k-1}, a running sum for 1/(1-q) and a block-lagged running sum for
+    1/(1-2q+q^{k+1}).  W_1 is held from q-degree 0 and each factor q moves
+    the start up by one, so W_k is held from degree k-1, one below its
+    valuation, up to the order; the rows returned are full length, u^0
+    first, and ``Series2`` checks that each block vanishes below its degree.
     """
     n = order
-    top = n + 1
-    # F_0 = 0, F_1 = q(1-q)^2/((1-2q)(1-q)), F_k = q/(1-q) F_{k-1}.
-    row = (0, list(accumulate(
-        _intpoly.expand_rational([0, 1, -2, 1], [1, -2], n))))
-    delta = [(top, [])]
-    while any(row[1]):
-        delta.append(row)
-        s, r = _w_shift(row, 1)
-        row = (s, list(accumulate(r)))
-    total = [[0] * s + r for s, r in delta]
-    m = 1
-    while 2 * m + 1 <= n:
-        # substitute u -> qu: block k shifts by k in q
-        subs = [_w_shift(row, k) for k, row in enumerate(delta)]
-        new = []
-        prev = (top, [])
-        for k in range(len(subs) + 1):
-            # A_k = (q^2-q) D_k + (q-q^2+q^3) D_{k-1}, then / (1-2q)
-            a = (top, [])
-            if k < len(subs):
-                s, r = subs[k]
-                a = (s + 1, list(map(sub, chain((0,), r), r[:-1])))
-            if k:
-                s, r = subs[k - 1]
-                a = _w_plus(a, (s + 1, list(map(
-                    add, map(sub, r[:-1], chain((0,), r)), chain((0, 0), r)))))
-            s, r = a
-            a = (s, list(accumulate(r, lambda x, y: 2 * x + y)))
-            # * 1/(1-q-qu): Y_k = (A_k + q Y_{k-1}) / (1-q)
-            s, r = _w_plus(a, _w_shift(prev, 1))
-            r = list(accumulate(r))
-            lo = min(2 * m + max(k - 1, 1), top)
-            if s < lo:
-                if any(r[:lo - s]):
-                    raise AssertionError(
-                        f"iteration {m} contributed below q-degree {lo} "
-                        f"in u-block {k}")
-                s, r = lo, r[lo - s:]
-            prev = (s, r)
-            new.append(prev)
-        while new and not any(new[-1][1]):
-            new.pop()
-        if not new:
-            break
-        total.extend([0] * top for _ in range(len(new) - len(total)))
-        for t, (s, r) in zip(total, new):
-            t[s:] = map(add, t[s:], r)
-        delta = new
-        m += 1
-    return total
+    rows = [[0] * (n + 1)]
+    c = list(islice(chain(_W_FORCING, repeat(0)), n + 1))
+    for k in range(1, n + 1):
+        w = _w_divide(accumulate(c), len(c), k + 1)
+        rows.append([0] * (k - 1) + w)
+        # the numerator of W_{k+1} from degree k: w[t] - 2 w[t-1] + w[t-k]
+        # - w[t-k-1] + w[t-k-2], w[t] the coefficient of degree k-1+t
+        p = [0] * (k + 2) + w
+        s = p[k + 1:]
+        c = list(map(add, map(sub, w[:-1], map(add, s, s)),
+                      map(add, map(sub, p[2:], p[1:]), p)))
+    return rows
 
 
 def w_series(order: int) -> Series2:
-    """Area-width series of 3-sided ccw polygons ending at (-1, 0)."""
+    """Area-width series of 3-sided ccw polygons ending at (-1, 0).
+
+    The solution of W = F + G W(q,qu), found one u-block W_k at a time from
+    W_{k-1} (``_w_blocks``); block k counts the polygons of width k.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     return Series2(order, _w_blocks(order))
@@ -386,27 +352,34 @@ def _pa4_degrees(order: int):
 # The solver's peak memory above the interpreter grows as n^3 stored prefix
 # coefficients of width about n bits.  The estimate below is fitted to the
 # peak RSS growth of ``pa4_series`` measured at orders 100 to 400 (within 6%,
-# within 3% from order 200 on; 469 MiB at 300, 1226 MiB at 400).  Orders whose
-# estimate passes the budget, from 468 on, are refused before any work.
+# within 3% from order 200 on; 469 MiB at 300, 1226 MiB at 400).  The
+# solution keeps every degree's triangles and builds three ``Series3`` from
+# them: its peak growth at orders 60 to 240 fits the same n^4 term with an
+# n^3 term of 5.2e-5 (within 4%, within 2% from order 100 on; 444 MiB at
+# 200, 769 MiB at 240).  Orders whose estimate passes the budget, from 468 on
+# for the counts and from 332 on for the solution, are refused before any
+# work.
 _PA4_MAX_MIB = 2048
+_PA4_SERIES_N3, _PA4_SOLUTION_N3 = 1.4e-5, 5.2e-5
 
 
-def _pa4_mib(order: int) -> float:
-    return 1.4e-5 * order ** 3 + 1.3e-8 * order ** 4
+def _pa4_mib(order: int, n3: float = _PA4_SERIES_N3) -> float:
+    return n3 * order ** 3 + 1.3e-8 * order ** 4
 
 
-def _check_pa4_order(order: int) -> None:
+def _check_pa4_order(order: int, n3: float) -> None:
     if order < 1:
         raise ValueError("order must be >= 1")
-    if _pa4_mib(order) > _PA4_MAX_MIB:
+    mib = _pa4_mib(order, n3)
+    if mib > _PA4_MAX_MIB:
         raise DomainError(
-            f"4-sided order {order} needs about {_pa4_mib(order):.0f} MiB, "
+            f"4-sided order {order} needs about {mib:.0f} MiB, "
             f"over the solver's {_PA4_MAX_MIB} MiB budget")
 
 
 def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
     """The solution (X, Y, Z) of the trivariate system, to the order."""
-    _check_pa4_order(order)
+    _check_pa4_order(order, _PA4_SOLUTION_N3)
     return tuple(Series3(order, _pa4_rows(tris, order))
                  for tris in zip(*_pa4_degrees(order)))
 
@@ -431,7 +404,7 @@ def _pa4_rows(tris, order: int) -> dict:
 
 def pa4_series(order: int) -> CountTable:
     """4-sided counts: 8*(X+Y+Z) at u=v=1, summed one degree at a time."""
-    _check_pa4_order(order)
+    _check_pa4_order(order, _PA4_SERIES_N3)
     counts = [8 * sum(sum(map(sum, tri)) for tri in tris)
               for tris in _pa4_degrees(order)]
     return CountTable(4, counts, "functional")

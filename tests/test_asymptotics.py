@@ -93,6 +93,11 @@ class TestDnu:
             assert close(rec, series_route[nu], 1e-35 * abs(rec)), nu
             assert close(rec, tot, 1e-35 * abs(rec)), nu
 
+    def test_sum_at_nu_zero_is_exactly_one(self):
+        # d_0 = 1 exactly; the j-sum would give it only to the working digits
+        for q in (mpf("0.45"), mpc("0.4", "0.05")):
+            assert asy.d_nu(0, q, method="sum") == 1
+
     def test_growth_rate(self):
         val = abs(asy.d_nu(60, mpf(1) / 2)) ** (mpf(1) / 60)
         assert close(val, mpf(3) / 2, 0.05)
@@ -502,10 +507,13 @@ ZERO_COUNT = CountTable(2, [0 if n == 15 else 2 ** n + 2
      "at least 2 periods"),
     (asy.exponent_fit, (pa3_series(12),), DomainError, "larger order"),
     (asy.exponent_fit, (ZERO_COUNT,), DomainError, "PA_15 is not positive"),
+    (asy.h_direct, (1, 0, mpf(1) / 2, mpf(3) / 2), DomainError, "needs t > 0"),
+    (asy.h_representation, (1, 0, mpf(1) / 2, mpf(3) / 2), DomainError,
+     r"0 < t < q\^-3"),
 ], ids=["meromorphic-0.55", "meromorphic-complex-modulus", "meromorphic-0.5",
         "meromorphic-slit", "doublesum-0.3", "doublesum-0.5",
         "doublesum-complex", "fourier-samples", "detrended-periods",
-        "fit-order", "fit-zero-count"])
+        "fit-order", "fit-zero-count", "h-direct-t-0", "h-representation-t-0"])
 def test_raise_site(call, args, error, match):
     with pytest.raises(error, match=match):
         call(*args)

@@ -145,17 +145,16 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_functional_route_invariant_exit_three(self, capsys, monkeypatch):
-        # a seed with a constant term makes the 3-sided functional route
-        # contribute below its q-valuation bound, which its guard reports
-        expand = cli.enumeration._intpoly.expand_rational
-        monkeypatch.setattr(cli.enumeration._intpoly, "expand_rational",
-                            lambda num, den, n: [1] + expand(num, den, n)[1:])
+        # a forcing term with a constant makes the 3-sided functional route
+        # put a width-1 polygon at area 0, which the series' width cap refuses
+        monkeypatch.setattr(cli.enumeration, "_W_FORCING", (1, 1, -2, 1))
         code, out, err = run(["enumerate", "--k", "3", "--method",
                               "functional", "--max-area", "10",
                               "--no-timestamp"], capsys)
         assert code == 3
         assert out == ""
-        assert "internal error" in err and "below q-degree" in err
+        assert "internal error" in err
+        assert "catalytic degree 1 exceeds area degree" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

@@ -98,7 +98,8 @@ class TestWSeries:
 
     def test_blocks_digest(self):
         # sha256 of the bivariate W(q,u) at order 200, one line per u-degree,
-        # from the full-length-row solver that preceded this one
+        # recorded from the substitution-iteration solver that preceded the
+        # u-block recurrence
         n = 200
         w = w_series(n)
         text = "\n".join(",".join(str(w.coeff(k, i)) for k in range(n + 1))
@@ -107,13 +108,11 @@ class TestWSeries:
             "65ab00a2e2d12fe39668b713c902bdae1221454a14bc87ede5dcaf448d1b41dd"
 
     def test_below_valuation_contribution_raises(self, monkeypatch):
-        # a seed with a constant term, which q(1-q)^2/(1-2q) cannot have,
-        # makes the first iteration contribute below q-degree 3
-        expand = enumeration._intpoly.expand_rational
-        monkeypatch.setattr(enumeration._intpoly, "expand_rational",
-                            lambda num, den, n: [1] + expand(num, den, n)[1:])
-        with pytest.raises(AssertionError, match="iteration 1 contributed "
-                                                 "below q-degree 3"):
+        # a forcing term with a constant, which q(1-q)^2 cannot have, puts a
+        # width-1 polygon at area 0, which the series' width cap refuses
+        monkeypatch.setattr(enumeration, "_W_FORCING", (1, 1, -2, 1))
+        with pytest.raises(ValueError, match="catalytic degree 1 exceeds "
+                                             "area degree"):
             w_series(10)
 
 
@@ -133,6 +132,10 @@ class TestPa3:
         for n in range(1, 41):
             assert pa3_series(n, "theorem").counts == \
                 pa3_series(n, "functional").counts
+
+    def test_dual_route_agreement_order_1000(self):
+        assert pa3_series(1000, "theorem").counts == \
+            pa3_series(1000, "functional").counts
 
     @pytest.mark.parametrize("n, digest", [
         (1000, "93cb7e67f09acfb2d2f0da106bb6ba69cc95e996bf88c4a712f0c5b829042c5a"),
@@ -222,6 +225,18 @@ class TestPa4:
         for solve in (pa4_series, pa4_system_solution):
             with pytest.raises(DomainError, match=r"needs about \d+ MiB"):
                 solve(cap + 1)
+
+    def test_solution_memory_guard_before_any_work(self, monkeypatch):
+        # order 400 passes the counts' guard, but the solution keeps every
+        # degree and needs more than the budget: refused before solving
+        assert enumeration._pa4_mib(400) < enumeration._PA4_MAX_MIB
+
+        def unreached(order):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(enumeration, "_pa4_degrees", unreached)
+        with pytest.raises(DomainError, match=r"order 400 needs about \d+ MiB"):
+            pa4_system_solution(400)
 
     @pytest.mark.parametrize("s", [0, 1], ids=["Z", "X-Y"])
     def test_support_one_short_raises(self, s, monkeypatch):
