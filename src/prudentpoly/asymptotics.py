@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import accumulate, count, islice, pairwise, repeat, tee
+from operator import mul
 
 from mpmath import mp, mpc, mpf, mpmathify, matrix, lu_solve
 
@@ -98,40 +99,37 @@ def _tail_sum(terms, dps: int, scale: float):
     return total
 
 
+def _powers(x, start=mp.one):
+    """start, start x, start x^2, ...: each power is the one before times x.
+
+    Every term loop in this module that multiplies a power by a fixed
+    factor steps it here, one multiplication per term; only the two walks
+    that divide by q keep their own.  mpmath's x ** j costs more and, for
+    complex x, switches to exp(j log x) once j times the working bits
+    passes 10^4.  Each multiplication rounds once, so after N terms the
+    power carries at most N roundings: log10(N) digits, about 3 of the
+    _GUARD_DPS digits at N ~ 500.
+    """
+    return accumulate(repeat(x), mul, initial=start)
+
+
 def _a_ratio_sum(a, q, f, dps, scale):
     """[(a;q)oo/(q;q)oo] sum_j prod_{m<=j}[(a-q^m)/(1-q^m)] f(q^j), the
-    partial-fraction sum behind d_nu's j-sum and the Mittag-Leffler check.
-
-    ``f`` receives the power q^j itself, kept as a running product."""
+    partial-fraction sum behind d_nu's j-sum and the Mittag-Leffler check."""
     pref = (pochhammer(a, q, dps=dps, truncation_scale=scale)
             / pochhammer(q, q, dps=dps, truncation_scale=scale))
-
-    def terms():
-        qj = mp.one
-        for ratio in _ratios(a, 1, q):
-            yield ratio * f(qj)
-            qj *= q
-
-    return pref * _tail_sum(terms(), dps, scale)
+    terms = (ratio * f(qj) for ratio, qj in _ratios(a, 1, q))
+    return pref * _tail_sum(terms, dps, scale)
 
 
 def _ratios(x, y, q):
-    """r_0 = 1, r_j = r_{j-1} (x - y q^j)/(1 - q^j) for j = 1, 2, ...: the
-    a-ratios prod_{m<=j} (a - q^m)/(1 - q^m) at (x, y) = (a, 1) and d_nu at
-    (v, u).
-
-    q^j is a running product, one multiplication per term, as is every
-    power of q that a term loop in this module steps through.  mpmath's
-    q ** j costs more and, for complex q, switches to exp(j log q) once j
-    times the working bits passes 10^4.  Each multiplication rounds once,
-    so after N terms the power carries at most N roundings: log10(N)
-    digits, about 3 of the _GUARD_DPS digits at N ~ 500.
-    """
-    r = qj = mp.one
-    while True:
-        yield r
-        qj *= q
-        r = r * (x - y * qj) / (1 - qj)
+    """(r_j, q^j) for j = 0, 1, ..., with r_0 = 1 and r_j = r_{j-1}
+    (x - y q^j)/(1 - q^j): the a-ratios prod_{m<=j} (a - q^m)/(1 - q^m) at
+    (x, y) = (a, 1) and d_nu at (v, u)."""
+    r = mp.one
+    for qj, q_next in pairwise(_powers(q)):
+        yield r, qj
+        r = r * (x - y * q_next) / (1 - q_next)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +142,8 @@ def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
 
     The factors are multiplied until the geometric bound on the remaining
     log-tail, |x q^J|/(1-|q|), drops below the target precision; |q| <= 0.9
-    is required so that bound is usable.  x q^J is a running product and
-    1-|q| is computed once, so a factor costs two multiplications and one
-    abs.
+    is required so that bound is usable.  1-|q| is computed once, so a
+    factor costs two multiplications and one abs.
     """
     with mp.workdps(dps + _GUARD_DPS):
         x = mpmathify(x)
@@ -158,11 +155,9 @@ def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
         stop = _stop_rule(dps, truncation_scale)
         gap = 1 - q_abs
         p = mp.one
-        t = x
-        while True:
+        for t, t_next in pairwise(_powers(q, x)):
             p *= (1 - t)
-            t *= q
-            if stop(abs(t) / gap):
+            if stop(abs(t_next) / gap):
                 return p
 
 
@@ -286,7 +281,7 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
     with mp.workdps(dps + _GUARD_DPS):
         b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
         if method == "recurrence":
-            return next(islice(_ratios(b.v, b.u, b.q), nu, None))
+            return next(islice(_ratios(b.v, b.u, b.q), nu, None))[0]
         if method != "sum":
             raise ValueError("method must be 'recurrence' or 'sum'")
         if nu == 0:
@@ -310,21 +305,17 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
         b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
         co = [mp.zero] * (nu_max + 1)
         co[0] = mp.one
-        c = q * b.u
         stop = _stop_rule(dps, truncation_scale)
-        while True:
+        for c, c_next in pairwise(_powers(q, q * b.u)):
             for i in range(nu_max, 0, -1):
                 co[i] -= c * co[i - 1]
-            c *= q
-            if stop(abs(c)):
+            if stop(abs(c_next)):
                 break
-        c = b.v
         stop = _stop_rule(dps, truncation_scale)
-        while True:
+        for c, c_next in pairwise(_powers(q, b.v)):
             for i in range(1, nu_max + 1):
                 co[i] += c * co[i - 1]
-            c *= q
-            if stop(abs(c)):
+            if stop(abs(c_next)):
                 return co
 
 
@@ -426,15 +417,15 @@ def _gf_meromorphic(q, dps, scale):
     if q.imag == 0 and mpf(1) / 2 <= q.real <= mpf("0.55"):
         raise DomainError("meromorphic route is cut along the slit [1/2, 0.55]")
     b = base_quantities(q, dps=dps, truncation_scale=scale)
-    if abs(b.v * q) >= 1:
-        raise DomainError("meromorphic tail needs |v(q) q| < 1")
+    # the tail needs |v q| < 1, which |q| < 0.55 implies: v q =
+    # q(1-q+q^2)/(1-q) is analytic for |q| < 1, at most 0.9197 on |q| = 0.55
     ratio = b.pv / pochhammer(q * b.u, q, dps=dps, truncation_scale=scale)
     eps = _eps(dps)
 
-    def terms():
-        power = q * q                   # q^{nu+2}
-        for nu, d in enumerate(islice(_ratios(b.v, b.u, q), 1, None), 1):
-            power *= q
+    def terms():                        # power = q^{nu+2}
+        for nu, (d, _), power in zip(count(1),
+                                     islice(_ratios(b.v, b.u, q), 1, None),
+                                     _powers(q, q * q * q)):
             den = b.t + power
             if abs(den) < eps:
                 raise DomainError(f"q is within tail distance of the pole "
@@ -461,29 +452,19 @@ def _gf_doublesum(q, dps, scale):
         raise DomainError("doublesum route is implemented for real q in (0.35, 1/2)")
     b = base_quantities(q, dps=dps, truncation_scale=scale)
 
-    def den_values():                   # 1-2q+q^{nu+2}, nu = 1, 2, ...
-        power = q * q
-        while True:
-            power *= q
-            yield b.t + power
-
-    dens, more = [], den_values()
+    # 1-2q+q^{nu+2}, nu = 1, 2, ...
+    dens, more = [], (b.t + power for power in _powers(q, q * q * q))
 
     def nu_terms(base):
-        power = base
-        for i in count():
+        for i, power in enumerate(_powers(base, base)):
             if i == len(dens):
                 dens.append(next(more))
             yield power / dens[i]
-            power *= base
 
-    def j_terms():
-        base = b.v * q
-        for ratio in _ratios(b.a, 1, q):
-            yield ratio * _tail_sum(nu_terms(base), dps, scale)
-            base *= q
-
-    T = _tail_sum(j_terms(), dps, scale)
+    j_terms = (ratio * _tail_sum(nu_terms(base), dps, scale)
+               for (ratio, _), base in zip(_ratios(b.a, 1, q),
+                                           _powers(q, b.v * q)))
+    T = _tail_sum(j_terms, dps, scale)
     return b.D - _singular_prefactor(b) * T
 
 
@@ -521,22 +502,16 @@ def V_eval(q, dps: int = 40, truncation_scale: float = 1.0):
 def _v_sum(b: BaseQuantities):
     """V(q) from the record; the working precision is the caller's."""
     q, t, a, v = b.q, b.t, b.a, b.v
+    # the r-sum needs |z| < 1, which _near_half's |t| <= 0.201 implies: z =
+    # -a t/q^2 = -4t/(3+t^2) is analytic for |t| < sqrt(3), at most 0.2717
     z = -a * t / q ** 2
-    if abs(z) >= 1:
-        raise DomainError("V's hypergeometric sum needs |a t / q^2| < 1")
     term1 = -b.pq / b.pa / q ** 2 / (1 + t / q ** 2)
     av = a * v
-
-    def terms():
-        num = den = zr = qr = mp.one
-        while True:
-            yield num / den * zr
-            qr *= q
-            num *= (1 - qr / av)
-            den *= (1 - qr / v)
-            zr *= z
-
-    s = _tail_sum(terms(), b.dps, b.truncation_scale)
+    q_num, q_den = tee(islice(_powers(q), 1, None))
+    nums = accumulate((1 - qr / av for qr in q_num), mul, initial=mp.one)
+    dens = accumulate((1 - qr / v for qr in q_den), mul, initial=mp.one)
+    terms = (num / den * zr for num, den, zr in zip(nums, dens, _powers(z)))
+    s = _tail_sum(terms, b.dps, b.truncation_scale)
     return term1 + b.pq * b.pav / (b.pa * b.pv) / q ** 2 * s
 
 
@@ -544,11 +519,13 @@ def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
     """The oscillation factor Pi(w) = sum_k p_k e^{-2 i k pi w},
     p_k = pi/sin(pi gamma + 2 i k pi^2 / log(1/q)), gamma from v(q).
 
-    The p_k decay like exp(-2 k pi^2/log(1/q)) (~4.3e-13 per step at
-    q = 1/2), but for complex w the factor e^{-+2 i k pi w} grows
-    geometrically on one side.  Harmonics are added by the truncation rule,
-    sized by the larger of the +k and the -k term; terms that stop decaying
-    raise DomainError.
+    The p_k decay like exp(-2 k pi^2 Re(1/log(1/q))) (~4.3e-13 per step
+    at q = 1/2), but for complex w the factor e^{-+2 i k pi w} grows like
+    exp(2 k pi |Im w|) on one side.  Harmonics are added by the truncation
+    rule, sized by the larger of the +k and the -k term.  Where their ratio
+    rho = exp(2 pi (|Im w| - pi Re(1/log(1/q)))) is not below 1, or so
+    close to 1 that the rule would need more than _MAX_TERMS harmonics,
+    DomainError is raised before the first one.
     """
     with mp.workdps(dps + _GUARD_DPS):
         b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
@@ -557,18 +534,21 @@ def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
 
 def _pi_sum(w, gamma, log_q, dps, scale):
     """Pi(w) for the given gamma and log(1/q), at the caller's precision."""
+    # the harmonics shrink by rho per step; they reach 10^-(dps+5) after
+    # about (dps+5) log(10)/(-log rho) of them, times the scale
+    log_rho = 2 * mp.pi * (abs(w.imag) - mp.pi * (1 / log_q).real)
+    if scale * (dps + 5) * mp.log(10) > -log_rho * _MAX_TERMS:
+        raise DomainError(
+            f"Pi(w) harmonics change by a factor {mp.nstr(mp.exp(log_rho), 8)}"
+            f" per step: they do not reach 10^-{dps + 5} within {_MAX_TERMS} "
+            f"terms (w = {w})")
     stop = _stop_rule(dps, scale)
     total = mp.pi / mp.sin(mp.pi * gamma)
-    size = None
     for k in count(1):
         terms = [mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / log_q)
                  * mp.e ** (-2j * sk * mp.pi * w) for sk in (k, -k)]
         total += terms[0] + terms[1]
-        prev, size = size, max(abs(t) for t in terms)
-        if prev is not None and size >= prev:
-            raise DomainError(
-                f"Pi(w) harmonics stop decaying at k = {k} (w = {w})")
-        if stop(size):
+        if stop(max(abs(t) for t in terms)):
             return total
 
 
@@ -604,15 +584,10 @@ def h_direct(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
         if not t > 0:
             raise DomainError("h_j direct sum needs t > 0")
         base = v * q ** j
-
-        def terms():
-            power, q_nu = base, q ** 3      # (v q^j)^nu, q^{nu+2}
-            while True:
-                yield power / (1 + t / q_nu)
-                power *= base
-                q_nu *= q
-
-        return _tail_sum(terms(), dps, truncation_scale) / q ** 2
+        terms = (power / (1 + t / q_nu)      # (v q^j)^nu, q^{nu+2}
+                 for power, q_nu in zip(_powers(base, base),
+                                        _powers(q, q ** 3)))
+        return _tail_sum(terms, dps, truncation_scale) / q ** 2
 
 
 def h_representation(j: int, t, q, v, dps: int = 40,
@@ -640,12 +615,11 @@ def h_representation(j: int, t, q, v, dps: int = 40,
         step = -t / q ** 3
 
         def terms():
-            # (-1)^r v q^{j-3r} t^r = v q^j (-t/q^3)^r, and q^{j-r}
+            # (-1)^r v q^{j-3r} t^r = v q^j (-t/q^3)^r, and q^{j-r}, which
+            # steps by division
             q_jr = q ** j
-            power = v * q_jr
-            while True:
+            for power in _powers(step, v * q_jr):
                 yield power / (1 - v * q_jr)
-                power *= step
                 q_jr /= q
 
         return sing + _tail_sum(terms(), dps, truncation_scale) / q ** 2

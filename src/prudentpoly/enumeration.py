@@ -38,6 +38,21 @@ class DomainError(ValueError):
     """An evaluation was requested outside a method's validity region."""
 
 
+# the memory budget of every exact solver, in MiB above the interpreter
+_MAX_MIB = 2048
+
+
+def _check_order(order: int, mib: float, solver: str) -> None:
+    """Refuse, before any work, an order below 1 or one whose memory
+    estimate ``mib`` passes the budget."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if mib > _MAX_MIB:
+        raise DomainError(
+            f"{solver} order {order} needs about {mib:.0f} MiB, "
+            f"over the solver's {_MAX_MIB} MiB budget")
+
+
 @dataclass(frozen=True)
 class CountTable:
     """Counts PA_n for n = 1..N of k-sided prudent polygons by area."""
@@ -140,14 +155,22 @@ def _w_blocks(order: int) -> list[list[int]]:
     return rows
 
 
+# The blocks hold about n^2/2 integers up to n bits wide.  The peak RSS
+# growth of ``pa3_series(n, "functional")``, measured in fresh processes,
+# was 13 / 71 / 201 / 432 / 1416 MiB at n = 500 / 1000 / 1500 / 2000 /
+# 3072; the estimate below fits all five within 1%.  Orders from 3509 on
+# pass the budget and are refused before any work.
+def _w_mib(order: int) -> float:
+    return 3.3e-5 * order ** 2 + 3.8e-8 * order ** 3
+
+
 def w_series(order: int) -> Series2:
     """Area-width series of 3-sided ccw polygons ending at (-1, 0).
 
     The solution of W = F + G W(q,qu), found one u-block W_k at a time from
     W_{k-1} (``_w_blocks``); block k counts the polygons of width k.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(order, _w_mib(order), "3-sided functional")
     return Series2(order, _w_blocks(order))
 
 
@@ -359,7 +382,6 @@ def _pa4_degrees(order: int):
 # 200, 769 MiB at 240).  Orders whose estimate passes the budget, from 468 on
 # for the counts and from 332 on for the solution, are refused before any
 # work.
-_PA4_MAX_MIB = 2048
 _PA4_SERIES_N3, _PA4_SOLUTION_N3 = 1.4e-5, 5.2e-5
 
 
@@ -367,19 +389,9 @@ def _pa4_mib(order: int, n3: float = _PA4_SERIES_N3) -> float:
     return n3 * order ** 3 + 1.3e-8 * order ** 4
 
 
-def _check_pa4_order(order: int, n3: float) -> None:
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    mib = _pa4_mib(order, n3)
-    if mib > _PA4_MAX_MIB:
-        raise DomainError(
-            f"4-sided order {order} needs about {mib:.0f} MiB, "
-            f"over the solver's {_PA4_MAX_MIB} MiB budget")
-
-
 def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
     """The solution (X, Y, Z) of the trivariate system, to the order."""
-    _check_pa4_order(order, _PA4_SOLUTION_N3)
+    _check_order(order, _pa4_mib(order, _PA4_SOLUTION_N3), "4-sided")
     return tuple(Series3(order, _pa4_rows(tris, order))
                  for tris in zip(*_pa4_degrees(order)))
 
@@ -404,7 +416,7 @@ def _pa4_rows(tris, order: int) -> dict:
 
 def pa4_series(order: int) -> CountTable:
     """4-sided counts: 8*(X+Y+Z) at u=v=1, summed one degree at a time."""
-    _check_pa4_order(order, _PA4_SERIES_N3)
+    _check_order(order, _pa4_mib(order), "4-sided")
     counts = [8 * sum(sum(map(sum, tri)) for tri in tris)
               for tris in _pa4_degrees(order)]
     return CountTable(4, counts, "functional")

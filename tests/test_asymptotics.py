@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -488,6 +489,10 @@ SHORT_TABLE = asy.residuals(8, terms=2)
 # the 2-sided counts 2^n + 2 to n = 20, with PA_15 set to 0
 ZERO_COUNT = CountTable(2, [0 if n == 15 else 2 ** n + 2
                             for n in range(1, 21)], "closed-form")
+# 1e-60 off the pole z_3 of 1/(1-2q+q^5); at 30 digits the offset would
+# round away
+with mp.workdps(80):
+    NEAR_POLE = asy.poles(3, dps=80)[2] + mpc(0, mpf(10) ** -60)
 
 
 @pytest.mark.parametrize("call, args, error, match", [
@@ -510,16 +515,72 @@ ZERO_COUNT = CountTable(2, [0 if n == 15 else 2 ** n + 2
     (asy.h_direct, (1, 0, mpf(1) / 2, mpf(3) / 2), DomainError, "needs t > 0"),
     (asy.h_representation, (1, 0, mpf(1) / 2, mpf(3) / 2), DomainError,
      r"0 < t < q\^-3"),
+    (asy.gf_eval, (NEAR_POLE, "meromorphic"), DomainError,
+     r"tail distance of the pole of 1/\(1-2q\+q\^5\)"),
+    (asy.pi_eval, (mpc(0, 5), mpf(1) / 2), DomainError, r"Pi\(w\) harmonics"),
+    (asy.gf_eval, (mpf("0.52"), "singular"), DomainError, r"Pi\(w\) harmonics"),
 ], ids=["meromorphic-0.55", "meromorphic-complex-modulus", "meromorphic-0.5",
         "meromorphic-slit", "doublesum-0.3", "doublesum-0.5",
         "doublesum-complex", "fourier-samples", "detrended-periods",
-        "fit-order", "fit-zero-count", "h-direct-t-0", "h-representation-t-0"])
+        "fit-order", "fit-zero-count", "h-direct-t-0", "h-representation-t-0",
+        "meromorphic-pole-distance", "pi-harmonics-grow", "singular-0.52"])
 def test_raise_site(call, args, error, match):
     with pytest.raises(error, match=match):
         call(*args)
 
 
+def _bits(value):
+    """The exact binary value of every real and imaginary part: sign, the
+    mantissa as an int (so mpmath's backend type does not enter) and the
+    exponent."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    parts = value._mpc_ if isinstance(value, mpc) else (value._mpf_,)
+    return [(sign, int(man), int(exp)) for sign, man, exp, _ in parts]
+
+
 class TestTruncationDoubling:
+    # sha256 over the bits of the library-only evaluators, which no CLI
+    # digest reads, at the battery's points, complex q and q = 0.49, at both
+    # truncation scales; recorded before their term loops moved onto one
+    # power generator
+    LIBRARY_SHA256 = \
+        "a8becbb19f52bdd15b1a70cd885510c7a43d99b82f5b374cf9519c03858a3353"
+
+    def test_library_values_digest(self):
+        with mp.workdps(60):
+            q, half, v = mpf("0.45"), mpf(1) / 2, mpf(3) / 2
+            qc = mpc("0.4", "0.05")
+            sector = half + mpf("0.03") * mp.expjpi(mpf(1) / 3)
+            values = []
+            for s in (1.0, 2.0):
+                for x, nu in ((q, 7), (qc, 60)):
+                    values += [
+                        asy.d_nu(nu, x, method=m, truncation_scale=s)
+                        for m in ("recurrence", "sum")]
+                    values.append(asy.d_nu_by_series_division(
+                        nu, x, truncation_scale=s))
+                for x in (q, sector):
+                    values += [asy.U_eval(x, truncation_scale=s),
+                               asy.V_eval(x, truncation_scale=s)]
+                values += [
+                    asy.pochhammer(mpf(1) / 3, half, truncation_scale=s),
+                    asy.mittag_leffler_check(mpf(1) / 3, half, mpf("0.3"),
+                                             truncation_scale=s),
+                    asy.mittag_leffler_check(mpf("0.45"), half,
+                                             mpc("0.2", "0.4"),
+                                             truncation_scale=s),
+                    asy.h_direct(1, mpf("0.05"), half, v, truncation_scale=s),
+                    asy.h_representation(1, mpf("0.05"), half, v,
+                                         truncation_scale=s)]
+                # at q = 1/2 and v = 3/2 most powers are exact; at 0.49 few are
+                x = mpf("0.49")
+                values += [h(2, mpf("0.05"), x, (1 - x + x * x) / (1 - x),
+                             truncation_scale=s)
+                           for h in (asy.h_direct, asy.h_representation)]
+        digest = hashlib.sha256(repr(_bits(values)).encode()).hexdigest()
+        assert digest == self.LIBRARY_SHA256
+
     def test_battery(self):
         q = mpf("0.45")
         half = mpf(1) / 2

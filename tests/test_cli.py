@@ -108,6 +108,19 @@ class TestErrors:
         assert code == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("q", ["0.52", "0.55,1e-9"])
+    def test_pi_harmonics_refused_exit_two(self, q, capsys):
+        # at q = 0.52 the harmonics of Pi(w) do not decay; at 0.55 + 1e-9i
+        # they shrink by 1 - 1.4e-7 per step, and the truncation rule would
+        # need billions of them
+        t0 = time.monotonic()
+        code, out, err = run(["gf-check", "--q", q, "--methods",
+                              "singular,taylor", "--no-timestamp"], capsys)
+        assert time.monotonic() - t0 < 5
+        assert code == 2
+        assert out == ""
+        assert "Pi(w) harmonics" in err
+
     def test_oracle_budget_domain_error(self, capsys):
         code, _, _ = run(["oracle", "--k", "2", "--max-area", "13"], capsys)
         assert code == 2
@@ -233,11 +246,23 @@ class TestErrors:
         # the first order past the solver's memory budget is refused at once
         e = cli.enumeration
         cap = next(n for n in itertools.count(300)
-                   if e._pa4_mib(n + 1) > e._PA4_MAX_MIB)
+                   if e._pa4_mib(n + 1) > e._MAX_MIB)
         t0 = time.monotonic()
         code, out, err = run(["enumerate", "--k", "4", "--max-area",
                               str(cap + 1), "--no-timestamp"], capsys)
         assert time.monotonic() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err and "MiB" in err
+
+    def test_three_sided_functional_memory_guard_exit_two(self, capsys,
+                                                          monkeypatch):
+        # area 4096 needs about 3 GiB on the functional route: refused
+        # before any block is solved (a call to the solver would be exit 3)
+        monkeypatch.setattr(cli.enumeration, "_w_blocks", None)
+        code, out, err = run(["enumerate", "--k", "3", "--method",
+                              "functional", "--max-area", "4096",
+                              "--no-timestamp"], capsys)
         assert code == 2
         assert out == ""
         assert "domain error" in err and "MiB" in err

@@ -115,6 +115,18 @@ class TestWSeries:
                                              "area degree"):
             w_series(10)
 
+    def test_memory_guard_before_any_work(self, monkeypatch):
+        # order 3072 stays within the budget; 4096 needs about 3 GiB and is
+        # refused before any block is solved
+        assert enumeration._w_mib(3072) < enumeration._MAX_MIB
+
+        def unreached(order):
+            raise AssertionError("the blocks were solved")
+
+        monkeypatch.setattr(enumeration, "_w_blocks", unreached)
+        with pytest.raises(DomainError, match=r"order 4096 needs about \d+ MiB"):
+            pa3_series(4096, "functional")
+
 
 class TestPa3:
     def test_published_series(self):
@@ -220,7 +232,7 @@ class TestPa4:
 
     def test_memory_guard(self):
         cap = next(n for n in itertools.count(300)
-                   if enumeration._pa4_mib(n + 1) > enumeration._PA4_MAX_MIB)
+                   if enumeration._pa4_mib(n + 1) > enumeration._MAX_MIB)
         assert cap >= 300
         for solve in (pa4_series, pa4_system_solution):
             with pytest.raises(DomainError, match=r"needs about \d+ MiB"):
@@ -229,7 +241,7 @@ class TestPa4:
     def test_solution_memory_guard_before_any_work(self, monkeypatch):
         # order 400 passes the counts' guard, but the solution keeps every
         # degree and needs more than the budget: refused before solving
-        assert enumeration._pa4_mib(400) < enumeration._PA4_MAX_MIB
+        assert enumeration._pa4_mib(400) < enumeration._MAX_MIB
 
         def unreached(order):
             raise AssertionError("the solver ran")
