@@ -793,9 +793,18 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
     The model Omega_T(n) 2^-n = 1 + sum_{j<T} n^{g-j} P_j(log n), with
     P_j(L) = sum_l c[(j,l)] L^l, is taken in the units of the table,
     Omega_T(n) 2^-n n^-g = n^-g + sum_{j<T} n^-j P_j(log n): one log and
-    one exponential per row.  ``counts`` may be a CountTable (exact) or
-    FloatSeries1 (scaled float counts) reaching at least ``max_n``; by
-    default the exact theorem-route counts are computed.
+    one exponential per row.  The sum is taken by Horner's rule in log n
+    and in 1/n on Python integers in units of 2^-bits, bits = prec + 32:
+    32 guard bits past the working precision.  The coefficients and
+    log n convert to such integers exactly: each has at most prec bits
+    and a magnitude above 2^-32.  Each step that shifts or floor-divides
+    drops less than one unit, and the later steps multiply that loss by
+    at most (log n)^i n^-j < 1 (i < j, log n < n), so the sum is off by
+    fewer units than there are truncating steps, 14 at T = 5.  It is
+    rounded to the working precision once, then n^-g is added.
+    ``counts`` may be a CountTable (exact) or FloatSeries1 (scaled float
+    counts) reaching at least ``max_n``; by default the exact
+    theorem-route counts are computed.
     """
     if not 2 <= min_n <= max_n:
         raise ValueError("residuals need 2 <= min_n <= max_n")
@@ -808,15 +817,23 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
     coeffs = omega_coefficients(terms, dps=dps)
     with mp.workdps(dps + _GUARD_DPS):
         g = mp.log(3) / mp.log(2)
+        bits = mp.prec + 32
+        # P_{T-1}, ..., P_0, each as its coefficients c[(j,j)], ..., c[(j,0)]
+        polys = [[int(mp.ldexp(coeffs[(j, l)], bits))
+                  for l in range(j, -1, -1)] for j in reversed(range(terms))]
         rows = []
         for n in range(min_n, max_n + 1):
             L = mp.log(n)
-            ng = mp.e ** (g * L)
+            ng = mp.exp(g * L)
             scaled_g = scaled_count(n) / ng
-            model = 1 / ng
-            for j in range(terms):
-                model += sum(coeffs[(j, l)] * L ** l
-                             for l in range(j + 1)) / n ** j
+            fixed_L = int(mp.ldexp(L, bits))
+            model = 0
+            for poly in polys:
+                p = 0
+                for c in poly:
+                    p = (p * fixed_L >> bits) + c
+                model = model // n + p
+            model = 1 / ng + mp.ldexp(model, -bits)
             rows.append((n, scaled_g, scaled_g - model))
         return ResidualTable(tuple(rows), terms, dps, source)
 
@@ -825,17 +842,18 @@ def _scaled_counts(counts):
     """(source, largest n, n -> PA_n 2^-n) for a CountTable or FloatSeries1."""
     if isinstance(counts, FloatSeries1):
         return ("float", counts.order,
-                lambda n: mpf(counts.mantissas[n]) / mpf(2) ** counts.scale_bits)
+                lambda n: mp.ldexp(mpf(counts.mantissas[n]),
+                                   -counts.scale_bits))
     if isinstance(counts, CountTable):
         return ("exact", counts.max_area,
-                lambda n: mpf(counts.count(n)) / mpf(2) ** n)
+                lambda n: mp.ldexp(mpf(counts.count(n)), -n))
     raise TypeError("counts must be a CountTable or FloatSeries1")
 
 
 def _window(table: ResidualTable, u_range) -> list:
-    """(u, residual) for the rows whose u = log2 n lies in u_range; the first
-    and the last sample must lie within 0.01 of the window's ends.  Rows
-    whose n lies outside [floor(2^u0) - 1, ceil(2^u1) + 1] are skipped
+    """(n, u, residual) for the rows whose u = log2 n lies in u_range; the
+    first and the last sample must lie within 0.01 of the window's ends.
+    Rows whose n lies outside [floor(2^u0) - 1, ceil(2^u1) + 1] are skipped
     before any logarithm is taken."""
     u0, u1 = u_range
     lo = int(mp.floor(mpf(2) ** u0)) - 1
@@ -846,8 +864,8 @@ def _window(table: ResidualTable, u_range) -> list:
             continue
         u = mp.log(n) / mp.log(2)
         if u0 <= u <= u1:
-            pts.append((u, r))
-    if not pts or pts[0][0] - u0 > mpf("0.01") or u1 - pts[-1][0] > mpf("0.01"):
+            pts.append((n, u, r))
+    if not pts or pts[0][1] - u0 > mpf("0.01") or u1 - pts[-1][1] > mpf("0.01"):
         raise DomainError(f"residual table does not cover u in [{u0}, {u1}]")
     return pts
 
@@ -866,11 +884,11 @@ def fourier_extract(table: ResidualTable, k: int, u_range) -> mpc:
         pts = _window(table, u_range)
         if len(pts) < 16:
             raise DomainError("not enough samples in the window")
-        fs = [(u, r * mp.e ** (-2j * k * mp.pi * u)) for u, r in pts]
+        fs = [(u, r * mp.expjpi(-2 * k * u)) for _, u, r in pts]
         total = mpc(0)
         for (ua, fa), (ub, fb) in zip(fs, fs[1:]):
             total += (fa + fb) / 2 * (ub - ua)
-        return total / (pts[-1][0] - pts[0][0])
+        return total / (fs[-1][0] - fs[0][0])
 
 
 def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
@@ -881,7 +899,9 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
     times kappa_1 in absolute scale.  Least-squares fitting
     residual ~ c + d 2^-u + 2 Re[(alpha + beta 2^-u) e^{2 i k pi u}]
     separates them; alpha estimates kappa_k far inside the window where the
-    plain trapezoidal estimate is still drifting.
+    plain trapezoidal estimate is still drifting.  Each sample takes
+    e^{2 i k pi u} from one ``expjpi`` and 2^-u as 1/n, which is what it
+    is at u = log2 n.
     """
     u0, u1 = u_range
     if k < 1:
@@ -893,12 +913,12 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
         if len(pts) < 32:
             raise DomainError("not enough samples in the window")
         samples = []
-        for u, _ in pts:
-            w = mp.e ** (2j * k * mp.pi * u)
-            dec = mpf(2) ** (-u)
-            samples.append((mp.one, dec, w.real, -w.imag,
-                            (dec * w).real, -(dec * w).imag))
-        sol = _least_squares(list(zip(*samples)), [r for _, r in pts])
+        for n, u, _ in pts:
+            w = mp.expjpi(2 * k * u)
+            dec = mp.one / n
+            dw = dec * w
+            samples.append((mp.one, dec, w.real, -w.imag, dw.real, -dw.imag))
+        sol = _least_squares(list(zip(*samples)), [r for _, _, r in pts])
         return mpc(sol[2], sol[3]) / 2
 
 

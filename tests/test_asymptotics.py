@@ -402,6 +402,39 @@ class TestResidualPipeline:
                     coeffs[(4, l)] * L ** l for l in range(5))
                 assert close(t4.residual_at(n) - t5.residual_at(n), term, 1e-35)
 
+    @pytest.mark.parametrize("dps", [40, 60])
+    def test_rows_match_a_wider_evaluation(self, dps):
+        # the table's integer Horner sum against the same model and the
+        # same coefficients summed in plain mpf at 2 dps + 20 digits, both
+        # printed as the CLI prints them; terms = 0 is the empty model
+        counts = pa3_series(1024, "theorem")
+
+        def printed(x):
+            with mp.workdps(dps + 10):
+                return mp.nstr(mpf(x), dps, strip_zeros=False)
+
+        for terms in (0, 1, 5):
+            coeffs = asy.omega_coefficients(terms, dps)
+            with mp.workdps(2 * dps + 20):
+                g = mp.log(3) / mp.log(2)
+                expected = {}
+                for n in range(2, 1025):
+                    L = mp.log(n)
+                    ng = mp.exp(g * L)
+                    scaled_g = mpf(counts.count(n)) / mpf(2) ** n / ng
+                    model = 1 / ng + sum(
+                        sum(coeffs[(j, l)] * L ** l for l in range(j + 1))
+                        / mpf(n) ** j for j in range(terms))
+                    expected[n] = (printed(scaled_g),
+                                   printed(scaled_g - model))
+            for min_n in (2, 1024):
+                table = asy.residuals(1024, terms, dps, counts=counts,
+                                      min_n=min_n)
+                assert [n for n, _, _ in table.rows] == list(
+                    range(min_n, 1025))
+                for n, s, r in table.rows:
+                    assert (printed(s), printed(r)) == expected[n], (terms, n)
+
     def test_fourier_requires_window(self):
         table = asy.residuals(64, terms=2)
         with pytest.raises(DomainError):
