@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import accumulate, count, islice, pairwise, repeat, tee
+from math import isqrt
 from operator import mul
 
 from mpmath import mp, mpc, mpf, mpmathify, matrix, lu_solve
@@ -47,6 +48,9 @@ from .enumeration import CountTable, DomainError, pa3_series
 from .series import FloatSeries1
 
 _GUARD_DPS = 12
+
+# the fixed-point residual pipeline works in units of 2^-(prec + _GUARD_BITS)
+_GUARD_BITS = 32
 
 # the largest exact 3-sided order timed (13 s on one core of a 2-core
 # host); the cost grows a little slower than n^3
@@ -770,6 +774,75 @@ def omega_coefficients(terms: int = 5, dps: int = 40) -> dict:
         return out
 
 
+def _prime_table(top: int, bits: int, power_bits=None, k=None):
+    """(logs, powers, phases): log n, n^-g and e^{2 i k pi log2 n} for
+    n = 0..top (entry 0 unused) as Python integers, g = log2(3).
+
+    log n and the phases (re, im) are in units of 2^-bits, n^-g in units
+    of 2^-power_bits; without ``power_bits`` or ``k`` that list is None.
+    A smallest-prime-factor sieve to ``top`` runs first; mpmath evaluates
+    only at the primes, 16 bits past the finer of the two units, each
+    value rounded to the nearest unit.  A composite n = p m, p its smallest
+    prime factor, takes log p + log m by one integer add and the other two
+    by one product of integers rounded to the nearest unit.  So log n is
+    off by at most Omega(n)/2 units plus 2^-10 per prime factor, n^-g by
+    under Omega(n) units (a product adds the errors of its factors, whose
+    values are at most 1, plus half a unit) and a phase by under sqrt(2)
+    Omega(n) units in modulus (half a unit in each component per
+    rounding), Omega(n) the number of prime factors of n with multiplicity.
+    """
+    spf = list(range(top + 1))
+    # descending, so each n ends with its smallest divisor d >= 2, d^2 <= n
+    for p in range(isqrt(top), 1, -1):
+        spf[p * p::p] = [p] * ((top - p * p) // p + 1)
+    logs = [0] * (top + 1)
+    powers = None if power_bits is None else [1 << power_bits] * (top + 1)
+    phases = None if k is None else [(1 << bits, 0)] * (top + 1)
+    with mp.workprec(max(bits, power_bits or 0) + 16):
+        g = mp.log(3) / mp.log(2)
+        turns = 2 * (k or 0) / mp.log(2)        # e^{i pi turns log n}
+        for n in range(2, top + 1):
+            p = spf[n]
+            if p == n:
+                log_p = mp.log(n)
+                logs[n] = _nearest(log_p, bits)
+                if powers:
+                    powers[n] = _nearest(mp.exp(-g * log_p), power_bits)
+                if phases:
+                    w = mp.expjpi(turns * log_p)
+                    phases[n] = (_nearest(w.real, bits), _nearest(w.imag, bits))
+                continue
+            m = n // p
+            logs[n] = logs[p] + logs[m]
+            if powers:
+                powers[n] = _rounded(powers[p] * powers[m], power_bits)
+            if phases:
+                (a, b), (c, d) = phases[p], phases[m]
+                phases[n] = (_rounded(a * c - b * d, bits),
+                             _rounded(a * d + b * c, bits))
+    return logs, powers, phases
+
+
+def _rounded(x: int, bits: int) -> int:
+    """x 2^-bits rounded to the nearest integer."""
+    return (x + (1 << (bits - 1))) >> bits
+
+
+def _nearest(x, bits: int) -> int:
+    """x in units of 2^-bits, rounded to the nearest unit."""
+    return int(mp.nint(mp.ldexp(x, bits)))
+
+
+def _block(values) -> tuple:
+    """mpf values as (integers, e), each value about integer 2^e: one
+    binary exponent for the list, at which the largest magnitude takes
+    mp.prec + _GUARD_BITS bits; each integer is truncated, off by under
+    one unit."""
+    e = max((mp.mag(x) for x in values if x), default=0) - (
+        mp.prec + _GUARD_BITS)
+    return [int(mp.ldexp(x, -e)) for x in values], e
+
+
 @dataclass(frozen=True)
 class ResidualTable:
     """Rows (n, PA_n 2^-n n^-g, same minus Omega_T(n) 2^-n n^-g)."""
@@ -792,19 +865,23 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
 
     The model Omega_T(n) 2^-n = 1 + sum_{j<T} n^{g-j} P_j(log n), with
     P_j(L) = sum_l c[(j,l)] L^l, is taken in the units of the table,
-    Omega_T(n) 2^-n n^-g = n^-g + sum_{j<T} n^-j P_j(log n): one log and
-    one exponential per row.  The sum is taken by Horner's rule in log n
-    and in 1/n on Python integers in units of 2^-bits, bits = prec + 32:
-    32 guard bits past the working precision.  The coefficients and
-    log n convert to such integers exactly: each has at most prec bits
-    and a magnitude above 2^-32.  Each step that shifts or floor-divides
-    drops less than one unit, and the later steps multiply that loss by
-    at most (log n)^i n^-j < 1 (i < j, log n < n), so the sum is off by
-    fewer units than there are truncating steps, 14 at T = 5.  It is
-    rounded to the working precision once, then n^-g is added.
-    ``counts`` may be a CountTable (exact) or FloatSeries1 (scaled float
-    counts) reaching at least ``max_n``; by default the exact
-    theorem-route counts are computed.
+    Omega_T(n) 2^-n n^-g = n^-g + sum_{j<T} n^-j P_j(log n).  Each row is
+    formed on Python integers in units of 2^-bits, bits = prec + 32: 32
+    guard bits past the working precision.  log n and n^-g come from
+    _prime_table, which calls mpmath only at the primes; the scaled count
+    is (PA_n 2^-n) n^-g, one product shifted right, and the polynomial part
+    is a Horner sum in log n and in 1/n.  The coefficients convert to such
+    integers exactly: each has at most prec bits and a magnitude above
+    2^-32.  Each Horner step that shifts or floor-divides drops under one
+    unit, and the later steps multiply that loss by at most (log n)^i n^-j
+    < 1 (i < j, log n < n): fewer units than there are steps, 14 at T = 5.
+    The table's error in log n, at most Omega(n)/2 units, moves the sum by
+    less than that at every n >= 2, and n^-g and the scaled count each
+    carry under Omega(n) + 1 units.  So a row is off by a few dozen units
+    at most, about 2^-(prec+26), before the scaled count and the residual
+    are each rounded to the working precision once.  ``counts`` may be a
+    CountTable (exact) or FloatSeries1 (scaled float counts) reaching at
+    least ``max_n``; by default the exact theorem-route counts are computed.
     """
     if not 2 <= min_n <= max_n:
         raise ValueError("residuals need 2 <= min_n <= max_n")
@@ -816,58 +893,61 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
             f"counts reach n = {available}, residuals need n up to {max_n}")
     coeffs = omega_coefficients(terms, dps=dps)
     with mp.workdps(dps + _GUARD_DPS):
-        g = mp.log(3) / mp.log(2)
-        bits = mp.prec + 32
+        bits = mp.prec + _GUARD_BITS
+        # n^-g on a finer scale: times a scaled count, which is below
+        # 2^shift, it still carries ``bits`` fractional bits
+        shift = 2 * max_n.bit_length()
+        logs, powers, _ = _prime_table(max_n, bits, power_bits=bits + shift)
         # P_{T-1}, ..., P_0, each as its coefficients c[(j,j)], ..., c[(j,0)]
         polys = [[int(mp.ldexp(coeffs[(j, l)], bits))
                   for l in range(j, -1, -1)] for j in reversed(range(terms))]
         rows = []
         for n in range(min_n, max_n + 1):
-            L = mp.log(n)
-            ng = mp.exp(g * L)
-            scaled_g = scaled_count(n) / ng
-            fixed_L = int(mp.ldexp(L, bits))
+            mantissa, exponent = scaled_count(n)
+            scaled_g = mantissa * powers[n] >> (exponent + shift)
+            fixed_L = logs[n]
             model = 0
             for poly in polys:
                 p = 0
                 for c in poly:
                     p = (p * fixed_L >> bits) + c
                 model = model // n + p
-            model = 1 / ng + mp.ldexp(model, -bits)
-            rows.append((n, scaled_g, scaled_g - model))
+            model += powers[n] >> shift
+            rows.append((n, mpf((scaled_g, -bits)),
+                         mpf((scaled_g - model, -bits))))
         return ResidualTable(tuple(rows), terms, dps, source)
 
 
 def _scaled_counts(counts):
-    """(source, largest n, n -> PA_n 2^-n) for a CountTable or FloatSeries1."""
+    """(source, largest n, n -> (m, e)) for a CountTable or FloatSeries1,
+    with PA_n 2^-n = m 2^-e: exactly for a CountTable, as stored for a
+    FloatSeries1."""
     if isinstance(counts, FloatSeries1):
         return ("float", counts.order,
-                lambda n: mp.ldexp(mpf(counts.mantissas[n]),
-                                   -counts.scale_bits))
+                lambda n: (counts.mantissas[n], counts.scale_bits))
     if isinstance(counts, CountTable):
-        return ("exact", counts.max_area,
-                lambda n: mp.ldexp(mpf(counts.count(n)), -n))
+        return ("exact", counts.max_area, lambda n: (counts.count(n), n))
     raise TypeError("counts must be a CountTable or FloatSeries1")
 
 
-def _window(table: ResidualTable, u_range) -> list:
-    """(n, u, residual) for the rows whose u = log2 n lies in u_range; the
-    first and the last sample must lie within 0.01 of the window's ends.
-    Rows whose n lies outside [floor(2^u0) - 1, ceil(2^u1) + 1] are skipped
-    before any logarithm is taken."""
+def _window(table: ResidualTable, u_range, k: int) -> tuple:
+    """(rows, logs, phases): the rows (n, residual) with 2^u0 <= n <= 2^u1,
+    and _prime_table's log n and e^{2 i k pi log2 n} up to the last of them,
+    in units of 2^-(prec+32).  The first and the last sample, their log2 n
+    taken from the table, must lie within 0.01 of the window's ends."""
     u0, u1 = u_range
-    lo = int(mp.floor(mpf(2) ** u0)) - 1
-    hi = int(mp.ceil(mpf(2) ** u1)) + 1
-    pts = []
-    for n, _, r in table.rows:
-        if not lo <= n <= hi:
-            continue
-        u = mp.log(n) / mp.log(2)
-        if u0 <= u <= u1:
-            pts.append((n, u, r))
-    if not pts or pts[0][1] - u0 > mpf("0.01") or u1 - pts[-1][1] > mpf("0.01"):
-        raise DomainError(f"residual table does not cover u in [{u0}, {u1}]")
-    return pts
+    uncovered = DomainError(f"residual table does not cover u in [{u0}, {u1}]")
+    lo, hi = int(mp.ceil(mpf(2) ** u0)), int(mp.floor(mpf(2) ** u1))
+    pts = [(n, r) for n, _, r in table.rows if lo <= n <= hi]
+    if not pts:
+        raise uncovered
+    bits = mp.prec + _GUARD_BITS
+    logs, _, phases = _prime_table(pts[-1][0], bits, k=k)
+    first, last = (mp.ldexp(logs[n], -bits) / mp.log(2)
+                   for n in (pts[0][0], pts[-1][0]))
+    if first - u0 > mpf("0.01") or u1 - last > mpf("0.01"):
+        raise uncovered
+    return pts, logs, phases
 
 
 def fourier_extract(table: ResidualTable, k: int, u_range) -> mpc:
@@ -875,20 +955,30 @@ def fourier_extract(table: ResidualTable, k: int, u_range) -> mpc:
 
     kappa_hat_k = (1/(u1-u0)) integral residual(u) e^{-2 i k pi u} du over
     the (non-uniform) samples u_n = log2 n; the window length must be a
-    positive integer number of periods, at least 2.
+    positive integer number of periods, at least 2.  The trapezoid sum is
+    taken on integers: the residuals in one binary exponent, the phases
+    and the steps log n - log m from _prime_table; 1/log 2 cancels between
+    the steps and the window's length, and one rounding to the working
+    precision ends it.
     """
     u0, u1 = u_range
     if u1 - u0 < 2 or abs((u1 - u0) - round(u1 - u0)) > 1e-12:
         raise DomainError("u-window must span an integer number of periods, >= 2")
     with mp.workdps(table.precision + _GUARD_DPS):
-        pts = _window(table, u_range)
+        pts, logs, phases = _window(table, u_range, k)
         if len(pts) < 16:
             raise DomainError("not enough samples in the window")
-        fs = [(u, r * mp.expjpi(-2 * k * u)) for _, u, r in pts]
-        total = mpc(0)
-        for (ua, fa), (ub, fb) in zip(fs, fs[1:]):
-            total += (fa + fb) / 2 * (ub - ua)
-        return total / (fs[-1][0] - fs[0][0])
+        ys, e = _block([r for _, r in pts])
+        # (log n, residual times e^{-2 i k pi u}, re and im)
+        fs = [(logs[n], y * phases[n][0], -y * phases[n][1])
+              for (n, _), y in zip(pts, ys)]
+        re = im = 0
+        for (la, ra, ia), (lb, rb, ib) in pairwise(fs):
+            re += (ra + rb) * (lb - la)
+            im += (ia + ib) * (lb - la)
+        bits = mp.prec + _GUARD_BITS
+        return (mpc(mp.ldexp(re, e - bits), mp.ldexp(im, e - bits))
+                / (2 * (fs[-1][0] - fs[0][0])))
 
 
 def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
@@ -900,8 +990,8 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
     residual ~ c + d 2^-u + 2 Re[(alpha + beta 2^-u) e^{2 i k pi u}]
     separates them; alpha estimates kappa_k far inside the window where the
     plain trapezoidal estimate is still drifting.  Each sample takes
-    e^{2 i k pi u} from one ``expjpi`` and 2^-u as 1/n, which is what it
-    is at u = log2 n.
+    e^{2 i k pi u} from _prime_table and 2^-u as 1/n, which is what it is
+    at u = log2 n, all on integers in units of 2^-(prec+32).
     """
     u0, u1 = u_range
     if k < 1:
@@ -909,28 +999,38 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
     if u1 - u0 < 2:
         raise DomainError("u-window must span at least 2 periods")
     with mp.workdps(table.precision + _GUARD_DPS):
-        pts = _window(table, u_range)
+        pts, _, phases = _window(table, u_range, k)
         if len(pts) < 32:
             raise DomainError("not enough samples in the window")
-        samples = []
-        for n, u, _ in pts:
-            w = mp.expjpi(2 * k * u)
-            dec = mp.one / n
-            dw = dec * w
-            samples.append((mp.one, dec, w.real, -w.imag, dw.real, -dw.imag))
-        sol = _least_squares(list(zip(*samples)), [r for _, _, r in pts])
+        bits = mp.prec + _GUARD_BITS
+        ns = [n for n, _ in pts]
+        re, im = zip(*(phases[n] for n in ns))
+        # 1, 2^-u, e^{2 i k pi u} and 2^-u e^{2 i k pi u}, re and -im
+        columns = [([1] * len(ns), 0)] + [(c, -bits) for c in (
+            [(1 << bits) // n for n in ns], re, [-x for x in im],
+            [x // n for x, n in zip(re, ns)],
+            [-x // n for x, n in zip(im, ns)])]
+        sol = _least_squares(columns, _block([r for _, r in pts]))
         return mpc(sol[2], sol[3]) / 2
 
 
 def _least_squares(columns, ys) -> list:
     """The coefficients x minimising |sum_i x_i columns[i] - ys|, from the
-    normal equations, at the caller's working precision."""
+    normal equations, at the caller's working precision.
+
+    Each column and ys is a pair (integers, e), entry j standing for
+    integers[j] 2^e: each column in its own binary exponent, so a column of
+    tiny values keeps its bits.  Every entry of the normal equations is an
+    exact integer dot product, rounded to the working precision once.
+    """
     size = len(columns)
     normal = matrix(size, size)
-    for i in range(size):           # symmetric: one fdot per pair
-        for k in range(i + 1):
-            normal[i, k] = normal[k, i] = mp.fdot(columns[i], columns[k])
-    return list(lu_solve(normal, matrix([mp.fdot(a, ys) for a in columns])))
+    for i, (a, ea) in enumerate(columns):     # symmetric: one sum per pair
+        for k, (b, eb) in enumerate(columns[:i + 1]):
+            normal[i, k] = normal[k, i] = mpf((sum(map(mul, a, b)), ea + eb))
+    y, ey = ys
+    rhs = matrix([mpf((sum(map(mul, a, y)), ea + ey)) for a, ea in columns])
+    return list(lu_solve(normal, rhs))
 
 
 def exponent_fit(counts, dps: int = 40) -> mpf:
@@ -938,20 +1038,23 @@ def exponent_fit(counts, dps: int = 40) -> mpf:
 
     Accepts a CountTable or FloatSeries1 (scaled float counts).  For counts
     growing like 2^n n^rho the fit approaches rho.  A count in the fitted
-    range that is not positive raises DomainError.
+    range that is not positive raises DomainError.  The slope is the same
+    in natural logs, so each row takes one mp.log, of its scaled count,
+    and log n from _prime_table; each column keeps its own binary exponent.
     """
     _, n_max, scaled = _scaled_counts(counts)
     lo = max(2, n_max // 2)
     if n_max - lo < 7:
         raise DomainError("need counts up to a larger order to fit")
     with mp.workdps(dps + _GUARD_DPS):
-        xs, ys = [], []
+        ys = []
         for n in range(lo, n_max + 1):
-            s = scaled(n)
-            if s <= 0:
+            mantissa, exponent = scaled(n)
+            if mantissa <= 0:
                 raise DomainError(f"count PA_{n} is not positive; its log "
                                   "cannot be fitted")
-            xs.append(mp.log(n) / mp.log(2))
-            ys.append(mp.log(s) / mp.log(2))
-        return _least_squares([[mp.one] * len(xs), xs], ys)[1]
-
+            ys.append(mp.log(mp.ldexp(mantissa, -exponent)))
+        bits = mp.prec + _GUARD_BITS
+        logs = _prime_table(n_max, bits)[0][lo:]
+        return _least_squares([([1] * len(logs), 0), (logs, -bits)],
+                              _block(ys))[1]

@@ -288,8 +288,12 @@ def _cmd_residuals(args) -> int:
     table = asymptotics.residuals(args.max_n, terms=args.terms, dps=d,
                                   min_n=args.min_n)
     with mp.workdps(d + 10):
-        rows = [[n, _num(mp.log(n) / mp.log(2), d), _num(s, d), _num(r, d)]
-                for n, s, r in table.rows]
+        # log2 n from the residuals' table of log n over the primes
+        bits = mp.prec + asymptotics._GUARD_BITS
+        logs = asymptotics._prime_table(args.max_n, bits)[0]
+        per_log = 1 / mp.log(2)
+        rows = [[n, _num(mp.ldexp(logs[n], -bits) * per_log, d), _num(s, d),
+                 _num(r, d)] for n, s, r in table.rows]
     config = {"command": "residuals", "max_n": args.max_n,
               "terms": args.terms, "min_n": args.min_n,
               "source": table.source}

@@ -435,6 +435,35 @@ class TestResidualPipeline:
                 for n, s, r in table.rows:
                     assert (printed(s), printed(r)) == expected[n], (terms, n)
 
+    @pytest.mark.parametrize("dps", [40, 60])
+    def test_sampled_rows_to_4096_match_a_wider_evaluation(
+            self, dps, exact_counts_4096):
+        # rows up to 4096 against the model summed in plain mpf at 2 dps + 20
+        # digits.  At 40 digits the n = 3906 residual ends ...311358849 (the
+        # wide value continues ...8494981): 12 guard digits do not round it
+        # right when the scaled count is rounded to the working precision
+        # before the model is taken off it
+        sample = sorted({*range(2, 4097, 101), 2668, 3906, 4096})
+        table = asy.residuals(4096, 5, dps, counts=exact_counts_4096)
+        rows = {n: (s, r) for n, s, r in table.rows}
+        coeffs = asy.omega_coefficients(5, dps)
+
+        def printed(x):
+            with mp.workdps(dps + 10):
+                return mp.nstr(mpf(x), dps, strip_zeros=False)
+
+        for n in sample:
+            with mp.workdps(2 * dps + 20):
+                g = mp.log(3) / mp.log(2)
+                L = mp.log(n)
+                ng = mp.exp(g * L)
+                scaled_g = mpf(exact_counts_4096.count(n)) / mpf(2) ** n / ng
+                model = 1 / ng + sum(
+                    sum(coeffs[(j, l)] * L ** l for l in range(j + 1))
+                    / mpf(n) ** j for j in range(5))
+                expected = (printed(scaled_g), printed(scaled_g - model))
+            assert tuple(map(printed, rows[n])) == expected, n
+
     def test_fourier_requires_window(self):
         table = asy.residuals(64, terms=2)
         with pytest.raises(DomainError):
@@ -483,6 +512,45 @@ class TestResidualPipeline:
             asy.residuals(60, counts=make(50))
 
 
+class TestPrimeTable:
+    @pytest.mark.parametrize("dps", [40, 100])
+    def test_entries_within_the_bound(self, dps):
+        # log n within Omega(n) (1/2 + 2^-10) units, n^-g within Omega(n)
+        # units of its finer scale and e^{2 i pi log2 n} within sqrt(2)
+        # Omega(n) units in modulus, against mpmath 20 bits past the finer
+        # scale
+        top = 4096
+        with mp.workdps(dps + 12):
+            bits = mp.prec + 32
+        shift = 2 * top.bit_length()
+        logs, powers, phases = asy._prime_table(top, bits, bits + shift, k=1)
+        omega = [0] * (top + 1)         # prime factors with multiplicity
+        for p in range(2, top + 1):
+            if omega[p] == 0:
+                power = p
+                while power <= top:
+                    for n in range(power, top + 1, power):
+                        omega[n] += 1
+                    power *= p
+        assert (logs[1], powers[1], phases[1]) == (
+            0, 1 << (bits + shift), (1 << bits, 0))
+        with mp.workprec(bits + shift + 20):
+            g = mp.log(3) / mp.log(2)
+            turns = 2 / mp.log(2)
+            root2 = mp.sqrt(2)
+            for n in range(2, top + 1):
+                L = mp.log(n)
+                w = mp.expjpi(turns * L)
+                errors = (
+                    abs(logs[n] - mp.ldexp(L, bits))
+                    / (omega[n] * (mpf(1) / 2 + mpf(2) ** -10)),
+                    abs(powers[n] - mp.ldexp(mp.exp(-g * L), bits + shift))
+                    / omega[n],
+                    abs(mpc(*phases[n]) - w * mpf(2) ** bits)
+                    / (root2 * omega[n]))
+                assert max(errors) <= 1, n
+
+
 class TestOmegaPredictionError:
     @pytest.mark.xfail(
         strict=True,
@@ -511,6 +579,15 @@ class TestExponentFit:
     def test_two_sided_flat(self):
         fit = asy.exponent_fit(pa2_series(80))
         assert abs(fit) < 0.01
+
+    def test_two_sided_digits_of_a_tiny_slope(self):
+        # log2(PA_n 2^-n) = log2(1 + 2^(1-n)) is about 2^-n over n = 75..150:
+        # the fit keeps all 40 digits only if each column has its own
+        # binary exponent
+        fit = asy.exponent_fit(pa2_series(150))
+        with mp.workdps(50):
+            assert mp.nstr(fit, 40, strip_zeros=False) == \
+                "-1.291684202764366450313115009952078888460e-23"
 
     def test_three_sided_rough(self):
         fit = asy.exponent_fit(pa3_series(500, "theorem"))

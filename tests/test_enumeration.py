@@ -154,11 +154,14 @@ class TestPa3:
         (3072, "b662730d1c47348d58897fd176aaa2348e072b2d90e4a98e280641b75f13301b"),
         (4096, "3ee0eff3cd25ebf3ff677918346be426e67d8b0ccf86b67aafcbea269b3f2795"),
     ])
-    def test_counts_digest(self, n, digest):
+    def test_counts_digest(self, n, digest, request):
         # sha256 of the counts from the index-loop kernel that preceded this
         # one; order 4096 from the forward-summing kernel that preceded the
-        # Horner-order one, recorded before that kernel was changed
-        text = ",".join(map(str, pa3_series(n, "theorem").counts))
+        # Horner-order one, recorded before that kernel was changed.  Order
+        # 4096 is the session's shared table, built once for every test
+        counts = (request.getfixturevalue("exact_counts_4096") if n == 4096
+                  else pa3_series(n, "theorem"))
+        text = ",".join(map(str, counts.counts))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_literal_sum_in_series1(self):
