@@ -30,8 +30,22 @@ All functions take ``dps`` (significant decimal digits, default 40) and a
 and those of kappa(u)) stops by one rule: find the first index whose term,
 or the geometric bound on what remains, is below 10^-(dps+5), then run
 ``truncation_scale`` times as far, so insensitivity to doubling can be
-asserted mechanically.  A loop that has not stopped after _MAX_TERMS terms
+asserted mechanically.  Sizes are compared as squares, so a complex term
+costs no square root.  A loop that has not stopped after _MAX_TERMS terms
 raises DomainError.
+
+Three loops run on Python integers in units of 2^-bits, bits = prec + 32
+(32 guard bits past the working precision), a complex value as an (re, im)
+pair: the q-product of ``pochhammer`` and the tails of the meromorphic and
+doublesum routes.  Each converts its inputs once, steps with integer
+multiplies, shifts and floor-divides, and rounds back to mpmath once; its
+docstring bounds its error in those units.  The tails' unit is absolute,
+as the truncation rule is.  The q-product is relative: it carries a
+running binary exponent, so a small product keeps its digits.  A factor or
+denominator that cancels past the guard bits is formed exactly from q
+instead.  The taylor route (exact counts and a Horner sum in mpmath)
+stays off this arithmetic, an independent check on the routes that use
+it; so do the singular route's sums, d_nu and the h_j sums.
 """
 
 from __future__ import annotations
@@ -64,22 +78,26 @@ def _eps(dps: int) -> mpf:
     return mpf(10) ** (-(dps + 5))
 
 
-def _stop_rule(dps: int, scale: float, min_terms: int = 1):
+def _stop_rule(dps: int, scale: float, min_terms: int = 1, limit=None):
     """The truncation rule of every adaptive loop, as a per-term callback.
 
-    The loop calls ``stop(size)`` once per term with the term's size or the
-    bound on its remainder; ``stop`` turns true ``scale`` times past the
-    first count (at least ``min_terms``) whose size is below 10^-(dps+5).
-    Every series fed here decays geometrically in its tail, so ``scale`` = 2
-    is the "double every truncation length" insensitivity check.
+    The loop calls ``stop(size)`` once per term with the squared modulus of
+    the term or of the bound on its remainder, in its own units; ``limit``
+    is 10^-(dps+5) squared in those units, by default as an mpf.  ``stop``
+    turns true ``scale`` times past the first count (at least
+    ``min_terms``) whose size is below the limit.  Squares keep the square
+    root of a complex abs() out of every term.  Every series fed here
+    decays geometrically in its tail, so ``scale`` = 2 is the "double every
+    truncation length" insensitivity check.
     """
-    eps = _eps(dps)
+    if limit is None:
+        limit = _eps(dps) ** 2
     count = met = 0
 
     def stop(size) -> bool:
         nonlocal count, met
         count += 1
-        if not met and count >= min_terms and size < eps:
+        if not met and count >= min_terms and size < limit:
             met = count
         if met and count >= scale * met:
             return True
@@ -92,13 +110,20 @@ def _stop_rule(dps: int, scale: float, min_terms: int = 1):
     return stop
 
 
+def _norm(x):
+    """|x|^2 of an mpf or mpc, the size ``_stop_rule`` compares."""
+    if isinstance(x, mpc):
+        return x.real * x.real + x.imag * x.imag
+    return x * x
+
+
 def _tail_sum(terms, dps: int, scale: float):
     """Sum a generator by the truncation rule, at least six terms."""
     stop = _stop_rule(dps, scale, min_terms=6)
     total = mpf(0)
     for t in terms:
         total = total + t
-        if stop(abs(t)):
+        if stop(_norm(t)):
             break
     return total
 
@@ -106,13 +131,15 @@ def _tail_sum(terms, dps: int, scale: float):
 def _powers(x, start=mp.one):
     """start, start x, start x^2, ...: each power is the one before times x.
 
-    Every term loop in this module that multiplies a power by a fixed
-    factor steps it here, one multiplication per term; only the two walks
-    that divide by q keep their own.  mpmath's x ** j costs more and, for
-    complex x, switches to exp(j log x) once j times the working bits
-    passes 10^4.  Each multiplication rounds once, so after N terms the
-    power carries at most N roundings: log10(N) digits, about 3 of the
-    _GUARD_DPS digits at N ~ 500.
+    The mpmath term loops of this module step their powers here, one
+    multiplication per term; the two walks that divide by q keep their
+    own, and the fixed-point loops (``pochhammer`` and the meromorphic and
+    doublesum tails) step theirs on integers.  mpmath's x ** j costs more
+    and, for complex x, switches to exp(j log x) once j times the working
+    bits passes 10^4.  Each multiplication rounds once, to a relative
+    2^-prec, so the N-th power is off by under N such roundings: log10(N)
+    of the _GUARD_DPS digits, 2 at the ~130 terms these loops take at 40
+    digits.
     """
     return accumulate(repeat(x), mul, initial=start)
 
@@ -137,6 +164,69 @@ def _ratios(x, y, q):
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point complex arithmetic, for the q-products and the gf_eval tails
+# ---------------------------------------------------------------------------
+
+
+def _fixed(x, bits: int) -> tuple:
+    """An mpf or mpc as a pair (re, im) of integers in units of 2^-bits,
+    each part truncated: under one unit off per part."""
+    return int(mp.ldexp(x.real, bits)), int(mp.ldexp(x.imag, bits))
+
+
+def _unfixed(pair, e: int, real: bool):
+    """The pair (re, im) times 2^e as an mpf (``real``: im is dropped) or
+    an mpc, each part rounded once to the working precision."""
+    re, im = pair
+    if real:
+        return mpf((re, e))
+    return mpc(mpf((re, e)), mpf((im, e)))
+
+
+def _mul(a, b, bits: int) -> tuple:
+    """a b 2^-bits on pairs, each part floored: for a and b in units of
+    2^-bits their product in the same units, under one unit per part off
+    past what the errors of a and b contribute (exact at bits = 0)."""
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+
+
+def _div(a, b, bits: int) -> tuple:
+    """(a / b) 2^bits on pairs, b nonzero, each part floored: for a and b
+    in units of 2^-bits their quotient in the same units, under one unit
+    per part off past what the errors of a and b contribute."""
+    (ar, ai), (br, bi) = a, b
+    norm = br * br + bi * bi
+    return (((ar * br + ai * bi) << bits) // norm,
+            ((ai * br - ar * bi) << bits) // norm)
+
+
+def _limit(bound, bits: int) -> int:
+    """bound^2 in units of 2^-2bits: the ``_stop_rule`` limit of a
+    fixed-point loop whose sizes are squared pairs in units of 2^-bits."""
+    return int(mp.ldexp(bound, bits)) ** 2
+
+
+def _exact(x, power: int = 1) -> tuple:
+    """x^power for an mpf or mpc x, exactly, as ((re, im), e) with
+    x^power = (re + i im) 2^e."""
+    (mr, er), (mi, ei) = x.real.man_exp, x.imag.man_exp
+    e = min(er, ei)
+    base, value = (mr << (er - e), mi << (ei - e)), (1, 0)
+    for _ in range(power):
+        value = _mul(value, base, 0)
+    return value, e * power
+
+
+def _exact_sum(*terms) -> tuple:
+    """The sum of values ((re, im), e) as ``_exact`` gives them, exactly,
+    in the finest of their units."""
+    low = min(e for _, e in terms)
+    return (sum(re << (e - low) for (re, _), e in terms),
+            sum(im << (e - low) for (_, im), e in terms)), low
+
+
+# ---------------------------------------------------------------------------
 # q-Pochhammer and base quantities
 # ---------------------------------------------------------------------------
 
@@ -146,8 +236,21 @@ def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
 
     The factors are multiplied until the geometric bound on the remaining
     log-tail, |x q^J|/(1-|q|), drops below the target precision; |q| <= 0.9
-    is required so that bound is usable.  1-|q| is computed once, so a
-    factor costs two multiplications and one abs.
+    is required so that bound is usable.  The result is an mpf for real x
+    and q.
+
+    It runs on Python integers in units of 2^-bits, bits = prec + 32.
+    t_j = x q^j is a pair stepped by one ``_mul`` per factor, with q held
+    to ``bits`` significant bits, so t_j is off by under sqrt(2) (j + 1)
+    (1 + |t_j|) units.  A factor 1 - t_j that keeps at least prec bits is
+    thus off by a relative sqrt(2) (j + 1)(1 + |t_j|) 2^(1-prec), and
+    under 4 sqrt(2) (j + 1) 2^-bits once |t_j| <= 1/2; one that cancels
+    further, past the 32 guard bits, is formed exactly from x and q
+    instead.  The product is a pair of ``bits`` bits times a running binary
+    exponent: each factor multiplies it exactly and the shift back to
+    ``bits`` bits is off by a relative under 2^(2-bits), so a product near
+    a zero keeps its digits.  The loop stops by the truncation rule on
+    |t_{j+1}|^2 against (10^-(dps+5) (1-|q|))^2, in units of 2^-2bits.
     """
     with mp.workdps(dps + _GUARD_DPS):
         x = mpmathify(x)
@@ -156,13 +259,26 @@ def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
         if q_abs > mpf("0.9"):
             raise DomainError(
                 f"infinite q-Pochhammer needs |q| <= 0.9 (got |q| = {q_abs})")
-        stop = _stop_rule(dps, truncation_scale)
-        gap = 1 - q_abs
-        p = mp.one
-        for t, t_next in pairwise(_powers(q, x)):
-            p *= (1 - t)
-            if stop(abs(t_next) / gap):
-                return p
+        bits = mp.prec + _GUARD_BITS
+        one = 1 << bits
+        q_bits = bits - min(mp.mag(q), 0) if q else bits
+        t, step = _fixed(x, bits), _fixed(q, q_bits)
+        pr, pi, e = one, 0, -bits           # the product is (pr + i pi) 2^e
+        stop = _stop_rule(dps, truncation_scale,
+                          limit=_limit(_eps(dps) * (1 - q_abs), bits))
+        for j in count():
+            f, f_exp = (one - t[0], -t[1]), -bits
+            if max(f[0].bit_length(), f[1].bit_length()) < bits - _GUARD_BITS:
+                (a, a_exp), (b, b_exp) = _exact(x), _exact(q, j)
+                tr, ti = _mul(a, b, 0)
+                f, f_exp = _exact_sum(((1, 0), 0), ((-tr, -ti), a_exp + b_exp))
+            pr, pi = pr * f[0] - pi * f[1], pr * f[1] + pi * f[0]
+            shift = max(pr.bit_length(), pi.bit_length(), bits) - bits
+            pr, pi, e = pr >> shift, pi >> shift, e + shift + f_exp
+            t = _mul(t, step, q_bits)
+            if stop(t[0] * t[0] + t[1] * t[1]):
+                return _unfixed((pr, pi), e, not isinstance(x, mpc)
+                                and not isinstance(q, mpc))
 
 
 def _derived(fn):
@@ -313,13 +429,13 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
         for c, c_next in pairwise(_powers(q, q * b.u)):
             for i in range(nu_max, 0, -1):
                 co[i] -= c * co[i - 1]
-            if stop(abs(c_next)):
+            if stop(_norm(c_next)):
                 break
         stop = _stop_rule(dps, truncation_scale)
         for c, c_next in pairwise(_powers(q, b.v)):
             for i in range(1, nu_max + 1):
                 co[i] += c * co[i - 1]
-            if stop(abs(c_next)):
+            if stop(_norm(c_next)):
                 return co
 
 
@@ -424,20 +540,55 @@ def _gf_meromorphic(q, dps, scale):
     # the tail needs |v q| < 1, which |q| < 0.55 implies: v q =
     # q(1-q+q^2)/(1-q) is analytic for |q| < 1, at most 0.9197 on |q| = 0.55
     ratio = b.pv / pochhammer(q * b.u, q, dps=dps, truncation_scale=scale)
-    eps = _eps(dps)
-
-    def terms():                        # power = q^{nu+2}
-        for nu, (d, _), power in zip(count(1),
-                                     islice(_ratios(b.v, b.u, q), 1, None),
-                                     _powers(q, q * q * q)):
-            den = b.t + power
-            if abs(den) < eps:
-                raise DomainError(f"q is within tail distance of the pole "
-                                  f"of 1/(1-2q+q^{nu + 2})")
-            yield d * power / den
-
-    core = q * q / (1 - q) ** 2 + _tail_sum(terms(), dps, scale)
+    core = q * q / (1 - q) ** 2 + _meromorphic_tail(b, dps, scale)
     return b.C - b.A * ratio * core
+
+
+def _meromorphic_tail(b: BaseQuantities, dps, scale):
+    """sum_{nu>=1} d_nu q^{nu+2}/(1-2q+q^{nu+2}) on integer pairs in units
+    of 2^-bits, bits = prec + 32.
+
+    w = d_nu q^{nu+2} is carried as one value, w_nu = w_{nu-1} (vq - uq
+    q^nu)/(1 - q^nu) from w_0 = q^2, which decays like (vq)^nu although
+    d_nu grows like v^nu: a floored d_nu and q^nu held apart would leave
+    their product short of 0 by a unit that no longer shrinks.  Each
+    ``_mul`` and ``_div`` floors once, under one unit per part, so q^nu and
+    q^{nu+2} are off by under sqrt(2) nu units and w_nu, whose step tends
+    to vq, by O(nu) units.  The denominator, formed from q in the unit, is
+    off by O(nu) units too; near a pole, where it cancels past the 32 guard
+    bits, it is formed exactly from q instead, and below 10^-(dps+5) it
+    raises DomainError.  So term nu is off by O(nu) units over the
+    denominator's modulus, and the loop stops by the truncation rule on
+    the squared terms.
+    """
+    bits = mp.prec + _GUARD_BITS
+    one = 1 << bits
+    q, uq, vq = (_fixed(x, bits) for x in (b.q, b.u * b.q, b.v * b.q))
+    t = (one - 2 * q[0], -2 * q[1])            # 1-2q
+    limit = _limit(_eps(dps), bits)
+    stop = _stop_rule(dps, scale, min_terms=6, limit=limit)
+    qn, w = (one, 0), _mul(q, q, bits)         # q^nu and d_nu q^{nu+2}
+    power = w                                   # q^{nu+2}
+    re = im = 0
+    for nu in count(1):
+        qn, power = _mul(qn, q, bits), _mul(power, q, bits)
+        ur, ui = _mul(uq, qn, bits)
+        w = _div(_mul(w, (vq[0] - ur, vq[1] - ui), bits),
+                 (one - qn[0], -qn[1]), bits)
+        den = (t[0] + power[0], t[1] + power[1])
+        if den[0] * den[0] + den[1] * den[1] < limit:
+            raise DomainError(f"q is within tail distance of the pole "
+                              f"of 1/(1-2q+q^{nu + 2})")
+        if max(den[0].bit_length(), den[1].bit_length()) < bits - _GUARD_BITS:
+            (cr, ci), c_exp = _exact(b.q)
+            den, den_exp = _exact_sum(((1, 0), 0), ((-2 * cr, -2 * ci), c_exp),
+                                      _exact(b.q, nu + 2))
+            tr, ti = _div(w, den, -den_exp)     # w 2^-bits / (den 2^den_exp)
+        else:
+            tr, ti = _div(w, den, bits)
+        re, im = re + tr, im + ti
+        if stop(tr * tr + ti * ti):
+            return _unfixed((re, im), -bits, not isinstance(b.q, mpc))
 
 
 def _singular_prefactor(b: BaseQuantities):
@@ -447,29 +598,56 @@ def _singular_prefactor(b: BaseQuantities):
 
 
 def _gf_doublesum(q, dps, scale):
-    """D - q^2 A (a;q)oo(v;q)oo/((q;q)oo(av;q)oo) * sum_j r_j sum_nu
-    (v q^{j+1})^nu / (1-2q+q^{nu+2}), r_j the a-ratios.  The powers of
-    base = v q^{j+1} and of q are running products; the denominators are
-    the same for every j and are built once, as far as the longest nu-sum
-    (the one at j = 0) reads them."""
+    """D - q^2 A (a;q)oo(v;q)oo/((q;q)oo(av;q)oo) * T, T the a-ratio double
+    sum of ``_doublesum_sum``."""
     if abs(q.imag) > 0 or not (mpf("0.35") < q.real < mpf(1) / 2):
         raise DomainError("doublesum route is implemented for real q in (0.35, 1/2)")
     b = base_quantities(q, dps=dps, truncation_scale=scale)
-
-    # 1-2q+q^{nu+2}, nu = 1, 2, ...
-    dens, more = [], (b.t + power for power in _powers(q, q * q * q))
-
-    def nu_terms(base):
-        for i, power in enumerate(_powers(base, base)):
-            if i == len(dens):
-                dens.append(next(more))
-            yield power / dens[i]
-
-    j_terms = (ratio * _tail_sum(nu_terms(base), dps, scale)
-               for (ratio, _), base in zip(_ratios(b.a, 1, q),
-                                           _powers(q, b.v * q)))
-    T = _tail_sum(j_terms, dps, scale)
+    T = _doublesum_sum(b, dps, scale)
     return b.D - _singular_prefactor(b) * T
+
+
+def _doublesum_sum(b: BaseQuantities, dps, scale):
+    """sum_j r_j sum_nu (v q^{j+1})^nu / (1-2q+q^{nu+2}), r_j the a-ratios,
+    on integers in units of 2^-bits, bits = prec + 32; q is real.
+
+    The powers of base = v q^{j+1} and of q are running products, each
+    floored once per step, so base^nu is off by under nu units.  The
+    reciprocals 1/(1-2q+q^{nu+2}) are the same for every j and are built
+    once, each floored, as far as the longest nu-sum (the one at j = 0)
+    reads them; 1-2q+q^{nu+2} > 1-2q > 0, formed from q in the unit, so
+    a reciprocal is off by under 1 + nu/(1-2q)^2 units.  A term is off by
+    under 2 (nu + 1)/(1-2q)^2 units, and r_j, floored once per step with
+    step factors (a - q^j)/(1 - q^j) below 1 in modulus, by under j + 1.
+    Both sums stop by the truncation rule on their squared terms.
+    """
+    bits = mp.prec + _GUARD_BITS
+    one = 1 << bits
+    q, vq, a = (_fixed(x, bits)[0] for x in (b.q, b.v * b.q, b.a))
+    t = one - 2 * q
+    limit = _limit(_eps(dps), bits)
+    inverses, power = [], q * q * q >> 2 * bits     # q^{nu+2}
+    outer = _stop_rule(dps, scale, min_terms=6, limit=limit)
+    total, ratio, qj, base = 0, one, one, vq
+    while True:
+        inner = _stop_rule(dps, scale, min_terms=6, limit=limit)
+        s, x = 0, base                                  # x = base^nu
+        for i in count():
+            if i == len(inverses):
+                inverses.append((1 << 2 * bits) // (t + power))
+                power = power * q >> bits
+            term = x * inverses[i] >> bits
+            s += term
+            if inner(term * term):
+                break
+            x = x * base >> bits
+        term = ratio * s >> bits
+        total += term
+        if outer(term * term):
+            return mpf((total, -bits))
+        qj = qj * q >> bits
+        ratio = ratio * (a - qj) // (one - qj)
+        base = base * q >> bits
 
 
 def _near_half(q, dps, scale) -> BaseQuantities:
@@ -552,7 +730,7 @@ def _pi_sum(w, gamma, log_q, dps, scale):
         terms = [mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / log_q)
                  * mp.e ** (-2j * sk * mp.pi * w) for sk in (k, -k)]
         total += terms[0] + terms[1]
-        if stop(max(abs(t) for t in terms)):
+        if stop(max(map(_norm, terms))):
             return total
 
 
@@ -685,7 +863,7 @@ def oscillation_amplitude(dps: int = 40):
     """
     with mp.workdps(dps + _GUARD_DPS):
         ks, stop = [kappa(1, dps=dps)], _stop_rule(dps, 1)
-        while not stop(abs(ks[-1] / ks[0])):
+        while not stop(_norm(ks[-1] / ks[0])):
             ks.append(kappa(len(ks) + 1, dps=dps))
 
         def kappa_d(order, u):    # d^order kappa / du^order

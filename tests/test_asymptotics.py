@@ -652,10 +652,12 @@ def _bits(value):
 class TestTruncationDoubling:
     # sha256 over the bits of the library-only evaluators, which no CLI
     # digest reads, at the battery's points, complex q and q = 0.49, at both
-    # truncation scales; recorded before their term loops moved onto one
-    # power generator
+    # truncation scales; recorded when the q-products, which d_nu's sum,
+    # U, V and the Mittag-Leffler check read, moved onto fixed-point
+    # integers (each value kept its type and moved by under 3e-52
+    # relative, at the 52 working digits of dps = 40)
     LIBRARY_SHA256 = \
-        "a8becbb19f52bdd15b1a70cd885510c7a43d99b82f5b374cf9519c03858a3353"
+        "48fa5daa5ef1eb2aa69f6cc11a91b101c47107e817534994099da9736dbeaee3"
 
     def test_library_values_digest(self):
         with mp.workdps(60):
@@ -691,33 +693,93 @@ class TestTruncationDoubling:
         digest = hashlib.sha256(repr(_bits(values)).encode()).hexdigest()
         assert digest == self.LIBRARY_SHA256
 
-    def test_battery(self):
+    @staticmethod
+    def battery() -> dict:
         q = mpf("0.45")
         half = mpf(1) / 2
         sector = half + mpf("0.03") * mp.e ** (1j * mp.pi / 3)
         w = mp.log(1 - 2 * sector) / mp.log(1 / sector)
-        cases = [
-            lambda s: asy.pochhammer(mpf(1) / 3, half, truncation_scale=s),
-            lambda s: asy.d_nu(7, q, method="sum", truncation_scale=s),
-            lambda s: asy.U_eval(q, truncation_scale=s),
-            lambda s: asy.V_eval(q, truncation_scale=s),
-            lambda s: asy.gf_eval(q, "meromorphic", truncation_scale=s),
-            lambda s: asy.gf_eval(q, "doublesum", truncation_scale=s),
-            lambda s: asy.gf_eval(q, "singular", truncation_scale=s),
-            lambda s: asy.h_direct(1, mpf("0.05"), half, mpf(3) / 2,
-                                   truncation_scale=s),
-            lambda s: asy.h_representation(1, mpf("0.05"), half, mpf(3) / 2,
-                                           truncation_scale=s),
-            lambda s: asy.mittag_leffler_check(mpf(1) / 3, half, mpf("0.3"),
-                                               truncation_scale=s)[1],
-            lambda s: asy.d_nu_by_series_division(20, q, truncation_scale=s),
-            lambda s: asy.pi_eval(w, sector, truncation_scale=s),
-        ]
-        for fn in cases:
+        return {
+            "pochhammer":
+                lambda s: asy.pochhammer(mpf(1) / 3, half, truncation_scale=s),
+            "d_nu_sum":
+                lambda s: asy.d_nu(7, q, method="sum", truncation_scale=s),
+            "U_eval": lambda s: asy.U_eval(q, truncation_scale=s),
+            "V_eval": lambda s: asy.V_eval(q, truncation_scale=s),
+            "meromorphic":
+                lambda s: asy.gf_eval(q, "meromorphic", truncation_scale=s),
+            "doublesum":
+                lambda s: asy.gf_eval(q, "doublesum", truncation_scale=s),
+            "singular":
+                lambda s: asy.gf_eval(q, "singular", truncation_scale=s),
+            "h_direct": lambda s: asy.h_direct(
+                1, mpf("0.05"), half, mpf(3) / 2, truncation_scale=s),
+            "h_representation": lambda s: asy.h_representation(
+                1, mpf("0.05"), half, mpf(3) / 2, truncation_scale=s),
+            "mittag_leffler": lambda s: asy.mittag_leffler_check(
+                mpf(1) / 3, half, mpf("0.3"), truncation_scale=s)[1],
+            "series_division": lambda s: asy.d_nu_by_series_division(
+                20, q, truncation_scale=s),
+            "pi_eval": lambda s: asy.pi_eval(w, sector, truncation_scale=s),
+        }
+
+    def test_battery(self):
+        for fn in self.battery().values():
             once, twice = fn(1.0), fn(2.0)
             if not isinstance(once, list):
                 once, twice = [once], [twice]
             assert all(abs(a - b) < 1e-40 for a, b in zip(once, twice))
+
+    # the term count at which each _stop_rule loop of a battery case
+    # stopped, in the order the loops ran, at truncation_scale 1 and 2:
+    # recorded while every loop still compared abs() of mpmath numbers
+    # against 10^-(dps+5).  doublesum runs one nu-sum per j (the j-sum
+    # stops at 50 or 100 terms), then its four q-products.
+    TERM_COUNTS = {
+        "pochhammer": ([149], [298]),
+        "d_nu_sum": ([129, 130, 17], [258, 260, 34]),
+        "U_eval": ([129, 128], [258, 256]),
+        "V_eval": ([130, 129, 52, 130, 131], [260, 258, 104, 260, 262]),
+        "meromorphic": ([131, 130, 217], [262, 260, 434]),
+        "doublesum": (
+            [219, 83, 51, 37, 29, 24, 21, 18, 16, 14, 13, 12, 11, 10, 10, 9,
+             8, 8, 8, 7, 7, 7, *[6] * 28, 50, 131, 130, 129, 130],
+            [438, 166, 102, 74, 58, 48, 42, 36, 32, 28, 26, 24, 22, 20, 20,
+             18, 16, 16, 16, 14, 14, 14, *[12] * 78, 100, 262, 260, 258,
+             260]),
+        "singular": ([131, 130, 5, 129, 128, 130, 129, 52],
+                     [262, 260, 10, 258, 256, 260, 258, 104]),
+        "h_direct": ([108], [216]),
+        "h_representation": ([4, 66], [8, 132]),
+        "mittag_leffler": ([148, 149, 149, 150, 58],
+                           [296, 298, 298, 300, 116]),
+        "series_division": ([129, 131], [258, 262]),
+        "pi_eval": ([14], [28]),
+    }
+
+    def test_term_counts(self, monkeypatch):
+        # squared sizes, and integers in the fixed-point loops, stop every
+        # loop at the same term as abs() on mpmath numbers did
+        rule, stopped = asy._stop_rule, []
+
+        def recording(*args, **kwargs):
+            stop, terms = rule(*args, **kwargs), 0
+
+            def counted(size):
+                nonlocal terms
+                terms += 1
+                done = stop(size)
+                if done:
+                    stopped.append(terms)
+                return done
+            return counted
+
+        monkeypatch.setattr(asy, "_stop_rule", recording)
+        for name, fn in self.battery().items():
+            for s, counts in zip((1.0, 2.0), self.TERM_COUNTS[name]):
+                stopped.clear()
+                fn(s)
+                assert stopped == counts, (name, s)
 
     def test_cap_reaches_every_loop(self, monkeypatch):
         monkeypatch.setattr(asy, "_MAX_TERMS", 3)
@@ -762,3 +824,76 @@ class TestCrossPrecision:
     def test_dps_30_agrees_with_dps_60(self, name, q):
         low, high = self.value(name, 30, q), self.value(name, 60, q)
         assert abs(low - high) <= mpf(10) ** -30 * abs(high)
+
+
+# Inputs of the contract table, made at 100 digits: both precisions of a
+# check read the same numbers, which mpmath does not round on the way in.
+with mp.workdps(100):
+    _HALF = mpf(1) / 2
+    _SECTOR = _HALF + mpf("0.03") * mp.expjpi(mpf(1) / 3)
+    _TINY, _TINY_C = mpf("1e-30"), mpc("1e-30", "1e-30")
+    _Z3 = asy.poles(3, dps=100)[2]
+    # |1-2q+q^5| is about 1.6e-34 at the first, past the 30-digit pole
+    # guard 10^-35, and 1.6e-40 at the second, inside it
+    _OFF_POLE, _AT_POLE = _Z3 + mpc(0, "1e-34"), _Z3 + mpc(0, "1e-40")
+    # factors 1 - x q^2 of about -2e-21, with q not a power of two, and
+    # 1 - x q of 5e-26 i, at the point where holding x q^j in a unit of
+    # 2^-(prec+32) left 38 of 45 digits at 40 digits
+    _NEAR_ZERO = (1 / mpf("0.45") ** 2 + mpf("1e-20"), mpf("0.45"))
+    _NEAR_ZERO_HALF = (mpc(2, "1e-25"), _HALF)
+
+
+def _route(method, q):
+    return lambda dps, s: asy.gf_eval(q, method, dps=dps, truncation_scale=s)
+
+
+def _product(x, q):
+    return lambda dps, s: asy.pochhammer(x, q, dps=dps, truncation_scale=s)
+
+
+class TestContracts:
+    """The fixed-point evaluators, and those that read q-products, keep
+    their promise at the domain's edges: a value at 30 digits agrees with
+    the value at 80 digits (and twice the truncation length) to 30 digits,
+    or DomainError is raised."""
+
+    TABLE = {
+        "pochhammer-sector": _product(mpf(1) / 3, _SECTOR),
+        "pochhammer-0.5499i": _product(mpf(1) / 3, mpc(0, "0.5499")),
+        "pochhammer-1e-30": _product(mpf("1e30"), _TINY),
+        "pochhammer-1e-30(1+i)": _product(mpf(1) / 3, _TINY_C),
+        "pochhammer-near-zero": _product(*_NEAR_ZERO),
+        "pochhammer-near-zero-half": _product(*_NEAR_ZERO_HALF),
+        "meromorphic-sector": _route("meromorphic", _SECTOR),
+        "meromorphic-0.5499i": _route("meromorphic", mpc(0, "0.5499")),
+        "meromorphic-1e-30": _route("meromorphic", _TINY),
+        "meromorphic-1e-30(1+i)": _route("meromorphic", _TINY_C),
+        "meromorphic-off-pole": _route("meromorphic", _OFF_POLE),
+        "meromorphic-at-pole": _route("meromorphic", _AT_POLE),
+        "doublesum-0.36": _route("doublesum", mpf("0.36")),
+        "doublesum-0.49": _route("doublesum", mpf("0.49")),
+        "U_eval-sector": lambda dps, s: asy.U_eval(
+            _SECTOR, dps=dps, truncation_scale=s),
+        "U_eval-off-pole": lambda dps, s: asy.U_eval(
+            _OFF_POLE, dps=dps, truncation_scale=s),
+        "V_eval-sector": lambda dps, s: asy.V_eval(
+            _SECTOR, dps=dps, truncation_scale=s),
+        "V_eval-off-pole": lambda dps, s: asy.V_eval(
+            _OFF_POLE, dps=dps, truncation_scale=s),
+        # kappa0 takes no truncation_scale; kappa(0) is the same value
+        "kappa0": lambda dps, s: (asy.kappa0(dps=dps) if s == 1 else
+                                  asy.kappa(0, dps=dps, truncation_scale=s)),
+    }
+    REFUSED_AT_30 = {"meromorphic-at-pole"}
+
+    @pytest.mark.parametrize("name", TABLE)
+    def test_30_digits_against_80(self, name):
+        check = self.TABLE[name]
+        high = check(80, 2.0)
+        if name in self.REFUSED_AT_30:
+            with pytest.raises(DomainError, match="tail distance"):
+                check(30, 1.0)
+            return
+        low = check(30, 1.0)
+        with mp.workdps(100):
+            assert abs(low - high) <= mpf(10) ** -30 * abs(high), name

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import csv
 import hashlib
+import io
 import inspect
 import itertools
 import json
@@ -12,9 +15,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from mpmath import mp
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
 
 import prudentpoly
 from prudentpoly import cli
@@ -255,6 +260,24 @@ class TestErrors:
         assert out == ""
         assert "domain error" in err and "MiB" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--k", "3", "--max-area", "200000"],
+        ["residuals", "--max-n", "200000"]], ids=["enumerate", "residuals"])
+    def test_three_sided_theorem_memory_guard_exit_two(self, argv, capsys,
+                                                       monkeypatch):
+        # order 200000 needs about 12.5 GiB on the theorem route (and hours):
+        # refused before the kernel runs (a call to it would be exit 3)
+        def unreached(order):
+            raise AssertionError("the theorem kernel ran")
+
+        monkeypatch.setattr(cli.enumeration, "_pa3_theorem_coeffs", unreached)
+        t0 = time.monotonic()
+        code, out, err = run(argv + ["--no-timestamp"], capsys)
+        assert time.monotonic() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err and "MiB" in err
+
     def test_three_sided_functional_memory_guard_exit_two(self, capsys,
                                                           monkeypatch):
         # area 4096 needs about 3 GiB on the functional route: refused
@@ -338,14 +361,14 @@ class TestEnvPrecision:
 
 # sha256 of the stdout of each command with --no-timestamp.  The residuals
 # and q = 0.25 digests were recorded before the evaluators shared one record
-# of q, the other gf-check digests when --q began to be parsed at the working
-# precision, and the fit and constants digests before the roots and fits
-# moved to mpmath's solvers.  The sector-point digest was recorded when the
-# term loops began to step their powers of q by one multiplication; its
-# value rows kept every byte, its difference rows moved by <= 1.3e-51.  The
-# commands run at mpmath's default precision, as from a fresh interpreter,
-# which --q must not depend on.  The two oracle digests were recorded before
-# the oracle lost its box bound, which the length bound implies.
+# of q, and the fit and constants digests before the roots and fits moved to
+# mpmath's solvers.  The other six gf-check digests were recorded when the
+# q-products and the meromorphic and doublesum tails moved onto fixed-point
+# integers; their value rows kept every byte, their difference rows moved by
+# <= 2.5e-108 at 100 digits and <= 1.2e-50 at 40.  The commands run at
+# mpmath's default precision, as from a fresh interpreter, which --q must
+# not depend on.  The two oracle digests were recorded before the oracle
+# lost its box bound, which the length bound implies.
 OUTPUT_SHA256 = [
     (["residuals", "--max-n", "1024", "--terms", "5", "--digits", "40"],
      "1c1748cadac3840b9f4af5699dcb161155042b364b29afd2c15b83d1fbd88094"),
@@ -361,22 +384,22 @@ OUTPUT_SHA256 = [
      "623e40cd660d57d2b15156f2684d6cf342ca9add5386c890d9dea1af7b65fdd4"),
     (["gf-check", "--q", "0.4,0.05", "--methods", "taylor,meromorphic",
       "--digits", "100"],
-     "c4d0ff62dbd39461f1e36cea271037d212709b29e5756db2cfd2018a7bcd9d37"),
+     "605f665ce520ca894589e5e2cc09056c3b9deddee43e508f6813a976a2e41cd3"),
     (["gf-check", "--q", "0.47", "--methods", "doublesum,singular",
       "--digits", "100"],
-     "c9026496d9a87016afbb1bf8171850645a55f8ca4eb8f3c5e87ec74f15a605e2"),
+     "7d2e26b08320a065e982b2ae5dd969ce6a993c75ea7c349c2e81c41e2ef04781"),
     (["gf-check", "--q", "0.49", "--methods", "doublesum,singular",
       "--digits", "100"],
-     "43262bf369c997aad31ef183e32498fc64cdd8c5a06b4c55cea96bd0aa613f14"),
+     "b54ab0ab554c976427eeba49dd4b4eb05a6d704921058fd31f3d66efa0ea1736"),
     (["gf-check", "--q", "0.45", "--methods", "meromorphic,singular",
       "--digits", "100"],
-     "15b44a92548a578cae2e743e1090e87fd4983752bd0cbc6226fff79e04cbd591"),
+     "ea6e26c0928919f1ac4268805a4cb7fb506d652a4802ff98074dd4f501794aae"),
     (["gf-check", "--q", "0.45", "--methods", "taylor,singular",
       "--digits", "40"],
-     "0f2c9af8b33f414fef7c32b5faf0406950cf5c439280c1af03710a33ba224c72"),
+     "58325f0b2412173ec5203e27c22e79e4dba29edb0d4bcb794fdbf88574f3d9fb"),
     (["gf-check", "--q", "0.515,0.025980762113533159",
       "--methods", "meromorphic,singular", "--digits", "40"],
-     "b859cd82c36f9e436d0184253417b21a5820399c4267b48a31e250ced1880ee5"),
+     "83094ccd4798cf2fd44e5a566df7e3b1f05d2398f2761c06ed66b5ff818cedac"),
     (["fit", "--k", "2", "--max-n", "64"],
      "12611567bd159a3372fdbb3350a981876a837985cbadbfb5bf623fc018382f36"),
     (["fit", "--k", "4", "--max-n", "64", "--digits", "40"],
@@ -442,6 +465,46 @@ class TestGfCheck:
         diff_row = next(l for l in out.splitlines()
                         if l.startswith("abs_difference,"))
         assert float(diff_row.split(",")[1]) < 1e-8
+
+
+# --q values at the edges of the four routes' domains: zeros of either
+# sign, a subnormal double, |q| = 0.55 and just under it, 1 and 2, the
+# poles z_1..z_3 of the meromorphic tail 1e-60 to either side and 1e-60i
+# off, values no route takes, and strings that are not numbers at all
+with mp.workdps(80):
+    _POLES = cli.asymptotics.poles(3, dps=80)
+    EDGE_QS = ["0", "-0", "1e-309", "0.5499999", "0.55", "1", "2", "nan",
+               "inf", "", "0,0.5499999", "0.47,0.026", "-0.3,0.3", "0,0",
+               "1e-309,-1e-309", "0.5,", ",", "0.25,0.25,0.25", "1e309",
+               *[mp.nstr(z + d, 75) for z in _POLES
+                 for d in (mpf("1e-60"), -mpf("1e-60"))],
+               *[mp.nstr(z, 75) + ",1e-60" for z in _POLES]]
+ROUTE_PAIRS = [",".join(p) for p in itertools.permutations(
+    cli.asymptotics.GF_ROUTES, 2)]
+
+
+class TestGfCheckExitCodes:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(q=st.sampled_from(EDGE_QS), methods=st.sampled_from(ROUTE_PAIRS),
+           digits=st.sampled_from(["1", "5", "40"]))
+    def test_every_route_pair_keeps_the_exit_contract(self, q, methods,
+                                                      digits):
+        # an error no handler maps (ZeroDivisionError from a fixed-point
+        # division, say) would escape cli.main as an exception; the smaller
+        # taylor limit refuses at once the orders that would take seconds
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli.asymptotics, "TAYLOR_MAX_TERMS", 400), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["gf-check", "--q", q, "--methods", methods,
+                             "--digits", digits, "--no-timestamp"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            rows = list(csv.reader(line for line in out.getvalue().splitlines()
+                                   if not line.startswith("#")))
+            assert rows[0] == ["name", "re", "im"]
+            assert [r[0] for r in rows[1:]] == [
+                *methods.split(","), "difference", "abs_difference"]
 
 
 class TestResidualsAndFit:
