@@ -24,28 +24,29 @@ a, t = 1-2q, and on first read log(1/q), gamma, A, C, D and the q-products)
 and hands it to private kernels; the routes keep their own formulas and
 share only these inputs.
 
-All functions take ``dps`` (significant decimal digits, default 40) and a
-``truncation_scale`` knob.  Every infinite product and every adaptive sum
-(the tail sums, the q-products, the z-factors of d_nu, the harmonics of Pi
-and those of kappa(u)) stops by one rule: find the first index whose term,
-or the geometric bound on what remains, is below 10^-(dps+5), then run
-``truncation_scale`` times as far, so insensitivity to doubling can be
-asserted mechanically.  Sizes are compared as squares, so a complex term
-costs no square root.  A loop that has not stopped after _MAX_TERMS terms
-raises DomainError.
+Every function but the two Fourier extractions takes ``dps`` (significant
+decimal digits, default 40).  Every infinite product and every adaptive
+sum (the tail sums, the q-products, the z-factors of d_nu, the harmonics
+of Pi and those of kappa(u)) stops by one rule: find the first index whose
+term, or the geometric bound on what remains, is below 10^-(dps+5), then
+run ``truncation_scale`` times as far, so insensitivity to doubling can be
+asserted mechanically.  Nine public functions take no such knob; of those,
+``kappa0`` and ``oscillation_amplitude`` truncate sums at scale 1.  Sizes
+are compared as squares, so a complex term costs no square root.  A loop
+that has not stopped after _MAX_TERMS terms raises DomainError.
 
-Three loops run on Python integers in units of 2^-bits, bits = prec + 32
-(32 guard bits past the working precision), a complex value as an (re, im)
-pair: the q-product of ``pochhammer`` and the tails of the meromorphic and
-doublesum routes.  Each converts its inputs once, steps with integer
-multiplies, shifts and floor-divides, and rounds back to mpmath once; its
-docstring bounds its error in those units.  The tails' unit is absolute,
-as the truncation rule is.  The q-product is relative: it carries a
-running binary exponent, so a small product keeps its digits.  A factor or
-denominator that cancels past the guard bits is formed exactly from q
-instead.  The taylor route (exact counts and a Horner sum in mpmath)
-stays off this arithmetic, an independent check on the routes that use
-it; so do the singular route's sums, d_nu and the h_j sums.
+Python integers in units of 2^-bits, bits = prec + 32 (32 guard bits past
+the working precision), a complex value as an (re, im) pair, carry the
+q-product of ``pochhammer``, the meromorphic and doublesum tails and the
+post-processing (the prime table, residual rows, Fourier sums and
+least-squares fits), each rounding back to mpmath once per value; the
+loops' docstrings bound their error in those units, absolute for the
+tails, as the truncation rule is, and relative for the q-product, which
+carries a running binary exponent so a small product keeps its digits.
+A factor or denominator that cancels past the guard bits is formed
+exactly from q instead.  The taylor route (exact counts and a Horner sum
+in mpmath) stays off this arithmetic, an independent check on the routes
+that use it; so do the singular route's sums, d_nu and the h_j sums.
 """
 
 from __future__ import annotations
@@ -1029,6 +1030,7 @@ class ResidualTable:
     terms: int
     precision: int
     source: str
+    log2_n: tuple = ()      # log2 n of each row, from the log n it used
 
     def residual_at(self, n: int):
         for row in self.rows:
@@ -1079,11 +1081,12 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
         # P_{T-1}, ..., P_0, each as its coefficients c[(j,j)], ..., c[(j,0)]
         polys = [[int(mp.ldexp(coeffs[(j, l)], bits))
                   for l in range(j, -1, -1)] for j in reversed(range(terms))]
-        rows = []
+        rows, log2_n = [], []
         for n in range(min_n, max_n + 1):
             mantissa, exponent = scaled_count(n)
             scaled_g = mantissa * powers[n] >> (exponent + shift)
             fixed_L = logs[n]
+            log2_n.append(mp.ldexp(fixed_L, -bits) / mp.log(2))
             model = 0
             for poly in polys:
                 p = 0
@@ -1093,7 +1096,7 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
             model += powers[n] >> shift
             rows.append((n, mpf((scaled_g, -bits)),
                          mpf((scaled_g - model, -bits))))
-        return ResidualTable(tuple(rows), terms, dps, source)
+        return ResidualTable(tuple(rows), terms, dps, source, tuple(log2_n))
 
 
 def _scaled_counts(counts):

@@ -245,8 +245,6 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
 
 def pa3_series(order: int, method: str = "theorem") -> CountTable:
     """3-sided counts via the explicit sum or the functional equation."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     if method == "theorem":
         _check_order(order, _pa3_mib(order), "3-sided theorem")
         coeffs = _pa3_theorem_coeffs(order)

@@ -629,11 +629,27 @@ with mp.workdps(80):
      r"tail distance of the pole of 1/\(1-2q\+q\^5\)"),
     (asy.pi_eval, (mpc(0, 5), mpf(1) / 2), DomainError, r"Pi\(w\) harmonics"),
     (asy.gf_eval, (mpf("0.52"), "singular"), DomainError, r"Pi\(w\) harmonics"),
+    (asy.d_nu, (-1, mpf("0.45")), ValueError, "nu must be >= 0"),
+    (asy.d_nu, (2, mpf("0.45"), 40, "bogus"), ValueError,
+     "method must be 'recurrence' or 'sum'"),
+    (asy.mittag_leffler_check, (1, mpf("0.3"), mpf("0.2")), DomainError,
+     r"requires \|a\| < 1"),
+    (asy.gf_eval, (mpf("0.3"), "bogus"), ValueError, "method must be one of"),
+    (asy.poles, (0,), ValueError, "k_max must be >= 1"),
+    # built from four positional arguments, as a table read back from CSV is
+    (asy.ResidualTable(SHORT_TABLE.rows, 2, 40, "exact").residual_at, (9,),
+     KeyError, "9"),
+    (asy.residuals, (8, 2, 40, [2] * 8), TypeError,
+     "CountTable or FloatSeries1"),
+    (asy.fourier_extract_detrended, (SHORT_TABLE, 1, (1, 3)), DomainError,
+     "not enough samples"),
 ], ids=["meromorphic-0.55", "meromorphic-complex-modulus", "meromorphic-0.5",
         "meromorphic-slit", "doublesum-0.3", "doublesum-0.5",
         "doublesum-complex", "fourier-samples", "detrended-periods",
         "fit-order", "fit-zero-count", "h-direct-t-0", "h-representation-t-0",
-        "meromorphic-pole-distance", "pi-harmonics-grow", "singular-0.52"])
+        "meromorphic-pole-distance", "pi-harmonics-grow", "singular-0.52",
+        "d-nu-negative", "d-nu-method", "mittag-leffler-a", "gf-method",
+        "poles-0", "residual-at-missing", "counts-list", "detrended-samples"])
 def test_raise_site(call, args, error, match):
     with pytest.raises(error, match=match):
         call(*args)

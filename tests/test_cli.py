@@ -10,6 +10,7 @@ import io
 import inspect
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import prudentpoly
@@ -400,6 +401,10 @@ OUTPUT_SHA256 = [
     (["gf-check", "--q", "0.515,0.025980762113533159",
       "--methods", "meromorphic,singular", "--digits", "40"],
      "83094ccd4798cf2fd44e5a566df7e3b1f05d2398f2761c06ed66b5ff818cedac"),
+    # the JSON path, recorded before the log2_n column came with the rows
+    (["residuals", "--max-n", "300", "--min-n", "200", "--terms", "5",
+      "--digits", "60", "--format", "json"],
+     "869fec04a0490d88b62c45a8cd49cd6e140a5ec74d8b7dc48bbf4ff64feaaa96"),
     (["fit", "--k", "2", "--max-n", "64"],
      "12611567bd159a3372fdbb3350a981876a837985cbadbfb5bf623fc018382f36"),
     (["fit", "--k", "4", "--max-n", "64", "--digits", "40"],
@@ -507,7 +512,65 @@ class TestGfCheckExitCodes:
                 *methods.split(","), "difference", "abs_difference"]
 
 
+# option values at the edges: zero, negative, the smallest orders, past
+# every budget, not numbers, not finite, empty
+HUGE = str(10 ** 30)
+EDGE_COUNTS = ["0", "-1", "1", "2", "3", "6", HUGE, "nan", "1e309", ""]
+
+
+class TestResidualsExitCodes:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(max_n=st.sampled_from(EDGE_COUNTS),
+           min_n=st.sampled_from(EDGE_COUNTS),
+           terms=st.sampled_from(EDGE_COUNTS),
+           digits=st.sampled_from(EDGE_COUNTS))
+    # each option past its limit with the others valid, and one valid run
+    @example(max_n="6", min_n="2", terms="3", digits=HUGE)
+    @example(max_n="6", min_n="2", terms=HUGE, digits="6")
+    @example(max_n=HUGE, min_n="2", terms="3", digits="6")
+    @example(max_n="6", min_n="2", terms="0", digits="1")
+    def test_edge_options_keep_the_exit_contract(self, max_n, min_n, terms,
+                                                 digits):
+        # the smaller memory budget refuses at once the orders that would
+        # take hours
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli.enumeration, "_MAX_MIB", 1), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["residuals", "--max-n", max_n, "--min-n", min_n,
+                             "--terms", terms, "--digits", digits,
+                             "--no-timestamp"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            rows = list(csv.reader(line for line in out.getvalue().splitlines()
+                                   if not line.startswith("#")))
+            assert rows[0] == ["n", "log2_n", "scaled_count", "residual"]
+            assert [int(r[0]) for r in rows[1:]] == list(
+                range(int(min_n), int(max_n) + 1))
+            # one unit in the last printed digit, at most the 15th
+            shown = min(int(digits), 15)
+            for n, log2_n, *_ in rows[1:]:
+                exact = math.log2(int(n))
+                unit = 10.0 ** (math.floor(math.log10(exact)) + 1 - shown)
+                assert abs(float(log2_n) - exact) <= unit
+
+
 class TestResidualsAndFit:
+    def test_one_log_table_per_run(self, capsys, monkeypatch):
+        # the log2_n column comes from the table the rows were formed with
+        calls = []
+        prime_table = cli.asymptotics._prime_table
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return prime_table(*args, **kwargs)
+
+        monkeypatch.setattr(cli.asymptotics, "_prime_table", counted)
+        code, _, _ = run(["residuals", "--max-n", "64", "--no-timestamp"],
+                         capsys)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_residual_rows(self, capsys):
         code, out, _ = run(["residuals", "--max-n", "40", "--terms", "3",
                             "--min-n", "30", "--digits", "25",

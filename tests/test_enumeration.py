@@ -207,6 +207,16 @@ class TestPa3:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             pa3_series(10, "magic")
+        # the method is checked before the order
+        with pytest.raises(ValueError, match="method must be"):
+            pa3_series(0, "magic")
+        # every series entry point refuses order 0 before any work
+        for call in (lambda: pa3_series(0), lambda: pa3_series(0, "functional"),
+                     lambda: w_series(0), lambda: pa4_series(0),
+                     lambda: pa4_system_solution(0),
+                     lambda: bargraph_series(0), lambda: pa2_series(0)):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                call()
 
 
 class TestPa4:
@@ -253,22 +263,30 @@ class TestPa4:
         with pytest.raises(DomainError, match=r"order 400 needs about \d+ MiB"):
             pa4_system_solution(400)
 
-    @pytest.mark.parametrize("s", [0, 1], ids=["Z", "X-Y"])
-    def test_support_one_short_raises(self, s, monkeypatch):
-        # row 2 of each triangle of support shape s, one entry short, drops
-        # a nonzero term, which the solver reports instead of dropping it
+    @pytest.mark.parametrize("tight, site", [
+        ((3, 4), "add_diff"), ((0, 1, 2), "add_diff"),
+        ((1,), "_add_transposed")], ids=["Z", "X-Y", "Y"])
+    def test_support_one_short_raises(self, tight, site, monkeypatch):
+        # row 2 of some of the five triangles built each degree (X, Y, the
+        # lag of Y, Z, the lag of Z, in that order), one entry short, drops
+        # a nonzero term, which the solver reports instead of dropping it:
+        # a window term in add_diff, or a lag term in _add_transposed when
+        # only Y is short
         staircase = enumeration._staircase
 
-        def tight(k, shape):
+        def short(k, shape):
             tri = staircase(k, shape)
-            if shape == s and k > 2:
+            if next(built) % 5 in tight and k > 2:
                 tri[2].pop()
             return tri
 
-        monkeypatch.setattr(enumeration, "_staircase", tight)
+        monkeypatch.setattr(enumeration, "_staircase", short)
         for solve in (pa4_series, pa4_system_solution):
-            with pytest.raises(AssertionError, match="outside the support"):
+            built = itertools.count()       # from the first degree on
+            with pytest.raises(AssertionError,
+                               match="outside the support") as info:
                 solve(12)
+            assert info.traceback[-1].name == site
 
     def test_functional_equation_residuals_zero(self):
         n = 18
@@ -312,6 +330,8 @@ class TestCountTable:
             CountTable(4, (8, 20), "functional")
         with pytest.raises(ValueError):
             CountTable(2, (-1,), "closed-form")
+        with pytest.raises(ValueError, match="sidedness k must be 2, 3 or 4"):
+            CountTable(5, (8,), "functional")
 
     def test_count_bounds(self):
         t = pa2_series(5)

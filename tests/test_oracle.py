@@ -8,6 +8,7 @@ import pytest
 
 from prudentpoly.enumeration import pa2_series, pa3_series, pa4_series
 from prudentpoly.oracle import (
+    LatticeWalk,
     classify_walk,
     enumerate_prudent_polygons,
     polygon_area,
@@ -40,10 +41,14 @@ class TestClassify:
 
     def test_self_intersection_flagged(self):
         assert not classify_walk("ENWS").is_prudent
+        with pytest.raises(ValueError, match="revisits a vertex"):
+            LatticeWalk("NS")
 
     def test_empty_walk_rejected(self):
         with pytest.raises(ValueError):
             classify_walk("")
+        with pytest.raises(ValueError, match="unknown step"):
+            classify_walk("X")
 
 
 class TestArea:
@@ -108,6 +113,11 @@ class TestEnumeration:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             enumerate_prudent_polygons(1, 3)
+        # and the other arguments, checked before any search
+        with pytest.raises(ValueError, match="walk_class must be"):
+            enumerate_prudent_polygons(3, 3, walk_class="spiral")
+        with pytest.raises(ValueError, match="max_area must be >= 1"):
+            enumerate_prudent_polygons(3, 0)
 
 
 class TestClassifierAgainstSearch:

@@ -136,8 +136,14 @@ class TestSeries1References:
     def test_rejects_empty_and_mixed_operands(self):
         with pytest.raises(ValueError, match="constant coefficient"):
             Series1(())
-        for call in (lambda: Series1.zero(-1), lambda: s1(1, 2).truncate(-1)):
-            with pytest.raises(ValueError):
+        for call, match in (
+                (lambda: Series1.zero(-1), "order must be >= 0"),
+                (lambda: s1(1, 2).truncate(-1), "order must be >= 0"),
+                (lambda: Series2(2, [[0, 1]]), r"order\+1 coefficients"),
+                (lambda: _random_series2(2).subst_scale(0),
+                 "substitution exponent must be >= 1"),
+                (lambda: Series3(2, {}).subst_scale("w"), "which must be")):
+            with pytest.raises(ValueError, match=match):
                 call()
         a, b = s1(1, 2, 3), _random_series2(1)
         for op in (operator.add, operator.sub, operator.mul):
