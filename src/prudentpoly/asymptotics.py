@@ -64,7 +64,8 @@ from .series import FloatSeries1
 
 _GUARD_DPS = 12
 
-# the fixed-point residual pipeline works in units of 2^-(prec + _GUARD_BITS)
+# the fixed-point loops (the q-products, the meromorphic and doublesum tails
+# and the residual pipeline) work in units of 2^-(prec + _GUARD_BITS)
 _GUARD_BITS = 32
 
 # the largest exact 3-sided order timed (13 s on one core of a 2-core

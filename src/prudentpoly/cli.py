@@ -9,13 +9,16 @@ Subcommands
     residuals   scaled counts minus the T-term model, per n
     fit         least-squares critical-exponent estimate
 
+Every command computes at --digits + 10 digits and prints values to
+--digits significant digits; PRUDENTPOLY_DIGITS overrides the default 40.
 Output is CSV (default) or JSON ({config, columns, rows}).  Every run echoes
 its resolved configuration; reruns are byte-identical except the timestamp
 header, which --no-timestamp suppresses.  Exit codes: 0 success; 1 usage
-error, found before any work is done, or an --output path that cannot be
-written; 2 domain error; 3 verification mismatch, including a broken
-internal invariant (reported as "internal error: ..." on stderr).
-PRUDENTPOLY_DIGITS overrides the default precision (40 digits).
+error, found before any work is done (--digits past 10000 and --harmonics
+past 1000 among them), or an --output path that cannot be written; 2 domain
+error, such as an order past a solver's memory budget; 3 verification
+mismatch, including a broken internal invariant (reported as
+"internal error: ..." on stderr).
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ EXIT_MISMATCH = 3
 
 # `residuals --max-n 6` took 25 s at 4000 digits on one core of a 2-core host
 _MAX_DIGITS = 10000
+# one kappa_k took 0.5 ms at 40 digits and 0.16 s at 1000 on a 2-core host:
+# `constants --harmonics 1000` ran in 0.7 s, and would take ~3 min at 1000
+_MAX_HARMONICS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,12 +65,13 @@ def _digits(text: str) -> int:
         f"{text!r} from --digits or PRUDENTPOLY_DIGITS)")
 
 
-def _at_least(low: int):
-    """An argparse type: an integer >= low."""
+def _at_least(low: int, high: float = float("inf")):
+    """An argparse type: an integer from low up to high."""
     def integer(text: str) -> int:
         value = int(text)       # argparse reports "invalid integer value"
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low} (got {text!r})")
+        if not low <= value <= high:
+            bound = f">= {low}" if value < low else f"<= {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound} (got {text!r})")
         return value
     return integer
 
@@ -114,33 +121,37 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="omit the timestamp header field")
 
 
+def _option(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares one option for the commands naming it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="prudentpoly",
                   description="prudent self-avoiding polygons by area")
     sub = top.add_subparsers(dest="command", required=True)
+    k = _option("--k", type=int, choices=(2, 3, 4), required=True)
+    area = _option("--max-area", type=_positive, required=True)
+    max_n = _option("--max-n", type=_positive, required=True)
 
-    p = sub.add_parser("enumerate", parents=[], help="series counts")
-    p.add_argument("--k", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--max-area", type=_positive, required=True)
+    p = sub.add_parser("enumerate", parents=[k, area], help="series counts")
     p.add_argument("--method", choices=("theorem", "functional"), default=None,
                    help="3-sided route (theorem default)")
     _add_common(p)
 
-    p = sub.add_parser("oracle", help="brute-force counts")
-    p.add_argument("--k", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--max-area", type=_positive, required=True)
+    p = sub.add_parser("oracle", parents=[k, area], help="brute-force counts")
     p.add_argument("--walk-class", choices=("prudent", "boundary"),
                    default="prudent",
                    help="boundary drops the ray condition (see README)")
     _add_common(p)
 
-    p = sub.add_parser("verify", help="oracle vs series")
-    p.add_argument("--k", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--max-area", type=_positive, required=True)
+    p = sub.add_parser("verify", parents=[k, area], help="oracle vs series")
     _add_common(p)
 
     p = sub.add_parser("constants", help="asymptotic constants")
-    p.add_argument("--harmonics", type=_count, default=2)
+    p.add_argument("--harmonics", type=_at_least(0, _MAX_HARMONICS), default=2)
     _add_common(p)
 
     p = sub.add_parser("gf-check", help="compare PA(q) routes")
@@ -150,15 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated pair, e.g. taylor,singular")
     _add_common(p)
 
-    p = sub.add_parser("residuals", help="scaled counts minus the model")
-    p.add_argument("--max-n", type=_positive, required=True)
+    p = sub.add_parser("residuals", parents=[max_n],
+                       help="scaled counts minus the model")
     p.add_argument("--terms", type=_count, default=5)
     p.add_argument("--min-n", type=_at_least(2), default=2)
     _add_common(p)
 
-    p = sub.add_parser("fit", help="critical exponent fit")
-    p.add_argument("--k", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--max-n", type=_positive, required=True)
+    p = sub.add_parser("fit", parents=[k, max_n], help="critical exponent fit")
     _add_common(p)
 
     return top
@@ -174,9 +183,8 @@ def _cross_check(args) -> str | None:
 
 
 def _emit(args, config: dict, columns: list, rows: list) -> None:
-    config = dict(config)
-    config["digits"] = args.digits
-    config["format"] = args.format
+    config = {"command": args.command, **config, "digits": args.digits,
+              "format": args.format}
     if not args.no_timestamp:
         config["timestamp"] = datetime.now(timezone.utc).isoformat()
     if args.format == "json":
@@ -201,6 +209,18 @@ def _num(x, digits: int) -> str:
     return mp.nstr(mpf(x), digits, strip_zeros=False)
 
 
+def _value_rows(pairs, digits: int) -> list:
+    """[name, re, im] rows of (name, real or complex value) pairs."""
+    return [[name, _num(mpc(v).real, digits), _num(mpc(v).imag, digits)]
+            for name, v in pairs]
+
+
+def _count_rows(max_area: int, *tables) -> list:
+    """[n, count, ...] rows, one count column per table."""
+    return [[n, *(t.count(n) for t in tables)]
+            for n in range(1, max_area + 1)]
+
+
 def _series_for(k: int, max_area: int, method: str = "theorem"):
     if k == 2:
         return enumeration.pa2_series(max_area)
@@ -211,78 +231,57 @@ def _series_for(k: int, max_area: int, method: str = "theorem"):
 
 def _cmd_enumerate(args) -> int:
     table = _series_for(args.k, args.max_area, args.method or "theorem")
-    config = {"command": "enumerate", "k": args.k, "max_area": args.max_area,
-              "method": table.method}
-    rows = [[n, table.count(n)] for n in range(1, args.max_area + 1)]
-    _emit(args, config, ["n", "count"], rows)
+    config = {"k": args.k, "max_area": args.max_area, "method": table.method}
+    _emit(args, config, ["n", "count"], _count_rows(args.max_area, table))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     table = oracle.enumerate_prudent_polygons(
         args.k, args.max_area, walk_class=args.walk_class)
-    config = {"command": "oracle", "k": args.k, "max_area": args.max_area,
+    config = {"k": args.k, "max_area": args.max_area,
               "walk_class": args.walk_class}
-    rows = [[n, table.count(n)] for n in range(1, args.max_area + 1)]
-    _emit(args, config, ["n", "count"], rows)
+    _emit(args, config, ["n", "count"], _count_rows(args.max_area, table))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     brute = oracle.enumerate_prudent_polygons(args.k, args.max_area)
     series = _series_for(args.k, args.max_area)
-    rows = []
-    ok = True
-    for n in range(1, args.max_area + 1):
-        a, b = brute.count(n), series.count(n)
-        verdict = "MATCH" if a == b else "MISMATCH"
-        ok = ok and a == b
-        rows.append([n, a, b, verdict])
-    config = {"command": "verify", "k": args.k, "max_area": args.max_area}
+    rows = [[n, a, b, "MATCH" if a == b else "MISMATCH"]
+            for n, a, b in _count_rows(args.max_area, brute, series)]
+    config = {"k": args.k, "max_area": args.max_area}
     _emit(args, config, ["n", "oracle", "series", "verdict"], rows)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_MISMATCH if any(r[-1] == "MISMATCH" for r in rows) else EXIT_OK
 
 
 def _cmd_constants(args) -> int:
     d = args.digits
-    with mp.workdps(d + 10):
-        rows = []
-        k0 = asymptotics.kappa0(dps=d)
-        rows.append(["kappa0", _num(k0, d), _num(0, d)])
-        for k in range(1, args.harmonics + 1):
-            kk = asymptotics.kappa(k, dps=d)
-            rows.append([f"kappa{k}", _num(kk.real, d), _num(kk.imag, d)])
-            rows.append([f"kappa-{k}", _num(kk.real, d), _num(-kk.imag, d)])
-        two_k1, max_abs = asymptotics.oscillation_amplitude(dps=d)
-        rows.append(["amplitude_2k1", _num(two_k1, d), _num(0, d)])
-        rows.append(["amplitude_max", _num(max_abs, d), _num(0, d)])
-        g = mp.log(3) / mp.log(2)
-        rows.append(["g", _num(g, d), _num(0, d)])
-        rows.append(["gamma0", _num(g - 1, d), _num(0, d)])
-        for i, z in enumerate(asymptotics.poles(8, dps=d), 1):
-            rows.append([f"zbar{i}", _num(z, d), _num(0, d)])
-        rows.append(["theta", _num(asymptotics.theta_root(dps=d), d), _num(0, d)])
-        rows.append(["U_half", _num(asymptotics.U_eval(mpf(1) / 2, dps=d), d),
-                     _num(0, d)])
-    config = {"command": "constants", "harmonics": args.harmonics}
-    _emit(args, config, ["name", "re", "im"], rows)
+    pairs = [("kappa0", asymptotics.kappa0(dps=d))]
+    for k in range(1, args.harmonics + 1):
+        kk = asymptotics.kappa(k, dps=d)
+        pairs += [(f"kappa{k}", kk), (f"kappa-{k}", mp.conj(kk))]
+    two_k1, max_abs = asymptotics.oscillation_amplitude(dps=d)
+    g = mp.log(3) / mp.log(2)
+    pairs += [("amplitude_2k1", two_k1), ("amplitude_max", max_abs),
+              ("g", g), ("gamma0", g - 1)]
+    pairs += [(f"zbar{i}", z)
+              for i, z in enumerate(asymptotics.poles(8, dps=d), 1)]
+    pairs += [("theta", asymptotics.theta_root(dps=d)),
+              ("U_half", asymptotics.U_eval(mpf(1) / 2, dps=d))]
+    config = {"harmonics": args.harmonics}
+    _emit(args, config, ["name", "re", "im"], _value_rows(pairs, d))
     return EXIT_OK
 
 
 def _cmd_gf_check(args) -> int:
-    methods, d = args.methods, args.digits
-    with mp.workdps(d + 10):
-        q = _parse_q(args.q)
-        values = [asymptotics.gf_eval(q, m, dps=d) for m in methods]
-        diff = values[0] - values[1]
-        rows = [[methods[i], _num(mpc(values[i]).real, d),
-                 _num(mpc(values[i]).imag, d)] for i in range(2)]
-        rows.append(["difference", _num(mpc(diff).real, d),
-                     _num(mpc(diff).imag, d)])
-        rows.append(["abs_difference", _num(abs(diff), d), _num(0, d)])
-    config = {"command": "gf-check", "q": args.q,
-              "methods": ",".join(methods)}
-    _emit(args, config, ["name", "re", "im"], rows)
+    q, methods = _parse_q(args.q), args.methods
+    values = [asymptotics.gf_eval(q, m, dps=args.digits) for m in methods]
+    diff = values[0] - values[1]
+    pairs = [*zip(methods, values), ("difference", diff),
+             ("abs_difference", abs(diff))]
+    config = {"q": args.q, "methods": ",".join(methods)}
+    _emit(args, config, ["name", "re", "im"], _value_rows(pairs, args.digits))
     return EXIT_OK
 
 
@@ -290,26 +289,22 @@ def _cmd_residuals(args) -> int:
     d = args.digits
     table = asymptotics.residuals(args.max_n, terms=args.terms, dps=d,
                                   min_n=args.min_n)
-    with mp.workdps(d + 10):
-        rows = [[n, _num(u, d), _num(s, d), _num(r, d)]
-                for (n, s, r), u in zip(table.rows, table.log2_n)]
-    config = {"command": "residuals", "max_n": args.max_n,
-              "terms": args.terms, "min_n": args.min_n,
+    rows = [[n, _num(u, d), _num(s, d), _num(r, d)]
+            for (n, s, r), u in zip(table.rows, table.log2_n)]
+    config = {"max_n": args.max_n, "terms": args.terms, "min_n": args.min_n,
               "source": table.source}
     _emit(args, config, ["n", "log2_n", "scaled_count", "residual"], rows)
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
-    d = args.digits
-    k = args.k
-    with mp.workdps(d + 10):
-        counts = _series_for(k, args.max_n)
-        g = mp.log(3) / mp.log(2)
-        reference = {2: mpf(0), 3: g, 4: 1 + g}[k]
-        fitted = asymptotics.exponent_fit(counts, dps=d)
-        rows = [[k, args.max_n, _num(fitted, d), _num(reference, d)]]
-    config = {"command": "fit", "k": k, "max_n": args.max_n}
+    d, k = args.digits, args.k
+    counts = _series_for(k, args.max_n)
+    g = mp.log(3) / mp.log(2)
+    reference = {2: mpf(0), 3: g, 4: 1 + g}[k]
+    fitted = asymptotics.exponent_fit(counts, dps=d)
+    rows = [[k, args.max_n, _num(fitted, d), _num(reference, d)]]
+    config = {"k": k, "max_n": args.max_n}
     _emit(args, config, ["k", "max_n", "fitted_exponent", "reference"], rows)
     return EXIT_OK
 
@@ -340,7 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{parser.prog} {args.command}: error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        with mp.workdps(args.digits + 10):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -30,6 +31,21 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError, which cli.main does not map, once time is up."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the run took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestEnumerate:
@@ -260,6 +276,30 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "domain error" in err and "MiB" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--k", "2", "--max-area", "10000000000"],
+        ["fit", "--k", "2", "--max-n", "10000000000"]], ids=["enumerate", "fit"])
+    def test_two_sided_memory_guard_exit_two(self, argv, capsys, monkeypatch):
+        # the closed form's two expansions would need about 13 PB: refused
+        # before any expansion (a call to one would be exit 3)
+        monkeypatch.setattr(cli.enumeration, "expand_rational", None)
+        t0 = time.monotonic()
+        code, out, err = run(argv + ["--no-timestamp"], capsys)
+        assert time.monotonic() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert "domain error: 2-sided order" in err and "MiB" in err
+
+    @pytest.mark.parametrize("harmonics", ["1001", "1000000000"])
+    def test_harmonics_past_the_cap_is_usage_error(self, harmonics, capsys):
+        # a billion harmonics would take days; 1001 is one past the cap
+        with _time_limit(1):
+            code, out, err = run(["constants", "--harmonics", harmonics,
+                                  "--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert ("argument --harmonics: must be <= 1000 "
+                f"(got '{harmonics}')") in err
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--k", "3", "--max-area", "200000"],
@@ -553,6 +593,80 @@ class TestResidualsExitCodes:
                 exact = math.log2(int(n))
                 unit = 10.0 ** (math.floor(math.log10(exact)) + 1 - shown)
                 assert abs(float(log2_n) - exact) <= unit
+
+
+# the option that sets the size of the work of each of the other five
+# commands, and the columns of its output
+SIZE_OPTION = {"enumerate": "--max-area", "oracle": "--max-area",
+               "verify": "--max-area", "constants": "--harmonics",
+               "fit": "--max-n"}
+COLUMNS = {"enumerate": ["n", "count"], "oracle": ["n", "count"],
+           "verify": ["n", "oracle", "series", "verdict"],
+           "constants": ["name", "re", "im"],
+           "fit": ["k", "max_n", "fitted_exponent", "reference"]}
+
+
+def _parse_output(text: str, fmt: str):
+    """(config, columns, rows as strings) of the README's CSV or JSON."""
+    if fmt == "json":
+        doc = json.loads(text)
+        assert set(doc) == {"config", "columns", "rows"}
+        rows = [[str(v) for v in row] for row in doc["rows"]]
+        return doc["config"], doc["columns"], rows
+    lines = text.splitlines()
+    config = dict(line[2:].split("=", 1) for line in lines
+                  if line.startswith("# "))
+    table = list(csv.reader(line for line in lines if not line.startswith("#")))
+    return config, table[0], table[1:]
+
+
+class TestOtherCommandsExitCodes:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(command=st.sampled_from(sorted(SIZE_OPTION)),
+           k=st.sampled_from(["4", *EDGE_COUNTS]),
+           size=st.sampled_from(EDGE_COUNTS),
+           digits=st.sampled_from(EDGE_COUNTS),
+           fmt=st.sampled_from(["csv", "json"]))
+    # the 2-sided order and the harmonics past every budget, then one valid
+    # run of each command
+    @example(command="enumerate", k="2", size=HUGE, digits="6", fmt="csv")
+    @example(command="fit", k="2", size=HUGE, digits="6", fmt="csv")
+    @example(command="constants", k="2", size=HUGE, digits="6", fmt="csv")
+    @example(command="enumerate", k="4", size="6", digits="6", fmt="json")
+    @example(command="oracle", k="3", size="3", digits="6", fmt="csv")
+    @example(command="verify", k="4", size="3", digits="6", fmt="json")
+    @example(command="constants", k="2", size="1", digits="6", fmt="json")
+    @example(command="fit", k="3", size="6", digits="6", fmt="csv")
+    def test_edge_options_keep_the_exit_contract(self, command, k, size,
+                                                 digits, fmt):
+        # the smaller budgets refuse at once the sizes that would take
+        # hours; the time limit fails a run that has no budget at all
+        argv = [command, SIZE_OPTION[command], size, "--digits", digits,
+                "--format", fmt, "--no-timestamp"]
+        if command != "constants":
+            argv += ["--k", k]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli.enumeration, "_MAX_MIB", 1), \
+                mock.patch.object(cli.oracle, "_MAX_ORACLE_AREA", 3), \
+                mock.patch.object(cli.asymptotics, "TAYLOR_MAX_TERMS", 400), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), _time_limit(10):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            config, columns, rows = _parse_output(out.getvalue(), fmt)
+            assert config["command"] == command
+            assert columns == COLUMNS[command]
+            assert all(len(row) == len(columns) for row in rows)
+            if command == "constants":
+                assert len(rows) == 2 * int(size) + 15
+                assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
+            elif command == "fit":
+                assert len(rows) == 1
+            else:
+                assert [int(r[0]) for r in rows] == list(
+                    range(1, int(size) + 1))
 
 
 class TestResidualsAndFit:

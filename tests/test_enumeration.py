@@ -67,6 +67,18 @@ class TestPa2:
         assert t.count(10) == 1026
         assert all(t.count(n) == 2 ** n + 2 for n in range(1, 31))
 
+    def test_memory_guard(self, monkeypatch):
+        # the first order past the budget is refused before any expansion,
+        # and a smaller budget reaches the guard too
+        cap = next(n for n in itertools.count(100000)
+                   if enumeration._pa2_mib(n + 1) > enumeration._MAX_MIB)
+        monkeypatch.setattr(enumeration, "expand_rational", None)
+        with pytest.raises(DomainError, match=r"2-sided order \d+ needs"):
+            pa2_series(cap + 1)
+        monkeypatch.setattr(enumeration, "_MAX_MIB", 1)
+        with pytest.raises(DomainError, match=r"order 5000 needs about 3 MiB"):
+            pa2_series(5000)
+
 
 class TestWSeries:
     def test_first_coefficients(self):
