@@ -29,11 +29,10 @@ decimal digits, default 40).  Every infinite product and every adaptive
 sum (the tail sums, the q-products, the z-factors of d_nu, the harmonics
 of Pi and those of kappa(u)) stops by one rule: find the first index whose
 term, or the geometric bound on what remains, is below 10^-(dps+5), then
-run ``truncation_scale`` times as far, so insensitivity to doubling can be
-asserted mechanically.  Nine public functions take no such knob; of those,
-``kappa0`` and ``oscillation_amplitude`` truncate sums at scale 1.  Sizes
-are compared as squares, so a complex term costs no square root.  A loop
-that has not stopped after _MAX_TERMS terms raises DomainError.
+run _TRUNCATION_SCALE times as far.  The scale is 1; the tests set it to 2
+to assert insensitivity to doubling every truncation length at once.
+Sizes are compared as squares, so a complex term costs no square root.  A
+loop that has not stopped after _MAX_TERMS terms raises DomainError.
 
 Python integers in units of 2^-bits, bits = prec + 32 (32 guard bits past
 the working precision), a complex value as an (re, im) pair, carry the
@@ -75,26 +74,29 @@ TAYLOR_MAX_TERMS = 8192
 # every adaptive loop gives up with DomainError after this many terms
 _MAX_TERMS = 200000
 
+# every adaptive loop runs this many times as far as its rule asks
+_TRUNCATION_SCALE = 1
+
 
 def _eps(dps: int) -> mpf:
     return mpf(10) ** (-(dps + 5))
 
 
-def _stop_rule(dps: int, scale: float, min_terms: int = 1, limit=None):
+def _stop_rule(dps: int, min_terms: int = 1, limit=None):
     """The truncation rule of every adaptive loop, as a per-term callback.
 
     The loop calls ``stop(size)`` once per term with the squared modulus of
     the term or of the bound on its remainder, in its own units; ``limit``
     is 10^-(dps+5) squared in those units, by default as an mpf.  ``stop``
-    turns true ``scale`` times past the first count (at least
+    turns true _TRUNCATION_SCALE times past the first count (at least
     ``min_terms``) whose size is below the limit.  Squares keep the square
     root of a complex abs() out of every term.  Every series fed here
-    decays geometrically in its tail, so ``scale`` = 2 is the "double every
+    decays geometrically in its tail, so a scale of 2 is the "double every
     truncation length" insensitivity check.
     """
     if limit is None:
         limit = _eps(dps) ** 2
-    count = met = 0
+    scale, count, met = _TRUNCATION_SCALE, 0, 0
 
     def stop(size) -> bool:
         nonlocal count, met
@@ -119,9 +121,9 @@ def _norm(x):
     return x * x
 
 
-def _tail_sum(terms, dps: int, scale: float):
+def _tail_sum(terms, dps: int):
     """Sum a generator by the truncation rule, at least six terms."""
-    stop = _stop_rule(dps, scale, min_terms=6)
+    stop = _stop_rule(dps, min_terms=6)
     total = mpf(0)
     for t in terms:
         total = total + t
@@ -146,13 +148,12 @@ def _powers(x, start=mp.one):
     return accumulate(repeat(x), mul, initial=start)
 
 
-def _a_ratio_sum(a, q, f, dps, scale):
+def _a_ratio_sum(a, q, f, dps):
     """[(a;q)oo/(q;q)oo] sum_j prod_{m<=j}[(a-q^m)/(1-q^m)] f(q^j), the
     partial-fraction sum behind d_nu's j-sum and the Mittag-Leffler check."""
-    pref = (pochhammer(a, q, dps=dps, truncation_scale=scale)
-            / pochhammer(q, q, dps=dps, truncation_scale=scale))
+    pref = pochhammer(a, q, dps=dps) / pochhammer(q, q, dps=dps)
     terms = (ratio * f(qj) for ratio, qj in _ratios(a, 1, q))
-    return pref * _tail_sum(terms, dps, scale)
+    return pref * _tail_sum(terms, dps)
 
 
 def _ratios(x, y, q):
@@ -233,7 +234,7 @@ def _exact_sum(*terms) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
+def pochhammer(x, q, dps: int = 40):
     """The infinite q-Pochhammer product (x;q)oo = (1-x)(1-qx)(1-q^2 x)...
 
     The factors are multiplied until the geometric bound on the remaining
@@ -266,8 +267,7 @@ def pochhammer(x, q, dps: int = 40, truncation_scale: float = 1.0):
         q_bits = bits - min(mp.mag(q), 0) if q else bits
         t, step = _fixed(x, bits), _fixed(q, q_bits)
         pr, pi, e = one, 0, -bits           # the product is (pr + i pi) 2^e
-        stop = _stop_rule(dps, truncation_scale,
-                          limit=_limit(_eps(dps) * (1 - q_abs), bits))
+        stop = _stop_rule(dps, limit=_limit(_eps(dps) * (1 - q_abs), bits))
         for j in count():
             f, f_exp = (one - t[0], -t[1]), -bits
             if max(f[0].bit_length(), f[1].bit_length()) < bits - _GUARD_BITS:
@@ -300,8 +300,8 @@ class BaseQuantities:
     q, u = q/(1-q), v = (1-q+q^2)/(1-q), a = qu/v and t = 1-2q are computed
     when the record is built.  log(1/q), gamma = log(v)/log(1/q), the
     rational factors A, C, D and the q-products (q;q)oo, (a;q)oo, (v;q)oo,
-    (av;q)oo are computed on their first read and kept, at the working
-    precision and truncation of the call that built the record, so an
+    (av;q)oo are computed on their first read and kept, at the record's
+    ``dps`` and the truncation scale in force at that read, so an
     evaluator pays only for what it reads.  A, C and D have a double pole
     at q = 1/2, where reading one raises DomainError.  The Laurent data
     A_LAURENT_AT_HALF and C_LAURENT_AT_HALF record A and C about that
@@ -314,11 +314,9 @@ class BaseQuantities:
     a: object
     t: object
     dps: int
-    truncation_scale: float
 
     def _product(self, x):
-        return pochhammer(x, self.q, dps=self.dps,
-                          truncation_scale=self.truncation_scale)
+        return pochhammer(x, self.q, dps=self.dps)
 
     def _t_squared(self):
         if self.t == 0:
@@ -372,7 +370,7 @@ A_LAURENT_AT_HALF = (mpf(1) / 4, mpf(1) / 4, -mpf(1) / 4, -mpf(1) / 4)
 C_LAURENT_AT_HALF = (mpf(1) / 4, mpf(5) / 4, mpf(3) / 4, -mpf(17) / 4)
 
 
-def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuantities:
+def base_quantities(q, dps: int = 40) -> BaseQuantities:
     """The record of q at ``dps`` digits; only q = 1, the pole of u and v,
     is refused here."""
     with mp.workdps(dps + _GUARD_DPS):
@@ -380,8 +378,8 @@ def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuan
         if q == 1:
             raise DomainError("u and v have a pole at q = 1")
         w = 1 - q + q * q
-        return BaseQuantities(q, q / (1 - q), w / (1 - q), q * q / w, 1 - 2 * q,
-                              dps, truncation_scale)
+        return BaseQuantities(q, q / (1 - q), w / (1 - q), q * q / w,
+                              1 - 2 * q, dps)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +387,7 @@ def base_quantities(q, dps: int = 40, truncation_scale: float = 1.0) -> BaseQuan
 # ---------------------------------------------------------------------------
 
 
-def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
-         truncation_scale: float = 1.0):
+def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence"):
     """[z^nu] (quz;q)oo/(vz;q)oo by recurrence or by the explicit j-sum.
 
     recurrence: d_nu = d_{nu-1} (v - u q^nu)/(1 - q^nu), d_0 = 1, from the
@@ -401,19 +398,17 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence",
     if nu < 0:
         raise ValueError("nu must be >= 0")
     with mp.workdps(dps + _GUARD_DPS):
-        b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
+        b = base_quantities(q, dps=dps)
         if method == "recurrence":
             return next(islice(_ratios(b.v, b.u, b.q), nu, None))[0]
         if method != "sum":
             raise ValueError("method must be 'recurrence' or 'sum'")
         if nu == 0:
             return mp.one
-        return _a_ratio_sum(b.a, b.q, lambda qj: (b.v * qj) ** nu, dps,
-                            truncation_scale)
+        return _a_ratio_sum(b.a, b.q, lambda qj: (b.v * qj) ** nu, dps)
 
 
-def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
-                            truncation_scale: float = 1.0) -> list:
+def d_nu_by_series_division(nu_max: int, q, dps: int = 40) -> list:
     """d_0..d_{nu_max} by multiplying out the z-factors and dividing.
 
     Independent of both d_nu routes: builds the z-polynomial of
@@ -424,16 +419,16 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
         q = mpmathify(q)
         if abs(q) >= 1:
             raise DomainError(f"the z-factors need |q| < 1 (got |q| = {abs(q)})")
-        b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
+        b = base_quantities(q, dps=dps)
         co = [mp.zero] * (nu_max + 1)
         co[0] = mp.one
-        stop = _stop_rule(dps, truncation_scale)
+        stop = _stop_rule(dps)
         for c, c_next in pairwise(_powers(q, q * b.u)):
             for i in range(nu_max, 0, -1):
                 co[i] -= c * co[i - 1]
             if stop(_norm(c_next)):
                 break
-        stop = _stop_rule(dps, truncation_scale)
+        stop = _stop_rule(dps)
         for c, c_next in pairwise(_powers(q, b.v)):
             for i in range(1, nu_max + 1):
                 co[i] += c * co[i - 1]
@@ -441,7 +436,7 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40,
                 return co
 
 
-def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
+def mittag_leffler_check(a, q, z, dps: int = 40):
     """Both sides of the partial-fraction expansion of (az;q)oo/(z;q)oo.
 
     Left: the product quotient.  Right: 1 + [(a;q)oo/(q;q)oo] *
@@ -467,10 +462,8 @@ def mittag_leffler_check(a, q, z, dps: int = 40, truncation_scale: float = 1.0):
             if q == 0:
                 break
             pole /= q
-        lhs = (pochhammer(a * z, q, dps=dps, truncation_scale=truncation_scale)
-               / pochhammer(z, q, dps=dps, truncation_scale=truncation_scale))
-        rhs = 1 + _a_ratio_sum(a, q, lambda qj: z * qj / (1 - z * qj),
-                               dps, truncation_scale)
+        lhs = pochhammer(a * z, q, dps=dps) / pochhammer(z, q, dps=dps)
+        rhs = 1 + _a_ratio_sum(a, q, lambda qj: z * qj / (1 - z * qj), dps)
         return lhs, rhs
 
 
@@ -500,8 +493,7 @@ def _taylor_order(q_abs: mpf, dps: int) -> int:
     return int((target + g * mp.log(n)) / rate) + 2
 
 
-def gf_eval(q, method: str = "taylor", dps: int = 40,
-            truncation_scale: float = 1.0):
+def gf_eval(q, method: str = "taylor", dps: int = 40):
     """Numeric PA(q) by one of four routes.
 
     taylor       partial sum of the exact counting series; |q| < 1/2.
@@ -515,10 +507,10 @@ def gf_eval(q, method: str = "taylor", dps: int = 40,
     if method not in GF_ROUTES:
         raise ValueError(f"method must be one of {', '.join(GF_ROUTES)}")
     with mp.workdps(dps + _GUARD_DPS):
-        return GF_ROUTES[method](mpmathify(q), dps, truncation_scale)
+        return GF_ROUTES[method](mpmathify(q), dps)
 
 
-def _gf_taylor(q, dps, scale):
+def _gf_taylor(q, dps):
     if abs(q) >= mpf(1) / 2:
         raise DomainError("taylor route requires |q| < 1/2")
     n = _taylor_order(abs(q), dps)
@@ -533,20 +525,20 @@ def _gf_taylor(q, dps, scale):
     return acc * q
 
 
-def _gf_meromorphic(q, dps, scale):
+def _gf_meromorphic(q, dps):
     if abs(q) >= mpf("0.55"):
         raise DomainError("meromorphic route requires |q| < 0.55")
     if q.imag == 0 and mpf(1) / 2 <= q.real <= mpf("0.55"):
         raise DomainError("meromorphic route is cut along the slit [1/2, 0.55]")
-    b = base_quantities(q, dps=dps, truncation_scale=scale)
+    b = base_quantities(q, dps=dps)
     # the tail needs |v q| < 1, which |q| < 0.55 implies: v q =
     # q(1-q+q^2)/(1-q) is analytic for |q| < 1, at most 0.9197 on |q| = 0.55
-    ratio = b.pv / pochhammer(q * b.u, q, dps=dps, truncation_scale=scale)
-    core = q * q / (1 - q) ** 2 + _meromorphic_tail(b, dps, scale)
+    ratio = b.pv / pochhammer(q * b.u, q, dps=dps)
+    core = q * q / (1 - q) ** 2 + _meromorphic_tail(b)
     return b.C - b.A * ratio * core
 
 
-def _meromorphic_tail(b: BaseQuantities, dps, scale):
+def _meromorphic_tail(b: BaseQuantities):
     """sum_{nu>=1} d_nu q^{nu+2}/(1-2q+q^{nu+2}) on integer pairs in units
     of 2^-bits, bits = prec + 32.
 
@@ -567,8 +559,8 @@ def _meromorphic_tail(b: BaseQuantities, dps, scale):
     one = 1 << bits
     q, uq, vq = (_fixed(x, bits) for x in (b.q, b.u * b.q, b.v * b.q))
     t = (one - 2 * q[0], -2 * q[1])            # 1-2q
-    limit = _limit(_eps(dps), bits)
-    stop = _stop_rule(dps, scale, min_terms=6, limit=limit)
+    limit = _limit(_eps(b.dps), bits)
+    stop = _stop_rule(b.dps, min_terms=6, limit=limit)
     qn, w = (one, 0), _mul(q, q, bits)         # q^nu and d_nu q^{nu+2}
     power = w                                   # q^{nu+2}
     re = im = 0
@@ -599,17 +591,17 @@ def _singular_prefactor(b: BaseQuantities):
     return b.q * b.q * b.A * b.pa * b.pv / b.pq / b.pav
 
 
-def _gf_doublesum(q, dps, scale):
+def _gf_doublesum(q, dps):
     """D - q^2 A (a;q)oo(v;q)oo/((q;q)oo(av;q)oo) * T, T the a-ratio double
     sum of ``_doublesum_sum``."""
     if abs(q.imag) > 0 or not (mpf("0.35") < q.real < mpf(1) / 2):
         raise DomainError("doublesum route is implemented for real q in (0.35, 1/2)")
-    b = base_quantities(q, dps=dps, truncation_scale=scale)
-    T = _doublesum_sum(b, dps, scale)
+    b = base_quantities(q, dps=dps)
+    T = _doublesum_sum(b)
     return b.D - _singular_prefactor(b) * T
 
 
-def _doublesum_sum(b: BaseQuantities, dps, scale):
+def _doublesum_sum(b: BaseQuantities):
     """sum_j r_j sum_nu (v q^{j+1})^nu / (1-2q+q^{nu+2}), r_j the a-ratios,
     on integers in units of 2^-bits, bits = prec + 32; q is real.
 
@@ -627,12 +619,12 @@ def _doublesum_sum(b: BaseQuantities, dps, scale):
     one = 1 << bits
     q, vq, a = (_fixed(x, bits)[0] for x in (b.q, b.v * b.q, b.a))
     t = one - 2 * q
-    limit = _limit(_eps(dps), bits)
+    limit = _limit(_eps(b.dps), bits)
     inverses, power = [], q * q * q >> 2 * bits     # q^{nu+2}
-    outer = _stop_rule(dps, scale, min_terms=6, limit=limit)
+    outer = _stop_rule(b.dps, min_terms=6, limit=limit)
     total, ratio, qj, base = 0, one, one, vq
     while True:
-        inner = _stop_rule(dps, scale, min_terms=6, limit=limit)
+        inner = _stop_rule(b.dps, min_terms=6, limit=limit)
         s, x = 0, base                                  # x = base^nu
         for i in count():
             if i == len(inverses):
@@ -652,9 +644,9 @@ def _doublesum_sum(b: BaseQuantities, dps, scale):
         base = base * q >> bits
 
 
-def _near_half(q, dps, scale) -> BaseQuantities:
+def _near_half(q, dps) -> BaseQuantities:
     """The record of q; the singular and regular series need |1-2q| <= 0.2."""
-    b = base_quantities(q, dps=dps, truncation_scale=scale)
+    b = base_quantities(q, dps=dps)
     if abs(b.t) > mpf("0.201"):
         raise DomainError(
             "singular/regular series are evaluated near q = 1/2 "
@@ -662,11 +654,11 @@ def _near_half(q, dps, scale) -> BaseQuantities:
     return b
 
 
-def U_eval(q, dps: int = 40, truncation_scale: float = 1.0):
+def U_eval(q, dps: int = 40):
     """Singular series U(q) = v q^{3 gamma - 2}/log(1/q) *
     (-t/q;q)oo / (-a t/q^2;q)oo with t = 1-2q."""
     with mp.workdps(dps + _GUARD_DPS):
-        return _u_value(_near_half(q, dps, truncation_scale))
+        return _u_value(_near_half(q, dps))
 
 
 def _u_value(b: BaseQuantities):
@@ -676,11 +668,11 @@ def _u_value(b: BaseQuantities):
             * b._product(-t / q) / b._product(-b.a * t / q ** 2))
 
 
-def V_eval(q, dps: int = 40, truncation_scale: float = 1.0):
+def V_eval(q, dps: int = 40):
     """Regular series V(q): the pole term plus the contiguous
     q-hypergeometric r-sum in (-a t/q^2)."""
     with mp.workdps(dps + _GUARD_DPS):
-        return _v_sum(_near_half(q, dps, truncation_scale))
+        return _v_sum(_near_half(q, dps))
 
 
 def _v_sum(b: BaseQuantities):
@@ -695,11 +687,11 @@ def _v_sum(b: BaseQuantities):
     nums = accumulate((1 - qr / av for qr in q_num), mul, initial=mp.one)
     dens = accumulate((1 - qr / v for qr in q_den), mul, initial=mp.one)
     terms = (num / den * zr for num, den, zr in zip(nums, dens, _powers(z)))
-    s = _tail_sum(terms, b.dps, b.truncation_scale)
+    s = _tail_sum(terms, b.dps)
     return term1 + b.pq * b.pav / (b.pa * b.pv) / q ** 2 * s
 
 
-def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
+def pi_eval(w, q, dps: int = 40):
     """The oscillation factor Pi(w) = sum_k p_k e^{-2 i k pi w},
     p_k = pi/sin(pi gamma + 2 i k pi^2 / log(1/q)), gamma from v(q).
 
@@ -712,21 +704,21 @@ def pi_eval(w, q, dps: int = 40, truncation_scale: float = 1.0):
     DomainError is raised before the first one.
     """
     with mp.workdps(dps + _GUARD_DPS):
-        b = base_quantities(q, dps=dps, truncation_scale=truncation_scale)
-        return _pi_sum(mpmathify(w), b.gamma, b.log_q, dps, truncation_scale)
+        b = base_quantities(q, dps=dps)
+        return _pi_sum(mpmathify(w), b.gamma, b.log_q, dps)
 
 
-def _pi_sum(w, gamma, log_q, dps, scale):
+def _pi_sum(w, gamma, log_q, dps):
     """Pi(w) for the given gamma and log(1/q), at the caller's precision."""
     # the harmonics shrink by rho per step; they reach 10^-(dps+5) after
     # about (dps+5) log(10)/(-log rho) of them, times the scale
     log_rho = 2 * mp.pi * (abs(w.imag) - mp.pi * (1 / log_q).real)
-    if scale * (dps + 5) * mp.log(10) > -log_rho * _MAX_TERMS:
+    if _TRUNCATION_SCALE * (dps + 5) * mp.log(10) > -log_rho * _MAX_TERMS:
         raise DomainError(
             f"Pi(w) harmonics change by a factor {mp.nstr(mp.exp(log_rho), 8)}"
             f" per step: they do not reach 10^-{dps + 5} within {_MAX_TERMS} "
             f"terms (w = {w})")
-    stop = _stop_rule(dps, scale)
+    stop = _stop_rule(dps)
     total = mp.pi / mp.sin(mp.pi * gamma)
     for k in count(1):
         terms = [mp.pi / mp.sin(mp.pi * gamma + 2j * sk * mp.pi ** 2 / log_q)
@@ -736,11 +728,11 @@ def _pi_sum(w, gamma, log_q, dps, scale):
             return total
 
 
-def _gf_singular(q, dps, scale):
-    b = _near_half(q, dps, scale)
+def _gf_singular(q, dps):
+    b = _near_half(q, dps)
     D = b.D             # at q = 1/2 the Laurent DomainError, before t^-gamma
-    T = (b.t ** (-b.gamma) * _pi_sum(mp.log(b.t) / b.log_q, b.gamma, b.log_q,
-                                     dps, scale)
+    T = (b.t ** (-b.gamma)
+         * _pi_sum(mp.log(b.t) / b.log_q, b.gamma, b.log_q, dps)
          * _u_value(b) + _v_sum(b))
     return D - _singular_prefactor(b) * T
 
@@ -755,7 +747,7 @@ GF_ROUTES = {"taylor": _gf_taylor, "meromorphic": _gf_meromorphic,
 # ---------------------------------------------------------------------------
 
 
-def h_direct(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
+def h_direct(j: int, t, q, v, dps: int = 40):
     """h_j(t) = q^-2 sum_{nu>=1} (v q^j)^nu / (1 + t q^{-nu-2}).
 
     Converges for every t > 0 (the denominator eventually grows like
@@ -771,11 +763,10 @@ def h_direct(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
         terms = (power / (1 + t / q_nu)      # (v q^j)^nu, q^{nu+2}
                  for power, q_nu in zip(_powers(base, base),
                                         _powers(q, q ** 3)))
-        return _tail_sum(terms, dps, truncation_scale) / q ** 2
+        return _tail_sum(terms, dps) / q ** 2
 
 
-def h_representation(j: int, t, q, v, dps: int = 40,
-                     truncation_scale: float = 1.0):
+def h_representation(j: int, t, q, v, dps: int = 40):
     """The exact representation: power-law-times-Pi term plus the r-sum.
 
     h_j(t) = (-1)^j v q^{3 gamma - 2j - 2}/log(1/q) t^{j-gamma}
@@ -794,8 +785,8 @@ def h_representation(j: int, t, q, v, dps: int = 40,
         log_q = mp.log(1 / q)
         gamma = mp.log(v) / log_q
         sing = ((-1) ** j * v * q ** (3 * gamma - 2 * j - 2) / log_q
-                * t ** (j - gamma) * _pi_sum(mp.log(t) / log_q, gamma, log_q,
-                                             dps, truncation_scale))
+                * t ** (j - gamma)
+                * _pi_sum(mp.log(t) / log_q, gamma, log_q, dps))
         step = -t / q ** 3
 
         def terms():
@@ -806,13 +797,12 @@ def h_representation(j: int, t, q, v, dps: int = 40,
                 yield power / (1 - v * q_jr)
                 q_jr /= q
 
-        return sing + _tail_sum(terms(), dps, truncation_scale) / q ** 2
+        return sing + _tail_sum(terms(), dps) / q ** 2
 
 
-def hj_check(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
+def hj_check(j: int, t, q, v, dps: int = 40):
     """(direct, representation) pair for comparison."""
-    return (h_direct(j, t, q, v, dps=dps, truncation_scale=truncation_scale),
-            h_representation(j, t, q, v, dps=dps, truncation_scale=truncation_scale))
+    return h_direct(j, t, q, v, dps=dps), h_representation(j, t, q, v, dps=dps)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +810,7 @@ def hj_check(j: int, t, q, v, dps: int = 40, truncation_scale: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def kappa(k: int, dps: int = 40, truncation_scale: float = 1.0):
+def kappa(k: int, dps: int = 40):
     """Fourier coefficient kappa_k of the oscillating amplitude.
 
     kappa_k = pi / (9 log2 sin(pi g + 2ik pi^2/log2)
@@ -830,7 +820,7 @@ def kappa(k: int, dps: int = 40, truncation_scale: float = 1.0):
     kappa_0 is real and returned so; kappa_{-k} is the conjugate of kappa_k.
     """
     with mp.workdps(dps + _GUARD_DPS):
-        prod = _kappa_product(dps, truncation_scale)
+        prod = _kappa_product(dps, _TRUNCATION_SCALE)
         g = mp.log(3) / mp.log(2)
         arg_sin = mp.pi * g + 2j * k * mp.pi ** 2 / mp.log(2)
         arg_gam = g + 1 + 2j * k * mp.pi / mp.log(2)
@@ -839,11 +829,12 @@ def kappa(k: int, dps: int = 40, truncation_scale: float = 1.0):
 
 
 @functools.lru_cache(maxsize=16)
-def _kappa_product(dps: int, truncation_scale: float):
-    """(1/3;1/2)oo (3/2;1/2)oo / (1/2;1/2)oo^2, the same for every kappa_k."""
+def _kappa_product(dps: int, scale: int):
+    """(1/3;1/2)oo (3/2;1/2)oo / (1/2;1/2)oo^2, the same for every kappa_k,
+    cached by dps and by the truncation ``scale`` its products ran at."""
     with mp.workdps(dps + _GUARD_DPS):
         third, three_halves, half = (
-            pochhammer(x, mpf(1) / 2, dps=dps, truncation_scale=truncation_scale)
+            pochhammer(x, mpf(1) / 2, dps=dps)
             for x in (mpf(1) / 3, mpf(3) / 2, mpf(1) / 2))
         return third * three_halves / half ** 2
 
@@ -864,7 +855,7 @@ def oscillation_amplitude(dps: int = 40):
     The readings differ by at most 2 sum_{k>=2} |kappa_k| (~2e-16).
     """
     with mp.workdps(dps + _GUARD_DPS):
-        ks, stop = [kappa(1, dps=dps)], _stop_rule(dps, 1)
+        ks, stop = [kappa(1, dps=dps)], _stop_rule(dps)
         while not stop(_norm(ks[-1] / ks[0])):
             ks.append(kappa(len(ks) + 1, dps=dps))
 

@@ -187,14 +187,20 @@ def _emit(args, config: dict, columns: list, rows: list) -> None:
               "format": args.format}
     if not args.no_timestamp:
         config["timestamp"] = datetime.now(timezone.utc).isoformat()
-    if args.format == "json":
-        text = json.dumps({"config": config, "columns": columns, "rows": rows},
-                          indent=2) + "\n"
-    else:
-        lines = [f"# {key}={value}" for key, value in config.items()]
-        lines.append(",".join(columns))
-        lines.extend(",".join(str(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+    # a count may pass CPython's int-to-str limit, 4300 digits by default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            doc = {"config": config, "columns": columns, "rows": rows}
+            text = json.dumps(doc, indent=2) + "\n"
+        else:
+            lines = [f"# {key}={value}" for key, value in config.items()]
+            lines.append(",".join(columns))
+            lines.extend(",".join(str(v) for v in row) for row in rows)
+            text = "\n".join(lines) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
     if args.output:
         try:
             with open(args.output, "w") as fh:

@@ -42,15 +42,17 @@ class DomainError(ValueError):
 _MAX_MIB = 2048
 
 
-def _check_order(order: int, mib: float, solver: str) -> None:
+def _check_order(order: int, estimate, solver: str) -> None:
     """Refuse, before any work, an order below 1 or one whose memory
-    estimate ``mib`` passes the budget."""
+    estimate ``estimate(order)``, in MiB, passes the budget."""
     if order < 1:
         raise ValueError("order must be >= 1")
+    huge = order >= 2 ** 64  # past every budget; floats overflow far past it
+    mib = float("inf") if huge else estimate(order)
     if mib > _MAX_MIB:
         raise DomainError(
-            f"{solver} order {order} needs about {mib:.0f} MiB, "
-            f"over the solver's {_MAX_MIB} MiB budget")
+            f"{solver} order {'2^64 or more' if huge else order} needs about "
+            f"{mib:.0f} MiB, over the solver's {_MAX_MIB} MiB budget")
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def _pa2_mib(order: int) -> float:
 
 def pa2_series(order: int) -> CountTable:
     """2-sided counts: coefficients of 2q/(1-2q) + 2q/(1-q), i.e. 2^n + 2."""
-    _check_order(order, _pa2_mib(order), "2-sided")
+    _check_order(order, _pa2_mib, "2-sided")
     s = expand_rational((0, 2), (1, -2), order) + expand_rational((0, 2), (1, -1), order)
     return CountTable(2, s.coeffs[1:], "closed-form")
 
@@ -178,7 +180,7 @@ def w_series(order: int) -> Series2:
     The solution of W = F + G W(q,qu), found one u-block W_k at a time from
     W_{k-1} (``_w_blocks``); block k counts the polygons of width k.
     """
-    _check_order(order, _w_mib(order), "3-sided functional")
+    _check_order(order, _w_mib, "3-sided functional")
     return Series2(order, _w_blocks(order))
 
 
@@ -254,7 +256,7 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
 def pa3_series(order: int, method: str = "theorem") -> CountTable:
     """3-sided counts via the explicit sum or the functional equation."""
     if method == "theorem":
-        _check_order(order, _pa3_mib(order), "3-sided theorem")
+        _check_order(order, _pa3_mib, "3-sided theorem")
         coeffs = _pa3_theorem_coeffs(order)
     elif method == "functional":
         coeffs = (w_series(order).eval_catalytic()
@@ -408,7 +410,7 @@ def _pa4_mib(order: int, n3: float = _PA4_SERIES_N3) -> float:
 
 def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
     """The solution (X, Y, Z) of the trivariate system, to the order."""
-    _check_order(order, _pa4_mib(order, _PA4_SOLUTION_N3), "4-sided")
+    _check_order(order, lambda n: _pa4_mib(n, _PA4_SOLUTION_N3), "4-sided")
     return tuple(Series3(order, _pa4_rows(tris, order))
                  for tris in zip(*_pa4_degrees(order)))
 
@@ -433,7 +435,7 @@ def _pa4_rows(tris, order: int) -> dict:
 
 def pa4_series(order: int) -> CountTable:
     """4-sided counts: 8*(X+Y+Z) at u=v=1, summed one degree at a time."""
-    _check_order(order, _pa4_mib(order), "4-sided")
+    _check_order(order, _pa4_mib, "4-sided")
     counts = [8 * sum(sum(map(sum, tri)) for tri in tris)
               for tris in _pa4_degrees(order)]
     return CountTable(4, counts, "functional")

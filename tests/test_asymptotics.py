@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from unittest import mock
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -18,6 +19,13 @@ mp.dps = 60
 
 def close(a, b, tol):
     return abs(mpc(a) - mpc(b)) < tol
+
+
+def at_scale(s, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every adaptive loop run s times as far as
+    the truncation rule asks."""
+    with mock.patch.object(asy, "_TRUNCATION_SCALE", s):
+        return fn(*args, **kwargs)
 
 
 class TestBaseQuantities:
@@ -58,7 +66,7 @@ class TestPochhammer:
 
     def test_doubling_insensitive(self):
         a = asy.pochhammer(mpf(1) / 3, mpf(1) / 2, dps=40)
-        b = asy.pochhammer(mpf(1) / 3, mpf(1) / 2, dps=40, truncation_scale=2.0)
+        b = at_scale(2, asy.pochhammer, mpf(1) / 3, mpf(1) / 2, dps=40)
         assert abs(a - b) < 1e-40
 
     def test_domain_guard(self):
@@ -681,31 +689,26 @@ class TestTruncationDoubling:
             qc = mpc("0.4", "0.05")
             sector = half + mpf("0.03") * mp.expjpi(mpf(1) / 3)
             values = []
-            for s in (1.0, 2.0):
-                for x, nu in ((q, 7), (qc, 60)):
+            for s in (1, 2):
+                with mock.patch.object(asy, "_TRUNCATION_SCALE", s):
+                    for x, nu in ((q, 7), (qc, 60)):
+                        values += [asy.d_nu(nu, x, method=m)
+                                   for m in ("recurrence", "sum")]
+                        values.append(asy.d_nu_by_series_division(nu, x))
+                    for x in (q, sector):
+                        values += [asy.U_eval(x), asy.V_eval(x)]
                     values += [
-                        asy.d_nu(nu, x, method=m, truncation_scale=s)
-                        for m in ("recurrence", "sum")]
-                    values.append(asy.d_nu_by_series_division(
-                        nu, x, truncation_scale=s))
-                for x in (q, sector):
-                    values += [asy.U_eval(x, truncation_scale=s),
-                               asy.V_eval(x, truncation_scale=s)]
-                values += [
-                    asy.pochhammer(mpf(1) / 3, half, truncation_scale=s),
-                    asy.mittag_leffler_check(mpf(1) / 3, half, mpf("0.3"),
-                                             truncation_scale=s),
-                    asy.mittag_leffler_check(mpf("0.45"), half,
-                                             mpc("0.2", "0.4"),
-                                             truncation_scale=s),
-                    asy.h_direct(1, mpf("0.05"), half, v, truncation_scale=s),
-                    asy.h_representation(1, mpf("0.05"), half, v,
-                                         truncation_scale=s)]
-                # at q = 1/2 and v = 3/2 most powers are exact; at 0.49 few are
-                x = mpf("0.49")
-                values += [h(2, mpf("0.05"), x, (1 - x + x * x) / (1 - x),
-                             truncation_scale=s)
-                           for h in (asy.h_direct, asy.h_representation)]
+                        asy.pochhammer(mpf(1) / 3, half),
+                        asy.mittag_leffler_check(mpf(1) / 3, half, mpf("0.3")),
+                        asy.mittag_leffler_check(mpf("0.45"), half,
+                                                 mpc("0.2", "0.4")),
+                        asy.h_direct(1, mpf("0.05"), half, v),
+                        asy.h_representation(1, mpf("0.05"), half, v)]
+                    # at q = 1/2 and v = 3/2 most powers are exact; at 0.49
+                    # few are
+                    x = mpf("0.49")
+                    values += [h(2, mpf("0.05"), x, (1 - x + x * x) / (1 - x))
+                               for h in (asy.h_direct, asy.h_representation)]
         digest = hashlib.sha256(repr(_bits(values)).encode()).hexdigest()
         assert digest == self.LIBRARY_SHA256
 
@@ -717,40 +720,46 @@ class TestTruncationDoubling:
         w = mp.log(1 - 2 * sector) / mp.log(1 / sector)
         return {
             "pochhammer":
-                lambda s: asy.pochhammer(mpf(1) / 3, half, truncation_scale=s),
+                lambda s: at_scale(s, asy.pochhammer, mpf(1) / 3, half),
             "d_nu_sum":
-                lambda s: asy.d_nu(7, q, method="sum", truncation_scale=s),
-            "U_eval": lambda s: asy.U_eval(q, truncation_scale=s),
-            "V_eval": lambda s: asy.V_eval(q, truncation_scale=s),
+                lambda s: at_scale(s, asy.d_nu, 7, q, method="sum"),
+            "U_eval": lambda s: at_scale(s, asy.U_eval, q),
+            "V_eval": lambda s: at_scale(s, asy.V_eval, q),
             "meromorphic":
-                lambda s: asy.gf_eval(q, "meromorphic", truncation_scale=s),
+                lambda s: at_scale(s, asy.gf_eval, q, "meromorphic"),
             "doublesum":
-                lambda s: asy.gf_eval(q, "doublesum", truncation_scale=s),
+                lambda s: at_scale(s, asy.gf_eval, q, "doublesum"),
             "singular":
-                lambda s: asy.gf_eval(q, "singular", truncation_scale=s),
-            "h_direct": lambda s: asy.h_direct(
-                1, mpf("0.05"), half, mpf(3) / 2, truncation_scale=s),
-            "h_representation": lambda s: asy.h_representation(
-                1, mpf("0.05"), half, mpf(3) / 2, truncation_scale=s),
-            "mittag_leffler": lambda s: asy.mittag_leffler_check(
-                mpf(1) / 3, half, mpf("0.3"), truncation_scale=s)[1],
-            "series_division": lambda s: asy.d_nu_by_series_division(
-                20, q, truncation_scale=s),
-            "pi_eval": lambda s: asy.pi_eval(w, sector, truncation_scale=s),
+                lambda s: at_scale(s, asy.gf_eval, q, "singular"),
+            "h_direct": lambda s: at_scale(
+                s, asy.h_direct, 1, mpf("0.05"), half, mpf(3) / 2),
+            "h_representation": lambda s: at_scale(
+                s, asy.h_representation, 1, mpf("0.05"), half, mpf(3) / 2),
+            "mittag_leffler": lambda s: at_scale(
+                s, asy.mittag_leffler_check, mpf(1) / 3, half, mpf("0.3"))[1],
+            "series_division": lambda s: at_scale(
+                s, asy.d_nu_by_series_division, 20, q),
+            "pi_eval": lambda s: at_scale(s, asy.pi_eval, w, sector),
+            "kappa(1)": lambda s: at_scale(s, asy.kappa, 1),
+            "oscillation_amplitude":
+                lambda s: list(at_scale(s, asy.oscillation_amplitude)),
         }
 
     def test_battery(self):
         for fn in self.battery().values():
-            once, twice = fn(1.0), fn(2.0)
+            once, twice = fn(1), fn(2)
             if not isinstance(once, list):
                 once, twice = [once], [twice]
             assert all(abs(a - b) < 1e-40 for a, b in zip(once, twice))
 
     # the term count at which each _stop_rule loop of a battery case
-    # stopped, in the order the loops ran, at truncation_scale 1 and 2:
+    # stopped, in the order the loops ran, at truncation scales 1 and 2:
     # recorded while every loop still compared abs() of mpmath numbers
     # against 10^-(dps+5).  doublesum runs one nu-sum per j (the j-sum
-    # stops at 50 or 100 terms), then its four q-products.
+    # stops at 50 or 100 terms), then its four q-products.  kappa(1) runs
+    # its three q-products and oscillation_amplitude then its harmonics:
+    # recorded at scale 1 before the scale became a module constant, and
+    # doubled at scale 2.
     TERM_COUNTS = {
         "pochhammer": ([149], [298]),
         "d_nu_sum": ([129, 130, 17], [258, 260, 34]),
@@ -771,6 +780,8 @@ class TestTruncationDoubling:
                            [296, 298, 298, 300, 116]),
         "series_division": ([129, 131], [258, 262]),
         "pi_eval": ([14], [28]),
+        "kappa(1)": ([149, 152, 150], [298, 304, 300]),
+        "oscillation_amplitude": ([149, 152, 150, 8], [298, 304, 300, 16]),
     }
 
     def test_term_counts(self, monkeypatch):
@@ -792,8 +803,9 @@ class TestTruncationDoubling:
 
         monkeypatch.setattr(asy, "_stop_rule", recording)
         for name, fn in self.battery().items():
-            for s, counts in zip((1.0, 2.0), self.TERM_COUNTS[name]):
+            for s, counts in zip((1, 2), self.TERM_COUNTS[name]):
                 stopped.clear()
+                asy._kappa_product.cache_clear()
                 fn(s)
                 assert stopped == counts, (name, s)
 
@@ -809,6 +821,21 @@ class TestTruncationDoubling:
         for call in calls:
             with pytest.raises(DomainError, match="within 3 terms"):
                 call()
+
+    def test_kappa_products_keyed_by_scale(self, monkeypatch):
+        # a run at scale 2 right after one at scale 1 and the same dps
+        # computes kappa's three q-products afresh
+        asy._kappa_product.cache_clear()
+        asy.kappa(1, dps=40)
+        made, pochhammer = [], asy.pochhammer
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return pochhammer(*args, **kwargs)
+
+        monkeypatch.setattr(asy, "pochhammer", counted)
+        at_scale(2, asy.kappa, 1, dps=40)
+        assert len(made) == 3
 
 
 
@@ -860,11 +887,11 @@ with mp.workdps(100):
 
 
 def _route(method, q):
-    return lambda dps, s: asy.gf_eval(q, method, dps=dps, truncation_scale=s)
+    return lambda dps, s: at_scale(s, asy.gf_eval, q, method, dps=dps)
 
 
 def _product(x, q):
-    return lambda dps, s: asy.pochhammer(x, q, dps=dps, truncation_scale=s)
+    return lambda dps, s: at_scale(s, asy.pochhammer, x, q, dps=dps)
 
 
 class TestContracts:
@@ -888,28 +915,26 @@ class TestContracts:
         "meromorphic-at-pole": _route("meromorphic", _AT_POLE),
         "doublesum-0.36": _route("doublesum", mpf("0.36")),
         "doublesum-0.49": _route("doublesum", mpf("0.49")),
-        "U_eval-sector": lambda dps, s: asy.U_eval(
-            _SECTOR, dps=dps, truncation_scale=s),
-        "U_eval-off-pole": lambda dps, s: asy.U_eval(
-            _OFF_POLE, dps=dps, truncation_scale=s),
-        "V_eval-sector": lambda dps, s: asy.V_eval(
-            _SECTOR, dps=dps, truncation_scale=s),
-        "V_eval-off-pole": lambda dps, s: asy.V_eval(
-            _OFF_POLE, dps=dps, truncation_scale=s),
-        # kappa0 takes no truncation_scale; kappa(0) is the same value
-        "kappa0": lambda dps, s: (asy.kappa0(dps=dps) if s == 1 else
-                                  asy.kappa(0, dps=dps, truncation_scale=s)),
+        "U_eval-sector": lambda dps, s: at_scale(
+            s, asy.U_eval, _SECTOR, dps=dps),
+        "U_eval-off-pole": lambda dps, s: at_scale(
+            s, asy.U_eval, _OFF_POLE, dps=dps),
+        "V_eval-sector": lambda dps, s: at_scale(
+            s, asy.V_eval, _SECTOR, dps=dps),
+        "V_eval-off-pole": lambda dps, s: at_scale(
+            s, asy.V_eval, _OFF_POLE, dps=dps),
+        "kappa0": lambda dps, s: at_scale(s, asy.kappa0, dps=dps),
     }
     REFUSED_AT_30 = {"meromorphic-at-pole"}
 
     @pytest.mark.parametrize("name", TABLE)
     def test_30_digits_against_80(self, name):
         check = self.TABLE[name]
-        high = check(80, 2.0)
+        high = check(80, 2)
         if name in self.REFUSED_AT_30:
             with pytest.raises(DomainError, match="tail distance"):
-                check(30, 1.0)
+                check(30, 1)
             return
-        low = check(30, 1.0)
+        low = check(30, 1)
         with mp.workdps(100):
             assert abs(low - high) <= mpf(10) ** -30 * abs(high), name

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -63,6 +64,23 @@ class TestEnumerate:
                             "--no-timestamp"], capsys)
         assert code == 0
         assert str(2 ** 80 + 2) in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_counts_past_the_int_str_limit(self, fmt, capsys):
+        # 2^14300 + 2 has 4306 digits, past CPython's default limit of 4300
+        # for int-to-str conversion, which is back in force afterwards;
+        # Decimal reads the digits without that limit
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(["enumerate", "--k", "2", "--max-area", "14300",
+                            "--format", fmt, "--no-timestamp"], capsys)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        if fmt == "json":
+            last = json.loads(out, parse_int=Decimal)["rows"][-1]
+        else:
+            last = out.splitlines()[-1].split(",")
+        assert Decimal(last[0]) == 14300
+        assert Decimal(last[1]) == Decimal(2 ** 14300 + 2)
 
     def test_json_schema(self, capsys):
         code, out, _ = run(["enumerate", "--k", "2", "--max-area", "3",
@@ -146,6 +164,22 @@ class TestErrors:
     def test_oracle_budget_domain_error(self, capsys):
         code, _, _ = run(["oracle", "--k", "2", "--max-area", "13"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--k", "2", "--max-area"],
+        ["enumerate", "--k", "3", "--method", "functional", "--max-area"],
+        ["enumerate", "--k", "4", "--max-area"],
+        ["fit", "--k", "3", "--max-n"],
+        ["residuals", "--max-n"]],
+        ids=["k2", "k3-functional", "k4", "fit", "residuals"])
+    def test_order_too_wide_for_a_float_exit_two(self, argv, capsys):
+        # the memory estimates are floats; an order past their range is
+        # refused by the same budget
+        code, out, err = run(argv + [str(10 ** 400), "--no-timestamp"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err and "MiB" in err
 
     def test_broken_invariant_exit_three(self, capsys, monkeypatch):
         # releasing the 4-sided solver's prefix rows one degree early makes it
@@ -554,8 +588,8 @@ class TestGfCheckExitCodes:
 
 # option values at the edges: zero, negative, the smallest orders, past
 # every budget, not numbers, not finite, empty
-HUGE = str(10 ** 30)
-EDGE_COUNTS = ["0", "-1", "1", "2", "3", "6", HUGE, "nan", "1e309", ""]
+HUGE, WIDE = str(10 ** 30), str(10 ** 400)      # WIDE: past a float's range
+EDGE_COUNTS = ["0", "-1", "1", "2", "3", "6", HUGE, WIDE, "nan", "1e309", ""]
 
 
 class TestResidualsExitCodes:
@@ -627,10 +661,11 @@ class TestOtherCommandsExitCodes:
            size=st.sampled_from(EDGE_COUNTS),
            digits=st.sampled_from(EDGE_COUNTS),
            fmt=st.sampled_from(["csv", "json"]))
-    # the 2-sided order and the harmonics past every budget, then one valid
-    # run of each command
+    # the 2-sided order and the harmonics past every budget, a 4-sided order
+    # past a float's range, then one valid run of each command
     @example(command="enumerate", k="2", size=HUGE, digits="6", fmt="csv")
     @example(command="fit", k="2", size=HUGE, digits="6", fmt="csv")
+    @example(command="enumerate", k="4", size=WIDE, digits="6", fmt="json")
     @example(command="constants", k="2", size=HUGE, digits="6", fmt="csv")
     @example(command="enumerate", k="4", size="6", digits="6", fmt="json")
     @example(command="oracle", k="3", size="3", digits="6", fmt="csv")
@@ -729,6 +764,43 @@ class TestTracedRun:
         report = json.loads(proc.stdout)
         assert report["code"] == 0
         assert report["layers"]["series.construct_s"] > 0
+
+
+# The front end's shape: it reads the library through public names only,
+# sets the working precision in one place, and no public evaluator of
+# asymptotics takes a truncation knob (the scale is a module constant).
+class TestFrontEnd:
+    TREE = ast.parse(Path(cli.__file__).read_text())
+
+    def test_reads_no_private_library_name(self):
+        libraries = {"asymptotics", "enumeration", "oracle"}
+        private = [f"{node.value.id}.{node.attr}"
+                   for node in ast.walk(self.TREE)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in libraries
+                   and node.attr.startswith("_")]
+        private += [alias.name for node in ast.walk(self.TREE)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if alias.name.startswith("_")]
+        assert private == []
+
+    def test_enters_workdps_once(self):
+        entered = [node for node in ast.walk(self.TREE)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "workdps"]
+        assert len(entered) == 1
+
+    def test_no_truncation_scale_parameter(self):
+        asy = cli.asymptotics
+        public = [obj for name, obj in vars(asy).items()
+                  if not name.startswith("_") and callable(obj)
+                  and getattr(obj, "__module__", None) == asy.__name__]
+        assert len(public) >= 20
+        for obj in public:
+            assert "truncation_scale" not in inspect.signature(
+                obj).parameters, obj.__name__
 
 
 # The README's CLI block and library tour are checked against the parser and

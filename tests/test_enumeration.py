@@ -28,6 +28,22 @@ PA3_FIRST_TEN = (6, 10, 20, 42, 92, 204, 454, 1010, 2242, 4962)
 PA4_FIXED_POINT = (8, 16, 40, 96, 232, 560, 1336, 3176)
 
 
+@pytest.mark.parametrize("solve", [
+    pa2_series, pa3_series, lambda n: pa3_series(n, "functional"),
+    pa4_series, pa4_system_solution],
+    ids=["pa2", "pa3-theorem", "pa3-functional", "pa4", "pa4-solution"])
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_order_too_wide_for_a_float_refused(solve, digits, monkeypatch):
+    # the memory estimates are floats; an order past their range, even one
+    # past the 4300 digits that str() prints, is refused by the same
+    # budget, before any kernel runs
+    for kernel in ("expand_rational", "_pa3_theorem_coeffs", "_w_blocks",
+                   "_pa4_degrees"):
+        monkeypatch.setattr(enumeration, kernel, None)
+    with pytest.raises(DomainError, match=r"order 2\^64 or more .* MiB"):
+        solve(10 ** digits)
+
+
 class TestBargraphs:
     def test_univariate_counts(self):
         b = bargraph_series(6).eval_catalytic()
