@@ -303,9 +303,7 @@ class BaseQuantities:
     (av;q)oo are computed on their first read and kept, at the record's
     ``dps`` and the truncation scale in force at that read, so an
     evaluator pays only for what it reads.  A, C and D have a double pole
-    at q = 1/2, where reading one raises DomainError.  The Laurent data
-    A_LAURENT_AT_HALF and C_LAURENT_AT_HALF record A and C about that
-    pole; no evaluator reads them.
+    at q = 1/2, where reading one raises DomainError.
     """
 
     q: object
@@ -320,8 +318,8 @@ class BaseQuantities:
 
     def _t_squared(self):
         if self.t == 0:
-            raise DomainError("A, C, D have a double pole at q = 1/2 (see "
-                              "the Laurent data A/C_LAURENT_AT_HALF)")
+            raise DomainError("A, C, D have a double pole at q = 1/2; take "
+                              "their Laurent expansions in t = 1-2q there")
         return self.t ** 2
 
     @_derived
@@ -362,12 +360,6 @@ class BaseQuantities:
     @_derived
     def pav(self):
         return self._product(self.a * self.v)
-
-
-# Laurent data about q = 1/2 in powers of t = 1-2q (exact for A; C to O(t^2)):
-# coefficients of t^-2, t^-1, t^0, t^1.
-A_LAURENT_AT_HALF = (mpf(1) / 4, mpf(1) / 4, -mpf(1) / 4, -mpf(1) / 4)
-C_LAURENT_AT_HALF = (mpf(1) / 4, mpf(5) / 4, mpf(3) / 4, -mpf(17) / 4)
 
 
 def base_quantities(q, dps: int = 40) -> BaseQuantities:
@@ -800,11 +792,6 @@ def h_representation(j: int, t, q, v, dps: int = 40):
         return sing + _tail_sum(terms(), dps) / q ** 2
 
 
-def hj_check(j: int, t, q, v, dps: int = 40):
-    """(direct, representation) pair for comparison."""
-    return h_direct(j, t, q, v, dps=dps), h_representation(j, t, q, v, dps=dps)
-
-
 # ---------------------------------------------------------------------------
 # kappa, poles, Omega, residuals
 # ---------------------------------------------------------------------------
@@ -837,10 +824,6 @@ def _kappa_product(dps: int, scale: int):
             pochhammer(x, mpf(1) / 2, dps=dps)
             for x in (mpf(1) / 3, mpf(3) / 2, mpf(1) / 2))
         return third * three_halves / half ** 2
-
-
-def kappa0(dps: int = 40) -> mpf:
-    return kappa(0, dps=dps)
 
 
 def oscillation_amplitude(dps: int = 40):
@@ -938,7 +921,7 @@ def omega_coefficients(terms: int = 5, dps: int = 40) -> dict:
         out = {key: mpf(text) for key, text in OMEGA_PRINTED.items()
                if key[0] < terms}
         if terms >= 1:
-            out[(0, 0)] = k0 = kappa0(dps=dps)
+            out[(0, 0)] = k0 = kappa(0, dps=dps)
         if terms >= 2:
             g = mp.log(3) / mp.log(2)
             out[(1, 1)] = -k0 * g * mp.log(3) / mp.log(2) ** 2
@@ -1023,12 +1006,6 @@ class ResidualTable:
     precision: int
     source: str
     log2_n: tuple = ()      # log2 n of each row, from the log n it used
-
-    def residual_at(self, n: int):
-        for row in self.rows:
-            if row[0] == n:
-                return row[2]
-        raise KeyError(n)
 
 
 def residuals(max_n: int, terms: int = 5, dps: int = 40,

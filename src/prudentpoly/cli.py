@@ -10,8 +10,8 @@ Subcommands
     fit         least-squares critical-exponent estimate
 
 Every command computes at --digits + 10 digits and prints values to
---digits significant digits; PRUDENTPOLY_DIGITS overrides the default 40.
-Output is CSV (default) or JSON ({config, columns, rows}).  Every run echoes
+--digits significant digits, 40 by default.  Output is CSV (default) or
+JSON ({config, columns, rows}), written a row at a time.  Every run echoes
 its resolved configuration; reruns are byte-identical except the timestamp
 header, which --no-timestamp suppresses.  Exit codes: 0 success; 1 usage
 error, found before any work is done (--digits past 10000 and --harmonics
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -62,7 +61,7 @@ def _digits(text: str) -> int:
         pass
     raise argparse.ArgumentTypeError(
         f"digits must be a positive integer up to {_MAX_DIGITS} (got "
-        f"{text!r} from --digits or PRUDENTPOLY_DIGITS)")
+        f"{text!r})")
 
 
 def _at_least(low: int, high: float = float("inf")):
@@ -110,10 +109,7 @@ def _routes(text: str) -> list:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    # a string default goes through _digits too, so a bad environment value
-    # is a usage error unless --digits overrides it
-    p.add_argument("--digits", type=_digits,
-                   default=os.environ.get("PRUDENTPOLY_DIGITS", "40"),
+    p.add_argument("--digits", type=_digits, default=40,
                    help="working precision in significant digits")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
@@ -187,28 +183,35 @@ def _emit(args, config: dict, columns: list, rows: list) -> None:
               "format": args.format}
     if not args.no_timestamp:
         config["timestamp"] = datetime.now(timezone.utc).isoformat()
+    if not args.output:
+        _write(sys.stdout, args.format, config, columns, rows)
+        return
+    try:
+        with open(args.output, "w") as fh:
+            _write(fh, args.format, config, columns, rows)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output: {exc}") from None
+
+
+def _write(fh, fmt: str, config: dict, columns: list, rows: list) -> None:
+    """The document a piece at a time, so no copy of the whole text is
+    held: the config lines, the header, then one row per write."""
     # a count may pass CPython's int-to-str limit, 4300 digits by default
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.format == "json":
+        if fmt == "json":
             doc = {"config": config, "columns": columns, "rows": rows}
-            text = json.dumps(doc, indent=2) + "\n"
-        else:
-            lines = [f"# {key}={value}" for key, value in config.items()]
-            lines.append(",".join(columns))
-            lines.extend(",".join(str(v) for v in row) for row in rows)
-            text = "\n".join(lines) + "\n"
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+            return
+        for key, value in config.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
     finally:
         sys.set_int_max_str_digits(limit)
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --output: {exc}") from None
-    else:
-        sys.stdout.write(text)
 
 
 def _num(x, digits: int) -> str:
@@ -263,7 +266,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_constants(args) -> int:
     d = args.digits
-    pairs = [("kappa0", asymptotics.kappa0(dps=d))]
+    pairs = [("kappa0", asymptotics.kappa(0, dps=d))]
     for k in range(1, args.harmonics + 1):
         kk = asymptotics.kappa(k, dps=d)
         pairs += [(f"kappa{k}", kk), (f"kappa-{k}", mp.conj(kk))]

@@ -266,9 +266,6 @@ class Series3(_Catalytic):
     def blocks(self) -> dict:
         return dict(self._blocks)
 
-    def is_zero(self) -> bool:
-        return not self._blocks
-
     def mul_monomial(self, dq: int = 0, du: int = 0, dv: int = 0) -> "Series3":
         """Multiply by q^dq u^du v^dv, dropping terms past the order."""
         return self._shift(dq, (du, dv))

@@ -50,8 +50,6 @@ class TestBaseQuantities:
         q = mpf(1) / 2 - mpf(10) ** -8
         b = asy.base_quantities(q)
         assert close((1 - 2 * q) ** 2 * b.A, mpf(1) / 4, 1e-7)
-        assert asy.A_LAURENT_AT_HALF[0] == mpf(1) / 4
-        assert asy.C_LAURENT_AT_HALF[1] == mpf(5) / 4
 
     def test_av_equals_qu(self):
         b = asy.base_quantities(mpf("0.3"))
@@ -275,7 +273,8 @@ class TestHj:
         v = (1 - q + q * q) / (1 - q)
         for j in range(4):
             for t in (mpf("0.01"), mpf("0.05"), mpf("0.1")):
-                direct, rep = asy.hj_check(j, t, q, v)
+                direct = asy.h_direct(j, t, q, v)
+                rep = asy.h_representation(j, t, q, v)
                 assert close(direct, rep, 1e-34), (j, t)
 
     @pytest.mark.parametrize("v", ["1.4", "1.6"])
@@ -283,7 +282,8 @@ class TestHj:
         # the power law and Pi(w) both take gamma from the v given
         q, t = mpf(1) / 2, mpf("0.05")
         for j in range(3):
-            direct, rep = asy.hj_check(j, t, q, mpf(v))
+            direct = asy.h_direct(j, t, q, mpf(v))
+            rep = asy.h_representation(j, t, q, mpf(v))
             assert close(direct, rep, 1e-34), j
 
     def test_large_t_decay(self):
@@ -303,7 +303,7 @@ class TestHj:
 
 class TestKappa:
     def test_kappa0_digits(self):
-        k0 = asy.kappa0(dps=40)
+        k0 = asy.kappa(0, dps=40)
         assert mp.nstr(k0, 11).startswith("0.1083842946")
 
     def test_conjugate_symmetry(self):
@@ -392,11 +392,16 @@ class TestOmega:
             asy.omega_coefficients(-1)
 
 
+def residual_at(table, n):
+    """The residual of row n of a ResidualTable."""
+    return next(r for m, _, r in table.rows if m == n)
+
+
 class TestResidualPipeline:
     def test_zero_term_model_leaves_kappa0(self):
         table = asy.residuals(1000, terms=0, min_n=995)
-        r = table.residual_at(1000)
-        assert abs(r - asy.kappa0()) < 0.005
+        r = residual_at(table, 1000)
+        assert abs(r - asy.kappa(0)) < 0.005
 
     def test_terms_telescope(self):
         t5 = asy.residuals(420, terms=5, min_n=400)
@@ -408,7 +413,8 @@ class TestResidualPipeline:
                 L = mp.log(n)
                 term = mp.e ** (-4 * L) * sum(
                     coeffs[(4, l)] * L ** l for l in range(5))
-                assert close(t4.residual_at(n) - t5.residual_at(n), term, 1e-35)
+                assert close(residual_at(t4, n) - residual_at(t5, n), term,
+                             1e-35)
 
     @pytest.mark.parametrize("dps", [40, 60])
     def test_rows_match_a_wider_evaluation(self, dps):
@@ -644,9 +650,6 @@ with mp.workdps(80):
      r"requires \|a\| < 1"),
     (asy.gf_eval, (mpf("0.3"), "bogus"), ValueError, "method must be one of"),
     (asy.poles, (0,), ValueError, "k_max must be >= 1"),
-    # built from four positional arguments, as a table read back from CSV is
-    (asy.ResidualTable(SHORT_TABLE.rows, 2, 40, "exact").residual_at, (9,),
-     KeyError, "9"),
     (asy.residuals, (8, 2, 40, [2] * 8), TypeError,
      "CountTable or FloatSeries1"),
     (asy.fourier_extract_detrended, (SHORT_TABLE, 1, (1, 3)), DomainError,
@@ -657,7 +660,7 @@ with mp.workdps(80):
         "fit-order", "fit-zero-count", "h-direct-t-0", "h-representation-t-0",
         "meromorphic-pole-distance", "pi-harmonics-grow", "singular-0.52",
         "d-nu-negative", "d-nu-method", "mittag-leffler-a", "gf-method",
-        "poles-0", "residual-at-missing", "counts-list", "detrended-samples"])
+        "poles-0", "counts-list", "detrended-samples"])
 def test_raise_site(call, args, error, match):
     with pytest.raises(error, match=match):
         call(*args)
@@ -884,48 +887,106 @@ with mp.workdps(100):
     # 2^-(prec+32) left 38 of 45 digits at 40 digits
     _NEAR_ZERO = (1 / mpf("0.45") ** 2 + mpf("1e-20"), mpf("0.45"))
     _NEAR_ZERO_HALF = (mpc(2, "1e-25"), _HALF)
+    _W_SECTOR = mp.log(1 - 2 * _SECTOR) / mp.log(1 / _SECTOR)
+    _Q49 = mpf("0.49")
+    _V49 = (1 - _Q49 + _Q49 * _Q49) / (1 - _Q49)
+_COUNTS_64 = pa3_series(64, "theorem")
+_FIELDS = ("u", "v", "a", "t", "log_q", "gamma", "A", "C", "D", "pq", "pa",
+           "pv", "pav")
 
 
-def _route(method, q):
-    return lambda dps, s: at_scale(s, asy.gf_eval, q, method, dps=dps)
+def _call(fn, *args, **kwargs):
+    """The check fn(*args, dps=dps, **kwargs) at truncation scale s."""
+    return lambda dps, s: at_scale(s, fn, *args, dps=dps, **kwargs)
 
 
-def _product(x, q):
-    return lambda dps, s: at_scale(s, asy.pochhammer, x, q, dps=dps)
+def _fields(dps):
+    # every field is derived on its first read, so it is read here, inside
+    # the scale's patch
+    b = asy.base_quantities(_SECTOR, dps=dps)
+    return [getattr(b, name) for name in _FIELDS]
+
+
+def _extracted(fn, dps):
+    # on the u in [4, 6] rows of a 64-row table, rebuilt from four
+    # positional arguments, as a table read back from CSV is
+    t = asy.residuals(64, dps=dps)
+    return fn(asy.ResidualTable(t.rows, t.terms, t.precision, t.source), 1,
+              (4, 6))
+
+
+def _numbers(value) -> list:
+    """The numbers in a value, a dict's values and a sequence's items in
+    order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in _numbers(item)]
+    return [value]
 
 
 class TestContracts:
-    """The fixed-point evaluators, and those that read q-products, keep
-    their promise at the domain's edges: a value at 30 digits agrees with
-    the value at 80 digits (and twice the truncation length) to 30 digits,
-    or DomainError is raised."""
+    """Every public callable of asymptotics keeps its promise, at the
+    domain's edges among other points: a value at 30 digits agrees with the
+    value at 80 digits (and twice the truncation length) to 30 digits, or
+    DomainError is raised.  A key names the callable its entry runs, before
+    any "-"; RUNS maps the keys that name a gf_eval route or a value."""
 
     TABLE = {
-        "pochhammer-sector": _product(mpf(1) / 3, _SECTOR),
-        "pochhammer-0.5499i": _product(mpf(1) / 3, mpc(0, "0.5499")),
-        "pochhammer-1e-30": _product(mpf("1e30"), _TINY),
-        "pochhammer-1e-30(1+i)": _product(mpf(1) / 3, _TINY_C),
-        "pochhammer-near-zero": _product(*_NEAR_ZERO),
-        "pochhammer-near-zero-half": _product(*_NEAR_ZERO_HALF),
-        "meromorphic-sector": _route("meromorphic", _SECTOR),
-        "meromorphic-0.5499i": _route("meromorphic", mpc(0, "0.5499")),
-        "meromorphic-1e-30": _route("meromorphic", _TINY),
-        "meromorphic-1e-30(1+i)": _route("meromorphic", _TINY_C),
-        "meromorphic-off-pole": _route("meromorphic", _OFF_POLE),
-        "meromorphic-at-pole": _route("meromorphic", _AT_POLE),
-        "doublesum-0.36": _route("doublesum", mpf("0.36")),
-        "doublesum-0.49": _route("doublesum", mpf("0.49")),
-        "U_eval-sector": lambda dps, s: at_scale(
-            s, asy.U_eval, _SECTOR, dps=dps),
-        "U_eval-off-pole": lambda dps, s: at_scale(
-            s, asy.U_eval, _OFF_POLE, dps=dps),
-        "V_eval-sector": lambda dps, s: at_scale(
-            s, asy.V_eval, _SECTOR, dps=dps),
-        "V_eval-off-pole": lambda dps, s: at_scale(
-            s, asy.V_eval, _OFF_POLE, dps=dps),
-        "kappa0": lambda dps, s: at_scale(s, asy.kappa0, dps=dps),
+        "pochhammer-sector": _call(asy.pochhammer, mpf(1) / 3, _SECTOR),
+        "pochhammer-0.5499i":
+            _call(asy.pochhammer, mpf(1) / 3, mpc(0, "0.5499")),
+        "pochhammer-1e-30": _call(asy.pochhammer, mpf("1e30"), _TINY),
+        "pochhammer-1e-30(1+i)": _call(asy.pochhammer, mpf(1) / 3, _TINY_C),
+        "pochhammer-near-zero": _call(asy.pochhammer, *_NEAR_ZERO),
+        "pochhammer-near-zero-half": _call(asy.pochhammer, *_NEAR_ZERO_HALF),
+        "meromorphic-sector": _call(asy.gf_eval, _SECTOR, "meromorphic"),
+        "meromorphic-0.5499i":
+            _call(asy.gf_eval, mpc(0, "0.5499"), "meromorphic"),
+        "meromorphic-1e-30": _call(asy.gf_eval, _TINY, "meromorphic"),
+        "meromorphic-1e-30(1+i)": _call(asy.gf_eval, _TINY_C, "meromorphic"),
+        "meromorphic-off-pole": _call(asy.gf_eval, _OFF_POLE, "meromorphic"),
+        "meromorphic-at-pole": _call(asy.gf_eval, _AT_POLE, "meromorphic"),
+        "doublesum-0.36": _call(asy.gf_eval, mpf("0.36"), "doublesum"),
+        "doublesum-0.49": _call(asy.gf_eval, mpf("0.49"), "doublesum"),
+        "U_eval-sector": _call(asy.U_eval, _SECTOR),
+        "U_eval-off-pole": _call(asy.U_eval, _OFF_POLE),
+        "V_eval-sector": _call(asy.V_eval, _SECTOR),
+        "V_eval-off-pole": _call(asy.V_eval, _OFF_POLE),
+        "kappa0": _call(asy.kappa, 0),
+        "kappa-k=1": _call(asy.kappa, 1),
+        "base_quantities-sector": _call(_fields),
+        "d_nu-recurrence": _call(asy.d_nu, 60, _SECTOR, method="recurrence"),
+        "d_nu-sum": _call(asy.d_nu, 60, _SECTOR, method="sum"),
+        "d_nu_by_series_division-sector":
+            _call(asy.d_nu_by_series_division, 20, _SECTOR),
+        "mittag_leffler_check-sector": _call(
+            asy.mittag_leffler_check, mpf(1) / 3, _SECTOR, mpc("0.2", "0.4")),
+        "pi_eval-sector": _call(asy.pi_eval, _W_SECTOR, _SECTOR),
+        "h_direct-0.49": _call(asy.h_direct, 2, mpf("0.05"), _Q49, _V49),
+        "h_representation-0.49":
+            _call(asy.h_representation, 2, mpf("0.05"), _Q49, _V49),
+        "oscillation_amplitude": _call(asy.oscillation_amplitude),
+        "poles-40": _call(asy.poles, 40),
+        "theta_root": _call(asy.theta_root),
+        "omega_coefficients-5": _call(asy.omega_coefficients, 5),
+        # to n = 64: from about n = 100 on the residual cancels 8 digits
+        # against kappa_0, which carries dps + 5, and the 30-digit rows
+        # drift in their last two digits (ROADMAP item 3)
+        "residuals-64": _call(lambda dps: asy.residuals(64, dps=dps).rows),
+        "exponent_fit-64": _call(asy.exponent_fit, _COUNTS_64),
+        "fourier_extract-u4-6": _call(_extracted, asy.fourier_extract),
+        "fourier_extract_detrended-u4-6":
+            _call(_extracted, asy.fourier_extract_detrended),
     }
     REFUSED_AT_30 = {"meromorphic-at-pole"}
+    RUNS = {"meromorphic": "gf_eval", "doublesum": "gf_eval",
+            "kappa0": "kappa"}
+    EXEMPT = {
+        "BaseQuantities": "a record, checked through base_quantities",
+        "ResidualTable": "a record, checked through residuals and the "
+                         "Fourier extractions",
+    }
 
     @pytest.mark.parametrize("name", TABLE)
     def test_30_digits_against_80(self, name):
@@ -935,6 +996,18 @@ class TestContracts:
             with pytest.raises(DomainError, match="tail distance"):
                 check(30, 1)
             return
-        low = check(30, 1)
+        low, high = _numbers(check(30, 1)), _numbers(high)
+        assert len(low) == len(high), name
         with mp.workdps(100):
-            assert abs(low - high) <= mpf(10) ** -30 * abs(high), name
+            for a, b in zip(low, high):
+                assert abs(a - b) <= mpf(10) ** -30 * abs(b), name
+
+    def test_every_public_callable_has_an_entry(self):
+        public = {name for name, obj in vars(asy).items()
+                  if not name.startswith("_") and callable(obj)
+                  and getattr(obj, "__module__", None) == asy.__name__}
+        runs = {self.RUNS.get(key, key)
+                for key in (name.split("-")[0] for name in self.TABLE)}
+        assert runs <= public, runs - public
+        assert not runs & self.EXEMPT.keys()
+        assert public - runs == self.EXEMPT.keys()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -16,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -25,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import prudentpoly
-from prudentpoly import cli
+from prudentpoly import cli, enumeration
 
 
 def run(argv, capsys):
@@ -81,6 +83,24 @@ class TestEnumerate:
             last = out.splitlines()[-1].split(",")
         assert Decimal(last[0]) == 14300
         assert Decimal(last[1]) == Decimal(2 ** 14300 + 2)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_is_written_a_row_at_a_time(self, fmt, tmp_path):
+        # the 6000 rows of pa2_series print about 5.5 MB; building that
+        # text whole peaked at 2-3 times its size
+        rows = cli._count_rows(6000, enumeration.pa2_series(6000))
+        path = tmp_path / f"rows.{fmt}"
+        args = argparse.Namespace(command="enumerate", digits=40, format=fmt,
+                                  no_timestamp=True, output=str(path))
+        tracemalloc.start()
+        try:
+            cli._emit(args, {"k": 2}, ["n", "count"], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 5_000_000
+        assert peak < size / 10, (peak, size)
 
     def test_json_schema(self, capsys):
         code, out, _ = run(["enumerate", "--k", "2", "--max-area", "3",
@@ -415,18 +435,6 @@ class TestConstants:
 
 
 class TestEnvPrecision:
-    def test_digits_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRUDENTPOLY_DIGITS", "17")
-        parser = cli.build_parser()
-        args = parser.parse_args(["enumerate", "--k", "2", "--max-area", "2"])
-        assert args.digits == 17
-
-    def test_non_integer_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRUDENTPOLY_DIGITS", "abc")
-        code, out, err = run(["constants", "--no-timestamp"], capsys)
-        assert code == 1 and out == ""
-        assert "PRUDENTPOLY_DIGITS" in err
-
     def test_digits_below_one_is_usage_error(self, capsys):
         code, out, err = run(["constants", "--digits", "0",
                               "--no-timestamp"], capsys)
@@ -767,8 +775,9 @@ class TestTracedRun:
 
 
 # The front end's shape: it reads the library through public names only,
-# sets the working precision in one place, and no public evaluator of
-# asymptotics takes a truncation knob (the scale is a module constant).
+# sets the working precision in one place, reads no environment variable,
+# and no public evaluator of asymptotics takes a truncation knob (the scale
+# is a module constant).
 class TestFrontEnd:
     TREE = ast.parse(Path(cli.__file__).read_text())
 
@@ -791,6 +800,14 @@ class TestFrontEnd:
                    and isinstance(node.func, ast.Attribute)
                    and node.func.attr == "workdps"]
         assert len(entered) == 1
+
+    def test_reads_no_environment_variable(self):
+        # every setting is an option on the command line
+        env = {"environ", "environb", "getenv"}
+        reads = [ast.unparse(node) for node in ast.walk(self.TREE)
+                 if getattr(node, "attr", None) in env
+                 or getattr(node, "id", None) in env]
+        assert reads == []
 
     def test_no_truncation_scale_parameter(self):
         asy = cli.asymptotics
