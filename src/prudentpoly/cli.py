@@ -29,6 +29,7 @@ import sys
 from datetime import datetime, timezone
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpf_pos, round_nearest, to_str
 
 from . import asymptotics, enumeration, oracle
 
@@ -214,8 +215,13 @@ def _write(fh, fmt: str, config: dict, columns: list, rows: list) -> None:
         sys.set_int_max_str_digits(limit)
 
 
-def _num(x, digits: int) -> str:
-    return mp.nstr(mpf(x), digits, strip_zeros=False)
+def _num(x: mpf, digits: int) -> str:
+    """x to ``digits`` significant digits: the bytes of
+    ``mp.nstr(mpf(x), digits, strip_zeros=False)``, without the wrappers.
+    x is rounded to the working precision as ``mpf(x)`` rounds it, then
+    printed by ``to_str``, the function that ``nstr`` ends in."""
+    return to_str(mpf_pos(x._mpf_, mp.prec, round_nearest), digits,
+                  strip_zeros=False)
 
 
 def _value_rows(pairs, digits: int) -> list:

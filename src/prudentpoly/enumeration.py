@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, zip_longest
-from operator import add, sub
+from operator import add, lshift, sub
 
 from . import _intpoly
 from .series import FloatSeries1, Series1, Series2, Series3, expand_rational
@@ -122,17 +122,21 @@ _W_FORCING = (0, 1, -2, 1)
 
 
 def _w_divide(c, size: int, lag: int) -> list[int]:
-    """The first ``size`` coefficients of c/(1-2q+q^lag), c iterable.
+    """The first ``size`` coefficients of c/(1-2q+q^lag), c an iterable of
+    exactly ``size`` values.
 
-    f_n = 2 f_{n-1} + c_n - f_{n-lag}: in blocks of ``lag`` degrees the
-    lagged read is the whole block before, so each block is one running
-    ``2a + x`` seeded by the last value.
+    f_n = 2 f_{n-1} + c_n - f_{n-lag}, as one ``map`` that appends to f
+    while two iterators over f read it 1 and ``lag`` entries behind the
+    end; a list iterator sees what is appended behind it.  A reader that
+    ran dry, or a c of the wrong length, leaves f the wrong length, which
+    raises AssertionError.
     """
-    e = iter(c)
     f = [0] * lag                       # the zero block below degree 0
-    for _ in range(0, size, lag):
-        f[-1:] = accumulate(map(sub, islice(e, lag), f[-lag:]),
-                            lambda a, x: 2 * a + x, initial=f[-1])
+    f += map(sub, map(add, map(lshift, islice(f, lag - 1, None), repeat(1)),
+                      c), iter(f))
+    if len(f) != lag + size:
+        raise AssertionError(
+            f"1/(1-2q+q^{lag}) made {len(f) - lag} of {size} coefficients")
     del f[:lag]
     return f
 
@@ -184,21 +188,38 @@ def w_series(order: int) -> Series2:
     return Series2(order, _w_blocks(order))
 
 
-def _twice_plus(a, x):
-    return a + a + x
+def _div_double(f: list, c, size: int) -> list[int]:
+    """Extend f by f_i = 2 f_{i-1} + c_i for the ``size`` values of c, the
+    first seeded by f's last entry: 1/(1-2q) as a running sum.
+
+    One ``map`` appends to f while an iterator over f reads it one entry
+    behind the end; a list iterator sees what is appended behind it.  A
+    reader that ran dry, or a c of the wrong length, leaves f the wrong
+    length, which raises AssertionError.
+    """
+    start = len(f)
+    f += map(add, map(lshift, islice(f, start - 1, None), repeat(1)), c)
+    if len(f) != start + size:
+        raise AssertionError(
+            f"1/(1-2q) made {len(f) - start} of {size} coefficients")
+    return f
 
 
 def _div_lag(c, size: int, lag: int) -> list[int]:
     """The first ``size`` coefficients of c/(1-q-q^lag), c iterable.
 
-    It runs in blocks of ``lag`` degrees, so the lagged read of every block
-    is the whole block before it, and each block is one running sum seeded
-    by the last value.
+    f_d = c_d + f_{d-1} + f_{d-lag}, as one ``map`` that appends to f while
+    two iterators over f read it 1 and ``lag`` entries behind the end.  A
+    reader that ran dry, or a c shorter than ``size``, leaves f short,
+    which raises AssertionError.
     """
-    e = islice(c, max(size, 0))
+    size = max(size, 0)
     f = [0] * lag                       # the zero block below degree 0
-    for _ in range(0, size, lag):
-        f[-1:] = accumulate(map(add, islice(e, lag), f[-lag:]), initial=f[-1])
+    f += map(add, map(add, islice(f, lag - 1, None), iter(f)),
+             islice(c, size))
+    if len(f) != lag + size:
+        raise AssertionError(
+            f"1/(1-q-q^{lag}) made {len(f) - lag} of {size} coefficients")
     del f[:lag]
     return f
 
@@ -242,12 +263,13 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
         k[2 * m + 2:] = map(sub, k[2 * m + 2:],
                             _div_lag(h, size - 4 - 2 * m, m + 2))
         # the innermost H' may run one degree long; the slices drop it
-        h = [-1 if m % 2 else 1, *accumulate(k, _twice_plus, initial=0)]
+        h = _div_double([-1 if m % 2 else 1, 0], k, len(k))
     # S over degrees 0..n-3
-    total = [0, 0, *accumulate(_div_lag(h, n - 4, 2), _twice_plus)]
+    s = _div_lag(h, n - 4, 2)
+    total = _div_double([0, 0], s, len(s))
     # prefactor -2q^3(1-q)^2/(1-2q)^2, as (1-q)/(1-2q) twice
     for _ in range(2):
-        total = list(accumulate(map(sub, total, [0] + total), _twice_plus))
+        total = _div_double([0], map(sub, total, [0] + total), len(total))[1:]
     # + 2q(3-10q+9q^2-q^3)/((1-2q)^2(1-q))
     rat = _intpoly.expand_rational([0, 6, -20, 18, -2], [1, -5, 8, -4], n)
     return rat[:3] + [r - 2 * t for r, t in zip(rat[3:], total)]
