@@ -1019,28 +1019,42 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
     guard bits past the working precision.  log n and n^-g come from
     _prime_table, which calls mpmath only at the primes; the scaled count
     is (PA_n 2^-n) n^-g, one product shifted right, and the polynomial part
-    is a Horner sum in log n and in 1/n.  The coefficients convert to such
-    integers exactly: each has at most prec bits and a magnitude above
-    2^-32.  Each Horner step that shifts or floor-divides drops under one
-    unit, and the later steps multiply that loss by at most (log n)^i n^-j
-    < 1 (i < j, log n < n): fewer units than there are steps, 14 at T = 5.
-    The table's error in log n, at most Omega(n)/2 units, moves the sum by
+    is a Horner sum in log n and in 1/n.
+
+    The model's coefficients are asked for at dps + 10 digits.  The
+    residual, about 1e-9 against a model near 0.1, cancels about 8 of its
+    leading digits, and kappa_0 and c[(1,1)] are good to 10^-(d+5) at d
+    digits (the truncation rule), so at dps digits the residual would keep
+    only about dps - 3; at dps + 10 it keeps about dps + 7.  Each coefficient
+    converts to a unit with under one unit lost, and that loss reaches the
+    sum times (log n)^l n^-j <= 1 (l <= j): under 15 units at T = 5.  Each
+    Horner step that shifts or floor-divides drops under one unit, and the
+    later steps multiply that loss by at most (log n)^i n^-j < 1 (i < j,
+    log n < n): fewer units than there are steps, 14 at T = 5.  The
+    table's error in log n, at most Omega(n)/2 units, moves the sum by
     less than that at every n >= 2, and n^-g and the scaled count each
     carry under Omega(n) + 1 units.  So a row is off by a few dozen units
     at most, about 2^-(prec+26), before the scaled count and the residual
-    are each rounded to the working precision once.  ``counts`` may be a
-    CountTable (exact) or FloatSeries1 (scaled float counts) reaching at
-    least ``max_n``; by default the exact theorem-route counts are computed.
+    are each rounded to the working precision once.
+
+    ``counts`` may be a 3-sided CountTable (exact) or FloatSeries1 (scaled
+    float counts, which only ``pa3_scaled_float`` makes) reaching at least
+    ``max_n``; by default the exact theorem-route counts are computed.  The
+    model describes 3-sided counts only, so a CountTable of other k raises
+    DomainError.
     """
     if not 2 <= min_n <= max_n:
         raise ValueError("residuals need 2 <= min_n <= max_n")
     if counts is None:
         counts = pa3_series(max_n, "theorem")
+    if isinstance(counts, CountTable) and counts.k != 3:
+        raise DomainError(
+            f"the residual model describes 3-sided counts, not k = {counts.k}")
     source, available, scaled_count = _scaled_counts(counts)
     if available < max_n:
         raise DomainError(
             f"counts reach n = {available}, residuals need n up to {max_n}")
-    coeffs = omega_coefficients(terms, dps=dps)
+    coeffs = omega_coefficients(terms, dps=dps + 10)
     with mp.workdps(dps + _GUARD_DPS):
         bits = mp.prec + _GUARD_BITS
         # n^-g on a finer scale: times a scaled count, which is below

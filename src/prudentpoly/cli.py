@@ -18,13 +18,16 @@ error, found before any work is done (--digits past 10000 and --harmonics
 past 1000 among them), or an --output path that cannot be written; 2 domain
 error, such as an order past a solver's memory budget; 3 verification
 mismatch, including a broken internal invariant (reported as
-"internal error: ..." on stderr).
+"internal error: ..." on stderr); 141 (128 + SIGPIPE, what a shell reports
+for a tool that a closed pipe stops) when the reader of stdout closes it
+before the output ends, as `| head` does, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -37,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_MISMATCH = 3
+EXIT_BROKEN_PIPE = 141
 
 # `residuals --max-n 6` took 25 s at 4000 digits on one core of a 2-core host
 _MAX_DIGITS = 10000
@@ -351,7 +355,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         with mp.workdps(args.digits + 10):
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+        sys.stdout.flush()      # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to os.devnull, so the flush at exit
+        # meets no closed pipe and prints nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,11 +14,17 @@ Routes implemented:
   and D_m = 1-q-q^{m+2}; the partial sum H'_m = (-1)^m + q^2 N_m/((1-2q)
   D_m) H'_{m+1} carries the signs, so nothing is negated.  Each step uses
   N_m = D_m (1-q^m) - q^{2m+2}: one lagged subtraction, a short division by
-  D_m block by block (one running sum per m+2 degrees), and 1/(1-2q) as one
-  running sum.
+  D_m and 1/(1-2q), each one running sum.
 * 4-sided: the three trivariate functional equations coupling the
   row/column-addition classes X, Y, Z, solved one q-degree at a time;
   returns 8*(X+Y+Z) at u=v=1.
+
+Every running sum of the two exact 3-sided routes is one self-feeding
+``map``: it appends to a list while iterators over that same list read it
+a fixed number of entries behind the end (a list iterator keeps an index,
+so it sees what is appended behind it), with no Python-level call per
+coefficient.  Each checks the length it made, so a reader that ran dry
+raises AssertionError instead of returning a short list.
 
 ``pa3_scaled_float`` converts the exact theorem-route counts to the scaled
 variable x = 2q; it is a view of those counts, not a separate route.
@@ -148,11 +154,12 @@ def _w_blocks(order: int) -> list[list[int]]:
         (1-q)(1-2q+q^{k+1}) W_k
             = [k=1] q(1-q)^2 + q((1-2q) + q^{k-1}(1-q+q^2)) W_{k-1},
     because [u^k] W(q,qu) = q^k W_k.  So W_k is one numerator pass over
-    W_{k-1}, a running sum for 1/(1-q) and a block-lagged running sum for
-    1/(1-2q+q^{k+1}).  W_1 is held from q-degree 0 and each factor q moves
-    the start up by one, so W_k is held from degree k-1, one below its
-    valuation, up to the order; the rows returned are full length, u^0
-    first, and ``Series2`` checks that each block vanishes below its degree.
+    W_{k-1}, a running sum for 1/(1-q) and a lagged running sum for
+    1/(1-2q+q^{k+1}) (``_w_divide``).  W_1 is held from q-degree 0 and each
+    factor q moves the start up by one, so W_k is held from degree k-1, one
+    below its valuation, up to the order; the rows returned are full
+    length, u^0 first, and ``Series2`` checks that each block vanishes
+    below its degree.
     """
     n = order
     rows = [[0] * (n + 1)]
@@ -249,10 +256,10 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
     the q^3 prefactor reads.  Each step uses N_m = D_m (1-q^m) - q^{2m+2}:
         rho_m h = q^2/(1-2q) ((1-q^m) h - q^{2m+2} h/D_m),
     where only the first order-6-4m coefficients of h/D_m are read, none
-    once 4m+6 >= order; they are one running sum per block of m+2 degrees
-    (``_div_lag``), and 1/(1-2q) is one running ``a + a + x``.  Every step
-    is a few passes over whole lists at C level (``map`` and
-    ``accumulate``), never an indexed Python loop.
+    once 4m+6 >= order; they are one lagged running sum (``_div_lag``), and
+    1/(1-2q) is one running 2a + x (``_div_double``), each a self-feeding
+    ``map``.  Every step is a few passes over whole lists at C level, never
+    a Python-level call per coefficient.
     """
     n = order
     h = []                              # H'_{m+1}, none past the innermost m

@@ -12,7 +12,7 @@ from mpmath import mp, mpc, mpf
 from prudentpoly import asymptotics as asy
 from prudentpoly.asymptotics import DomainError
 from prudentpoly.enumeration import (
-    CountTable, pa2_series, pa3_scaled_float, pa3_series)
+    CountTable, pa2_series, pa3_scaled_float, pa3_series, pa4_series)
 
 mp.dps = 60
 
@@ -428,7 +428,8 @@ class TestResidualPipeline:
                 return mp.nstr(mpf(x), dps, strip_zeros=False)
 
         for terms in (0, 1, 5):
-            coeffs = asy.omega_coefficients(terms, dps)
+            # the table's model: coefficients at dps + 10 digits
+            coeffs = asy.omega_coefficients(terms, dps + 10)
             with mp.workdps(2 * dps + 20):
                 g = mp.log(3) / mp.log(2)
                 expected = {}
@@ -460,7 +461,7 @@ class TestResidualPipeline:
         sample = sorted({*range(2, 4097, 101), 2668, 3906, 4096})
         table = asy.residuals(4096, 5, dps, counts=exact_counts_4096)
         rows = {n: (s, r) for n, s, r in table.rows}
-        coeffs = asy.omega_coefficients(5, dps)
+        coeffs = asy.omega_coefficients(5, dps + 10)
 
         def printed(x):
             with mp.workdps(dps + 10):
@@ -477,6 +478,20 @@ class TestResidualPipeline:
                     / mpf(n) ** j for j in range(5))
                 expected = (printed(scaled_g), printed(scaled_g - model))
             assert tuple(map(printed, rows[n])) == expected, n
+
+    @pytest.mark.parametrize("solve", [pa2_series, pa4_series],
+                             ids=["k2", "k4"])
+    def test_counts_of_other_sides_refused(self, solve):
+        # the model describes 3-sided counts; 4-sided ones gave a
+        # "residual" of 0.819 at n = 40
+        with pytest.raises(DomainError, match="3-sided"):
+            asy.residuals(40, counts=solve(40))
+
+    def test_scaled_float_counts_accepted(self):
+        exact = asy.residuals(40, counts=pa3_series(40))
+        scaled = asy.residuals(40, counts=pa3_scaled_float(40))
+        assert scaled.source == "float" and exact.source == "exact"
+        assert [n for n, _, _ in scaled.rows] == list(range(2, 41))
 
     def test_fourier_requires_window(self):
         table = asy.residuals(64, terms=2)
@@ -970,10 +985,10 @@ class TestContracts:
         "poles-40": _call(asy.poles, 40),
         "theta_root": _call(asy.theta_root),
         "omega_coefficients-5": _call(asy.omega_coefficients, 5),
-        # to n = 64: from about n = 100 on the residual cancels 8 digits
-        # against kappa_0, which carries dps + 5, and the 30-digit rows
-        # drift in their last two digits (ROADMAP item 3)
-        "residuals-64": _call(lambda dps: asy.residuals(64, dps=dps).rows),
+        # to n = 1024: the residual cancels about 8 digits against the
+        # model, whose coefficients are asked for at dps + 10 digits
+        "residuals-1024":
+            _call(lambda dps: asy.residuals(1024, dps=dps).rows),
         "exponent_fit-64": _call(asy.exponent_fit, _COUNTS_64),
         "fourier_extract-u4-6": _call(_extracted, asy.fourier_extract),
         "fourier_extract_detrended-u4-6":

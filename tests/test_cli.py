@@ -442,8 +442,11 @@ class TestEnvPrecision:
         assert "positive integer" in err
 
 
-# sha256 of the stdout of each command with --no-timestamp.  The residuals
-# and q = 0.25 digests were recorded before the evaluators shared one record
+# sha256 of the stdout of each command with --no-timestamp.  The four
+# residuals digests were recorded when the model's coefficients came to be
+# taken at dps + 10 digits; their residual columns moved by up to 2.0e-35
+# relative at 40 digits and 1.9e-54 at 60, the scaled counts kept every byte.
+# The q = 0.25 digest was recorded before the evaluators shared one record
 # of q, and the fit and constants digests before the roots and fits moved to
 # mpmath's solvers.  The other six gf-check digests were recorded when the
 # q-products and the meromorphic and doublesum tails moved onto fixed-point
@@ -454,14 +457,14 @@ class TestEnvPrecision:
 # lost its box bound, which the length bound implies.
 OUTPUT_SHA256 = [
     (["residuals", "--max-n", "1024", "--terms", "5", "--digits", "40"],
-     "1c1748cadac3840b9f4af5699dcb161155042b364b29afd2c15b83d1fbd88094"),
+     "7ed591321483d3e391f69f7a60307a479b1c26e55b518fcfbf97a52bd282f495"),
     (["residuals", "--max-n", "1024", "--terms", "5", "--digits", "60"],
-     "2c7a04ebec5487128496ff9a8e46b8655a64d4777db3b84999ab34a572e0df82"),
+     "1175bc7766acbd5ac5cbc9e48a7b0294a54473b1aed8717c0dd7297b45fa5ed9"),
     # holds n = 2668, whose last printed residual digit needs n^g from
     # mp.exp, not from mp.e ** (g log n)
     (["residuals", "--max-n", "2700", "--min-n", "2600", "--terms", "5",
       "--digits", "40"],
-     "9c13a843bb8a7ecee058b6ed6656c536bd1a5194e77ca5dbe238466806c4e5e9"),
+     "7bb9426e24330fc1f5088229af801c920724db5bbaf074e2100333e61aed50fb"),
     (["gf-check", "--q", "0.25", "--methods", "taylor,meromorphic",
       "--digits", "100"],
      "623e40cd660d57d2b15156f2684d6cf342ca9add5386c890d9dea1af7b65fdd4"),
@@ -486,7 +489,7 @@ OUTPUT_SHA256 = [
     # the JSON path, recorded before the log2_n column came with the rows
     (["residuals", "--max-n", "300", "--min-n", "200", "--terms", "5",
       "--digits", "60", "--format", "json"],
-     "869fec04a0490d88b62c45a8cd49cd6e140a5ec74d8b7dc48bbf4ff64feaaa96"),
+     "054ba262ec46d78633e17618aabfbd7f52110180657166609b9d2b7d2289765b"),
     (["fit", "--k", "2", "--max-n", "64"],
      "12611567bd159a3372fdbb3350a981876a837985cbadbfb5bf623fc018382f36"),
     (["fit", "--k", "4", "--max-n", "64", "--digits", "40"],
@@ -772,6 +775,25 @@ class TestTracedRun:
         report = json.loads(proc.stdout)
         assert report["code"] == 0
         assert report["layers"]["series.construct_s"] > 0
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_141_without_a_traceback(self):
+        # the reader takes one line and closes the pipe, as `| head -1`
+        # does; the table, about 130 kB, passes the pipe's buffer, so a
+        # later write meets the closed pipe
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "prudentpoly.cli", "residuals",
+             "--max-n", "1024"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"# command=residuals\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
 
 
 # The front end's shape: it reads the library through public names only,

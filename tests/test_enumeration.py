@@ -6,6 +6,7 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prudentpoly.enumeration import (
     CountTable,
@@ -154,6 +155,89 @@ class TestWSeries:
         monkeypatch.setattr(enumeration, "_w_blocks", unreached)
         with pytest.raises(DomainError, match=r"order 4096 needs about \d+ MiB"):
             pa3_series(4096, "functional")
+
+
+# integers of mixed sign and width: small ones, where a wrong sign or lag
+# shows in the low digits, and ones hundreds of bits wide
+_MIXED = st.one_of(st.integers(-3, 3), st.integers(-2 ** 300, 2 ** 300))
+
+
+def _lag_and_values(draw, extra: int = 0):
+    """(lag, size, c): lag 1..8, size 0..lag+3, c of size..size+extra
+    values."""
+    lag = draw(st.integers(1, 8))
+    size = draw(st.integers(0, lag + 3))
+    c = draw(st.lists(_MIXED, min_size=size, max_size=size + extra))
+    return lag, size, c
+
+
+def _snapshot_islice(it, *args):
+    """islice over a copy of a list: a tail reader that never sees what is
+    appended behind it, so it runs dry at the seed's end."""
+    return itertools.islice(list(it) if isinstance(it, list) else it, *args)
+
+
+class TestSelfFeedingRecurrences:
+    """Each running sum that appends to a list while an iterator reads the
+    list's own tail, against a plain indexed loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_div_double(self, data):
+        # the theorem route's 1/(1-2q): f_i = 2 f_{i-1} + c_i from f's last
+        seed = data.draw(st.lists(st.one_of(st.just(0), _MIXED), min_size=1,
+                                  max_size=3))
+        _, size, c = _lag_and_values(data.draw)
+        expected = list(seed)
+        for i in range(size):
+            expected.append(2 * expected[-1] + c[i])
+        assert enumeration._div_double(list(seed), iter(c), size) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_div_lag(self, data):
+        # f_d = c_d + f_{d-1} + f_{d-lag}, the values of c past size unread
+        lag, size, c = _lag_and_values(data.draw, extra=2)
+        f = []
+        for d in range(size):
+            f.append(c[d] + (f[d - 1] if d >= 1 else 0)
+                     + (f[d - lag] if d >= lag else 0))
+        assert enumeration._div_lag(iter(c), size, lag) == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_w_divide(self, data):
+        # the functional route's f_n = 2 f_{n-1} + c_n - f_{n-lag}
+        lag, size, c = _lag_and_values(data.draw)
+        f = []
+        for d in range(size):
+            f.append(2 * (f[d - 1] if d >= 1 else 0) + c[d]
+                     - (f[d - lag] if d >= lag else 0))
+        assert enumeration._w_divide(iter(c), size, lag) == f
+
+    @pytest.mark.parametrize("call", [
+        lambda: enumeration._div_double([1], [1, 2], 3),
+        lambda: enumeration._div_double([1], [1, 2, 3, 4], 3),
+        lambda: enumeration._div_lag([1, 2], 5, 2),
+        lambda: enumeration._w_divide([1, 2], 3, 2),
+        lambda: enumeration._w_divide([1, 2, 3, 4], 3, 2),
+    ], ids=["div_double-short", "div_double-long", "div_lag-short",
+            "w_divide-short", "w_divide-long"])
+    def test_input_of_the_wrong_length_raises(self, call):
+        with pytest.raises(AssertionError, match="coefficients"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: enumeration._div_double([1, 2], [1, 2, 3], 3),
+        lambda: enumeration._div_lag([1, 2, 3, 4, 5], 5, 2),
+        lambda: enumeration._w_divide([1, 2, 3], 3, 2),
+    ], ids=["div_double", "div_lag", "w_divide"])
+    def test_dry_tail_reader_raises(self, call, monkeypatch):
+        # a reader that stops at the seed ends the map early; the length
+        # check turns the short list into an AssertionError
+        monkeypatch.setattr(enumeration, "islice", _snapshot_islice)
+        with pytest.raises(AssertionError, match="coefficients"):
+            call()
 
 
 class TestPa3:
