@@ -272,8 +272,7 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
         # the innermost H' may run one degree long; the slices drop it
         h = _div_double([-1 if m % 2 else 1, 0], k, len(k))
     # S over degrees 0..n-3
-    s = _div_lag(h, n - 4, 2)
-    total = _div_double([0, 0], s, len(s))
+    total = _div_double([0, 0], _div_lag(h, n - 4, 2), max(n - 4, 0))
     # prefactor -2q^3(1-q)^2/(1-2q)^2, as (1-q)/(1-2q) twice
     for _ in range(2):
         total = _div_double([0], map(sub, total, [0] + total), len(total))[1:]

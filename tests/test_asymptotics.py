@@ -487,12 +487,6 @@ class TestResidualPipeline:
         with pytest.raises(DomainError, match="3-sided"):
             asy.residuals(40, counts=solve(40))
 
-    def test_scaled_float_counts_accepted(self):
-        exact = asy.residuals(40, counts=pa3_series(40))
-        scaled = asy.residuals(40, counts=pa3_scaled_float(40))
-        assert scaled.source == "float" and exact.source == "exact"
-        assert [n for n, _, _ in scaled.rows] == list(range(2, 41))
-
     def test_fourier_requires_window(self):
         table = asy.residuals(64, terms=2)
         with pytest.raises(DomainError):
