@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, zip_longest
-from operator import add, lshift, sub
+from operator import add, lshift, neg, sub
 
 from . import _intpoly
 from .series import FloatSeries1, Series1, Series2, Series3, expand_rational
@@ -231,6 +231,26 @@ def _div_lag(c, size: int, lag: int) -> list[int]:
     return f
 
 
+def _horner_heads(order: int):
+    """head(m, size): the theorem route's Horner partial sum H'_m to degree
+    size-1 <= 2m+3, from H'_m = (-1)^m [c + q^{m+2} R] mod q^{2m+4} (see
+    ``_pa3_theorem_coeffs``), with c_d = 1-d and R = (1-2q)/((1-q)^2
+    (1-2q+q^3)) expanded once, to degree order/4 + 8: no partial sum of an
+    order-``order`` run reads R past degree order/4.
+    """
+    tail = _intpoly.expand_rational([1, -2], [1, -4, 5, -1, -2, 1],
+                                    order // 4 + 8)
+
+    def head(m: int, size: int) -> list[int]:
+        h = list(map(add, range(1, 1 - size, -1),
+                     chain(repeat(0, m + 2), tail)))
+        if len(h) != size:
+            raise AssertionError(f"H'_{m} has {len(h)} of {size} coefficients")
+        return list(map(neg, h)) if m % 2 else h
+
+    return head
+
+
 # The Horner sum holds a few lists of up to n integers of up to n bits.  The
 # peak RSS growth of ``pa3_series(n)``, measured in fresh processes, was
 # 1.8 / 6.3 / 13.5 / 23.4 MiB at n = 2000 / 4096 / 6144 / 8192; the
@@ -253,24 +273,38 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
     so H'_m = sum_{j>=m} (-1)^j rho_m ... rho_{j-1} carries the signs of
     the terms and nothing is negated.  H'_m is held from degree 0 up to
     degree order-3-2m, the last one that reaches degree order-3 of S, which
-    the q^3 prefactor reads.  Each step uses N_m = D_m (1-q^m) - q^{2m+2}:
+    the q^3 prefactor reads.
+
+    With y = q^2/(1-2q) and N_i/D_i = 1 - q^i - q^{2i+2}/D_i, every product
+    rho_m ... rho_{j-1} is y^{j-m} times a product of those factors over
+    i >= m.  A term with a lag factor q^{2i+2}/D_i starts at degree 2m+4,
+    one with two factors q^i at degree 2m+5, so below degree 2m+4 only the
+    single q^i terms are left, and the two geometric sums give
+        H'_m = (-1)^m [c + q^{m+2} R]  mod q^{2m+4},
+        c = (1-2q)/(1-q)^2,   R = (1-2q)/((1-q)^2 (1-2q+q^3)),
+    where c_d = 1-d, and R is expanded once, to degree order/4 + 8.  Once
+    4m+6 >= order this covers all of H'_m, so Horner starts at the first
+    such m, m0 = ceil((order-6)/4), with H'_{m0} from the congruence.  Each
+    later step computes only the degrees of H'_m from 2m+4 up, with
+    N_m = D_m (1-q^m) - q^{2m+2}:
         rho_m h = q^2/(1-2q) ((1-q^m) h - q^{2m+2} h/D_m),
-    where only the first order-6-4m coefficients of h/D_m are read, none
-    once 4m+6 >= order; they are one lagged running sum (``_div_lag``), and
-    1/(1-2q) is one running 2a + x (``_div_double``), each a self-feeding
+    as k_d = h_d - h_{d-m} - (h/D_m)_{d-2m-2} for d >= 2m+2, over
+    order-6-4m coefficients.  h/D_m is one lagged running sum
+    (``_div_lag``), and 1/(1-2q), seeded with the congruence's 2m+4
+    coefficients, one running 2a + x (``_div_double``), each a self-feeding
     ``map``.  Every step is a few passes over whole lists at C level, never
     a Python-level call per coefficient.
     """
     n = order
-    h = []                              # H'_{m+1}, none past the innermost m
-    for m in range((n - 3) // 2, 0, -1):
-        size = n - 2 - 2 * m            # H'_m: degrees 0..n-3-2m
-        k = h[:size - 2]
-        k[m:] = map(sub, k[m:], h)
-        k[2 * m + 2:] = map(sub, k[2 * m + 2:],
-                            _div_lag(h, size - 4 - 2 * m, m + 2))
-        # the innermost H' may run one degree long; the slices drop it
-        h = _div_double([-1 if m % 2 else 1, 0], k, len(k))
+    m0 = max(-(-(n - 6) // 4), 1)       # the first m with 4m+6 >= n
+    head = _horner_heads(n)
+    h = head(m0, max(n - 2 - 2 * m0, 0))    # H'_{m+1}
+    for m in range(m0 - 1, 0, -1):
+        size = n - 6 - 4 * m            # H'_m: degrees 2m+4..n-3-2m
+        # k, built as it is read: a named map would keep H'_{m+1} alive
+        h = _div_double(head(m, 2 * m + 4),
+                        map(sub, map(sub, h[2 * m + 2:], islice(h, m + 2, None)),
+                            _div_lag(h, size, m + 2)), size)
     # S over degrees 0..n-3
     total = _div_double([0, 0], _div_lag(h, n - 4, 2), max(n - 4, 0))
     # prefactor -2q^3(1-q)^2/(1-2q)^2, as (1-q)/(1-2q) twice

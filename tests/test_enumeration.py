@@ -252,10 +252,40 @@ class TestPa3:
 
     def test_dual_route_agreement_every_small_order(self):
         # the theorem kernel's edge cases: no step, a partial last block and
-        # a block longer than the degrees left
-        for n in range(1, 41):
+        # a block longer than the degrees left; up to 160 every residue of
+        # the order mod 4 meets both sides of the first Horner step m0, the
+        # first m with 4m+6 >= n, many times over
+        for n in range(1, 161):
             assert pa3_series(n, "theorem").counts == \
                 pa3_series(n, "functional").counts
+
+    def test_congruence_heads_match_plain_horner(self):
+        # the partial sums H'_m = (-1)^m + q^2 N_m/((1-2q) D_m) H'_{m+1},
+        # N_m = (1-q) - q^m (1-q+q^2), D_m = 1-q-q^{m+2}, summed in full
+        # with indexed loops from the innermost m, each held to degree
+        # n-3-2m; their first min(2m+4, n-2-2m) coefficients are the
+        # kernel's closed form
+        n = 300
+        head = enumeration._horner_heads(n)
+        h = []                                  # H'_{m+1}, degrees 0..n-5-2m
+        for m in range((n - 3) // 2, 0, -1):
+            size = n - 2 - 2 * m
+
+            def at(d):
+                return h[d] if 0 <= d < len(h) else 0
+
+            quot = []                           # N_m H'_{m+1} / D_m
+            for d in range(size - 2):
+                quot.append(at(d) - at(d - 1) - at(d - m) + at(d - m - 1)
+                            - at(d - m - 2)
+                            + (quot[d - 1] if d >= 1 else 0)
+                            + (quot[d - m - 2] if d >= m + 2 else 0))
+            g = []                              # quot/(1-2q)
+            for d in range(size - 2):
+                g.append(2 * (g[d - 1] if d >= 1 else 0) + quot[d])
+            h = ([(-1) ** m, 0] + g)[:size]     # (-1)^m + q^2 g
+            top = min(2 * m + 4, size)
+            assert h[:top] == head(m, top), m
 
     def test_dual_route_agreement_order_1000(self):
         assert pa3_series(1000, "theorem").counts == \
