@@ -12,9 +12,14 @@ Routes implemented:
   Horner's rule from the innermost term outwards, all in exact integers.
   The step ratio is -q^2 N_m/((1-2q) D_m) with N_m = (1-q) - q^m (1-q+q^2)
   and D_m = 1-q-q^{m+2}; the partial sum H'_m = (-1)^m + q^2 N_m/((1-2q)
-  D_m) H'_{m+1} carries the signs, so nothing is negated.  Each step uses
-  N_m = D_m (1-q^m) - q^{2m+2}: one lagged subtraction, a short division by
-  D_m and 1/(1-2q), each one running sum.
+  D_m) H'_{m+1} carries the signs, so nothing is negated.  Below degree
+  2m+4 (where the lag terms q^{2i+2}/D_i start; cross terms start at 2m+5)
+  every H'_m has the closed form (-1)^m [(1-2q)/(1-q)^2 + q^{m+2}
+  (1-2q)/((1-q)^2 (1-2q+q^3))], so Horner starts at m0 = ceil((n-6)/4),
+  the first m whose partial sum it covers, and each step m < m0 computes
+  only the degrees from 2m+4 up.  It uses N_m = D_m (1-q^m) - q^{2m+2}: one
+  lagged subtraction, a short division by D_m and 1/(1-2q) seeded with the
+  closed form, each one running sum.
 * 4-sided: the three trivariate functional equations coupling the
   row/column-addition classes X, Y, Z, solved one q-degree at a time;
   returns 8*(X+Y+Z) at u=v=1.
@@ -253,12 +258,12 @@ def _horner_heads(order: int):
 
 # The Horner sum holds a few lists of up to n integers of up to n bits.  The
 # peak RSS growth of ``pa3_series(n)``, measured in fresh processes, was
-# 1.8 / 6.3 / 13.5 / 23.4 MiB at n = 2000 / 4096 / 6144 / 8192; the
-# estimate below fits all four within 3%.  Orders from 79611 on pass the
-# budget and are refused before any work (the time, n^2.6, would be hours
+# 1.5 / 5.25 / 11.4 / 19.25 MiB at n = 2000 / 4096 / 6144 / 8192; the
+# estimate below fits all four within 3%.  Orders from 88273 on pass the
+# budget and are refused before any work (the time, n^2.7, would be hours
 # well before that).
 def _pa3_mib(order: int) -> float:
-    return 3.2e-7 * order ** 2 + 2.5e-4 * order
+    return 2.6e-7 * order ** 2 + 2.5e-4 * order
 
 
 def _pa3_theorem_coeffs(order: int) -> list[int]:
@@ -282,7 +287,7 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
     single q^i terms are left, and the two geometric sums give
         H'_m = (-1)^m [c + q^{m+2} R]  mod q^{2m+4},
         c = (1-2q)/(1-q)^2,   R = (1-2q)/((1-q)^2 (1-2q+q^3)),
-    where c_d = 1-d, and R is expanded once, to degree order/4 + 8.  Once
+    where c_d = 1-d (``_horner_heads`` builds these prefixes).  Once
     4m+6 >= order this covers all of H'_m, so Horner starts at the first
     such m, m0 = ceil((order-6)/4), with H'_{m0} from the congruence.  Each
     later step computes only the degrees of H'_m from 2m+4 up, with
@@ -301,10 +306,13 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
     h = head(m0, max(n - 2 - 2 * m0, 0))    # H'_{m+1}
     for m in range(m0 - 1, 0, -1):
         size = n - 6 - 4 * m            # H'_m: degrees 2m+4..n-3-2m
-        # k, built as it is read: a named map would keep H'_{m+1} alive
-        h = _div_double(head(m, 2 * m + 4),
-                        map(sub, map(sub, h[2 * m + 2:], islice(h, m + 2, None)),
-                            _div_lag(h, size, m + 2)), size)
+        # k from degree 2m+2, unnamed: a map bound to a name would keep
+        # H'_{m+1} alive through the next step and the final passes
+        h = _div_double(
+            head(m, 2 * m + 4),
+            map(sub, map(sub, h[2 * m + 2:], islice(h, m + 2, None)),
+                _div_lag(h, size, m + 2)),
+            size)
     # S over degrees 0..n-3
     total = _div_double([0, 0], _div_lag(h, n - 4, 2), max(n - 4, 0))
     # prefactor -2q^3(1-q)^2/(1-2q)^2, as (1-q)/(1-2q) twice

@@ -360,7 +360,7 @@ class TestErrors:
         ["residuals", "--max-n", "200000"]], ids=["enumerate", "residuals"])
     def test_three_sided_theorem_memory_guard_exit_two(self, argv, capsys,
                                                        monkeypatch):
-        # order 200000 needs about 12.5 GiB on the theorem route (and hours):
+        # order 200000 needs about 10 GiB on the theorem route (and hours):
         # refused before the kernel runs (a call to it would be exit 3)
         def unreached(order):
             raise AssertionError("the theorem kernel ran")

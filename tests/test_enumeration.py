@@ -251,10 +251,10 @@ class TestPa3:
             pa3_series(n, "functional").counts
 
     def test_dual_route_agreement_every_small_order(self):
-        # the theorem kernel's edge cases: no step, a partial last block and
-        # a block longer than the degrees left; up to 160 every residue of
-        # the order mod 4 meets both sides of the first Horner step m0, the
-        # first m with 4m+6 >= n, many times over
+        # the theorem kernel's edge cases: no Horner step (the closed form
+        # covers H'_1 up to n = 10), and every residue of the order mod 4,
+        # many times over, on both sides of the first step m0, the first m
+        # with 4m+6 >= n
         for n in range(1, 161):
             assert pa3_series(n, "theorem").counts == \
                 pa3_series(n, "functional").counts
@@ -286,6 +286,19 @@ class TestPa3:
             h = ([(-1) ** m, 0] + g)[:size]     # (-1)^m + q^2 g
             top = min(2 * m + 4, size)
             assert h[:top] == head(m, top), m
+
+    def test_memory_guard_before_any_work(self, monkeypatch):
+        # the fitted estimate refuses orders from 88273 on, before the kernel
+        # runs; the order below passes it
+        assert enumeration._pa3_mib(88272) <= enumeration._MAX_MIB
+
+        def unreached(order):
+            raise AssertionError("the theorem kernel ran")
+
+        monkeypatch.setattr(enumeration, "_pa3_theorem_coeffs", unreached)
+        with pytest.raises(DomainError,
+                           match=r"theorem order 88273 needs about \d+ MiB"):
+            pa3_series(88273)
 
     def test_dual_route_agreement_order_1000(self):
         assert pa3_series(1000, "theorem").counts == \
