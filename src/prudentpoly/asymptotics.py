@@ -1064,12 +1064,12 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
         # P_{T-1}, ..., P_0, each as its coefficients c[(j,j)], ..., c[(j,0)]
         polys = [[int(mp.ldexp(coeffs[(j, l)], bits))
                   for l in range(j, -1, -1)] for j in reversed(range(terms))]
-        rows, log2_n = [], []
+        rows, log2_n, log2 = [], [], mp.log(2)
         for n in range(min_n, max_n + 1):
             mantissa, exponent = scaled_count(n)
             scaled_g = mantissa * powers[n] >> (exponent + shift)
             fixed_L = logs[n]
-            log2_n.append(mp.ldexp(fixed_L, -bits) / mp.log(2))
+            log2_n.append(mp.ldexp(fixed_L, -bits) / log2)
             model = 0
             for poly in polys:
                 p = 0

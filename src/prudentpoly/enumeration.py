@@ -17,9 +17,10 @@ Routes implemented:
   every H'_m has the closed form (-1)^m [(1-2q)/(1-q)^2 + q^{m+2}
   (1-2q)/((1-q)^2 (1-2q+q^3))], so Horner starts at m0 = ceil((n-6)/4),
   the first m whose partial sum it covers, and each step m < m0 computes
-  only the degrees from 2m+4 up.  It uses N_m = D_m (1-q^m) - q^{2m+2}: one
-  lagged subtraction, a short division by D_m and 1/(1-2q) seeded with the
-  closed form, each one running sum.
+  only the degrees from 2m+4 up.  As D_m + q^{m+2} = 1-q, the step's
+  numerator applied to h = H'_{m+1} is h - q^m t with t = (1-q) h/D_m:
+  one lagged running sum for t, one subtraction, and 1/(1-2q) seeded with
+  the closed form, itself one running sum.
 * 4-sided: the three trivariate functional equations coupling the
   row/column-addition classes X, Y, Z, solved one q-degree at a time;
   returns 8*(X+Y+Z) at u=v=1.
@@ -217,22 +218,22 @@ def _div_double(f: list, c, size: int) -> list[int]:
     return f
 
 
-def _div_lag(c, size: int, lag: int) -> list[int]:
-    """The first ``size`` coefficients of c/(1-q-q^lag), c iterable.
+def _lag_ratio(c, size: int, lag: int) -> list[int]:
+    """The first ``size`` coefficients of (1-q) c/(1-q-q^lag), c iterable.
 
-    f_d = c_d + f_{d-1} + f_{d-lag}, as one ``map`` that appends to f while
-    two iterators over f read it 1 and ``lag`` entries behind the end.  A
-    reader that ran dry, or a c shorter than ``size``, leaves f short,
-    which raises AssertionError.
+    With g = f/(1-q), f = c + q^lag g, so f_d = c_d + (f_0 + ... +
+    f_{d-lag}): past its first ``lag`` entries, which are c's, f is one
+    ``map`` that appends to f while a running sum over f reads it ``lag``
+    entries behind the end.  A reader that ran dry, or a c shorter than
+    ``size``, leaves f short, which raises AssertionError.
     """
     size = max(size, 0)
-    f = [0] * lag                       # the zero block below degree 0
-    f += map(add, map(add, islice(f, lag - 1, None), iter(f)),
-             islice(c, size))
-    if len(f) != lag + size:
+    c = iter(c)
+    f = list(islice(c, min(lag, size)))
+    f += map(add, islice(c, size - len(f)), accumulate(iter(f)))
+    if len(f) != size:
         raise AssertionError(
-            f"1/(1-q-q^{lag}) made {len(f) - lag} of {size} coefficients")
-    del f[:lag]
+            f"(1-q)/(1-q-q^{lag}) made {len(f)} of {size} coefficients")
     return f
 
 
@@ -290,15 +291,17 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
     where c_d = 1-d (``_horner_heads`` builds these prefixes).  Once
     4m+6 >= order this covers all of H'_m, so Horner starts at the first
     such m, m0 = ceil((order-6)/4), with H'_{m0} from the congruence.  Each
-    later step computes only the degrees of H'_m from 2m+4 up, with
-    N_m = D_m (1-q^m) - q^{2m+2}:
-        rho_m h = q^2/(1-2q) ((1-q^m) h - q^{2m+2} h/D_m),
-    as k_d = h_d - h_{d-m} - (h/D_m)_{d-2m-2} for d >= 2m+2, over
-    order-6-4m coefficients.  h/D_m is one lagged running sum
-    (``_div_lag``), and 1/(1-2q), seeded with the congruence's 2m+4
-    coefficients, one running 2a + x (``_div_double``), each a self-feeding
-    ``map``.  Every step is a few passes over whole lists at C level, never
-    a Python-level call per coefficient.
+    later step computes only the degrees of H'_m from 2m+4 up.  Since
+    N_m = D_m (1-q^m) - q^{2m+2} and D_m + q^{m+2} = 1-q,
+        rho_m h = q^2/(1-2q) (h - q^m t),   t = (1-q) h/D_m,
+    as k_d = h_d - t_{d-m} for d >= 2m+2, over order-6-4m coefficients:
+    one subtraction.  t = h + q^{m+2} t/(1-q) is one lagged running sum
+    (``_lag_ratio``) of order-4-3m coefficients, read from degree m+2, and
+    1/(1-2q), seeded with the congruence's 2m+4 coefficients, one running
+    2a + x (``_div_double``), each a self-feeding ``map``.  The final pass
+    needs h/D_0, the running sum of (1-q) h/D_0.  Every step is a few
+    passes over whole lists at C level, never a Python-level call per
+    coefficient.
     """
     n = order
     m0 = max(-(-(n - 6) // 4), 1)       # the first m with 4m+6 >= n
@@ -306,15 +309,17 @@ def _pa3_theorem_coeffs(order: int) -> list[int]:
     h = head(m0, max(n - 2 - 2 * m0, 0))    # H'_{m+1}
     for m in range(m0 - 1, 0, -1):
         size = n - 6 - 4 * m            # H'_m: degrees 2m+4..n-3-2m
-        # k from degree 2m+2, unnamed: a map bound to a name would keep
-        # H'_{m+1} alive through the next step and the final passes
+        # k = h - q^m t from degree 2m+2, t = (1-q) h/D_m read from degree
+        # m+2; both unnamed: a name would keep t or H'_{m+1} alive through
+        # the next step and the final passes
         h = _div_double(
             head(m, 2 * m + 4),
-            map(sub, map(sub, h[2 * m + 2:], islice(h, m + 2, None)),
-                _div_lag(h, size, m + 2)),
+            map(sub, h[2 * m + 2:],
+                islice(_lag_ratio(h, n - 4 - 3 * m, m + 2), m + 2, None)),
             size)
-    # S over degrees 0..n-3
-    total = _div_double([0, 0], _div_lag(h, n - 4, 2), max(n - 4, 0))
+    # S over degrees 0..n-3; h/D_0 is the running sum of (1-q) h/D_0
+    total = _div_double([0, 0], accumulate(_lag_ratio(h, n - 4, 2)),
+                        max(n - 4, 0))
     # prefactor -2q^3(1-q)^2/(1-2q)^2, as (1-q)/(1-2q) twice
     for _ in range(2):
         total = _div_double([0], map(sub, total, [0] + total), len(total))[1:]

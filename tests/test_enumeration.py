@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,10 +172,17 @@ def _lag_and_values(draw, extra: int = 0):
     return lag, size, c
 
 
-def _snapshot_islice(it, *args):
-    """islice over a copy of a list: a tail reader that never sees what is
-    appended behind it, so it runs dry at the seed's end."""
-    return itertools.islice(list(it) if isinstance(it, list) else it, *args)
+def _snapshot(reader):
+    """``reader`` over a copy of what a list, or an iterator over one, holds
+    now: a tail reader that never sees what is appended behind it, so it
+    runs dry at the seed's end."""
+    list_iterator = type(iter([]))
+
+    def snapshot(it, *args):
+        return reader(list(it) if isinstance(it, (list, list_iterator))
+                      else it, *args)
+
+    return snapshot
 
 
 class TestSelfFeedingRecurrences:
@@ -195,14 +203,16 @@ class TestSelfFeedingRecurrences:
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_div_lag(self, data):
-        # f_d = c_d + f_{d-1} + f_{d-lag}, the values of c past size unread
+    def test_lag_ratio(self, data):
+        # (1-q) times c/(1-q-q^lag), f_d = c_d + f_{d-1} + f_{d-lag}, the
+        # values of c past size unread
         lag, size, c = _lag_and_values(data.draw, extra=2)
         f = []
         for d in range(size):
             f.append(c[d] + (f[d - 1] if d >= 1 else 0)
                      + (f[d - lag] if d >= lag else 0))
-        assert enumeration._div_lag(iter(c), size, lag) == f
+        expected = [f[d] - (f[d - 1] if d >= 1 else 0) for d in range(size)]
+        assert enumeration._lag_ratio(iter(c), size, lag) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -218,24 +228,27 @@ class TestSelfFeedingRecurrences:
     @pytest.mark.parametrize("call", [
         lambda: enumeration._div_double([1], [1, 2], 3),
         lambda: enumeration._div_double([1], [1, 2, 3, 4], 3),
-        lambda: enumeration._div_lag([1, 2], 5, 2),
+        lambda: enumeration._lag_ratio([1, 2], 5, 2),
         lambda: enumeration._w_divide([1, 2], 3, 2),
         lambda: enumeration._w_divide([1, 2, 3, 4], 3, 2),
-    ], ids=["div_double-short", "div_double-long", "div_lag-short",
+    ], ids=["div_double-short", "div_double-long", "lag_ratio-short",
             "w_divide-short", "w_divide-long"])
     def test_input_of_the_wrong_length_raises(self, call):
         with pytest.raises(AssertionError, match="coefficients"):
             call()
 
-    @pytest.mark.parametrize("call", [
-        lambda: enumeration._div_double([1, 2], [1, 2, 3], 3),
-        lambda: enumeration._div_lag([1, 2, 3, 4, 5], 5, 2),
-        lambda: enumeration._w_divide([1, 2, 3], 3, 2),
-    ], ids=["div_double", "div_lag", "w_divide"])
-    def test_dry_tail_reader_raises(self, call, monkeypatch):
-        # a reader that stops at the seed ends the map early; the length
-        # check turns the short list into an AssertionError
-        monkeypatch.setattr(enumeration, "islice", _snapshot_islice)
+    @pytest.mark.parametrize("reader, call", [
+        ("islice", lambda: enumeration._div_double([1, 2], [1, 2, 3], 3)),
+        ("accumulate",
+         lambda: enumeration._lag_ratio([1, 2, 3, 4, 5], 5, 2)),
+        ("islice", lambda: enumeration._w_divide([1, 2, 3], 3, 2)),
+    ], ids=["div_double", "lag_ratio", "w_divide"])
+    def test_dry_tail_reader_raises(self, reader, call, monkeypatch):
+        # a tail reader (the helper's islice over f, or its running sum over
+        # f) that stops at the seed ends the map early; the length check
+        # turns the short list into an AssertionError
+        monkeypatch.setattr(enumeration, reader,
+                            _snapshot(getattr(itertools, reader)))
         with pytest.raises(AssertionError, match="coefficients"):
             call()
 
@@ -299,6 +312,19 @@ class TestPa3:
         with pytest.raises(DomainError,
                            match=r"theorem order 88273 needs about \d+ MiB"):
             pa3_series(88273)
+
+    def test_kernel_frees_each_step(self):
+        # the kernel's traced peak at order 1024 is 0.433 MiB with every
+        # step's lists freed when the step ends (CPython 3.11); one kept
+        # past its step, as t = (1-q) H'_{m+1}/D_m bound to a name, read
+        # 0.534 MiB
+        tracemalloc.start()
+        try:
+            enumeration._pa3_theorem_coeffs(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.46 * 2 ** 20, peak / 2 ** 20
 
     def test_dual_route_agreement_order_1000(self):
         assert pa3_series(1000, "theorem").counts == \
