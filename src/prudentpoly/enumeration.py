@@ -259,7 +259,7 @@ def _horner_heads(order: int):
 
 # The Horner sum holds a few lists of up to n integers of up to n bits.  The
 # peak RSS growth of ``pa3_series(n)``, measured in fresh processes, was
-# 1.5 / 5.25 / 11.4 / 19.25 MiB at n = 2000 / 4096 / 6144 / 8192; the
+# 1.5 / 5.25 / 11.4 / 19.4 MiB at n = 2000 / 4096 / 6144 / 8192; the
 # estimate below fits all four within 3%.  Orders from 88273 on pass the
 # budget and are refused before any work (the time, n^2.7, would be hours
 # well before that).
