@@ -5,8 +5,10 @@ Routes implemented:
 * 2-sided: closed form 2q/(1-2q) + 2q/(1-q), i.e. counts 2^n + 2.
 * 3-sided, ``functional``: solve W(q,u) = F(q,u) + G(q,u) W(q,qu) for the
   area-width series of counter-clockwise polygons ending one step west of
-  the origin, one u-block W_k at a time from W_{k-1} (one division by
-  (1-q)(1-2q+q^{k+1}) each); then 2*(W(q,1) + q/(1-q) + q/(1-2q)).
+  the origin, one u-block W_k at a time from W_{k-1}:
+  W_k = q W_{k-1}/(1-q) + q^k W_{k-1}/(1-2q+q^{k+1}), a running sum plus
+  one lagged division over the first n-2k+3 coefficients of W_{k-1}; then
+  2*(W(q,1) + q/(1-q) + q/(1-2q)).
 * 3-sided, ``theorem``: the explicit sum whose term m carries the product
   prod_{k=1}^{m-1} (1-q-q^k+q^{k+1}-q^{k+2})/(1-q-q^{k+1}); summed by
   Horner's rule from the innermost term outwards, all in exact integers.
@@ -129,10 +131,6 @@ def pa2_series(order: int) -> CountTable:
     return CountTable(2, s.coeffs[1:], "closed-form")
 
 
-# u^1 of the functional route's forcing term, times (1-2q)(1-q-qu): q(1-q)^2.
-_W_FORCING = (0, 1, -2, 1)
-
-
 def _w_divide(c, size: int, lag: int) -> list[int]:
     """The first ``size`` coefficients of c/(1-2q+q^lag), c an iterable of
     exactly ``size`` values.
@@ -159,36 +157,34 @@ def _w_blocks(order: int) -> list[list[int]]:
     Times (1-2q)(1-q-qu), the equation's u^k block reads, with W_0 = 0,
         (1-q)(1-2q+q^{k+1}) W_k
             = [k=1] q(1-q)^2 + q((1-2q) + q^{k-1}(1-q+q^2)) W_{k-1},
-    because [u^k] W(q,qu) = q^k W_k.  So W_k is one numerator pass over
-    W_{k-1}, a running sum for 1/(1-q) and a lagged running sum for
-    1/(1-2q+q^{k+1}) (``_w_divide``).  W_1 is held from q-degree 0 and each
-    factor q moves the start up by one, so W_k is held from degree k-1, one
-    below its valuation, up to the order; the rows returned are full
-    length, u^0 first, and ``Series2`` checks that each block vanishes
-    below its degree.
+    because [u^k] W(q,qu) = q^k W_k.  As (1-2q) + q^{k-1}(1-q+q^2) =
+    (1-2q+q^{k+1}) + q^{k-1}(1-q), this is W_1 = q/(1-q) and
+        W_k = q W_{k-1}/(1-q) + q^k W_{k-1}/(1-2q+q^{k+1}):
+    the running sum of W_{k-1}, plus a lagged running sum (``_w_divide``)
+    over the first n-2k+3 coefficients of W_{k-1}, read from degree k-2,
+    one below its valuation, and added from degree 2k-2; it is empty for
+    k >= (n+3)/2.  The rows returned are full length, u^0 first, and
+    ``Series2`` checks that each block vanishes below its degree.
     """
     n = order
-    rows = [[0] * (n + 1)]
-    c = list(islice(chain(_W_FORCING, repeat(0)), n + 1))
-    for k in range(1, n + 1):
-        w = _w_divide(accumulate(c), len(c), k + 1)
-        rows.append([0] * (k - 1) + w)
-        # the numerator of W_{k+1} from degree k: w[t] - 2 w[t-1] + w[t-k]
-        # - w[t-k-1] + w[t-k-2], w[t] the coefficient of degree k-1+t
-        p = [0] * (k + 2) + w
-        s = p[k + 1:]
-        c = list(map(add, map(sub, w[:-1], map(add, s, s)),
-                      map(add, map(sub, p[2:], p[1:]), p)))
+    rows = [[0] * (n + 1), [0] + [1] * n]       # W_0 = 0, W_1 = q/(1-q)
+    for k in range(2, n + 1):
+        w, size = rows[-1], max(n + 3 - 2 * k, 0)
+        r = [0] * (n + 1)
+        r[k - 1:] = accumulate(islice(w, k - 2, n))
+        r[2 * k - 2:] = map(add, r[2 * k - 2:], _w_divide(
+            islice(w, k - 2, k - 2 + size), size, k + 1))
+        rows.append(r)
     return rows
 
 
 # The blocks hold about n^2/2 integers up to n bits wide.  The peak RSS
 # growth of ``pa3_series(n, "functional")``, measured in fresh processes,
-# was 13 / 71 / 201 / 432 / 1416 MiB at n = 500 / 1000 / 1500 / 2000 /
-# 3072; the estimate below fits all five within 1%.  Orders from 3509 on
-# pass the budget and are refused before any work.
+# was 12.25 / 68.9 / 197.25 / 424.9 / 1379.5 MiB at n = 500 / 1000 / 1500
+# / 2000 / 3072; the estimate below fits all five within 1%.  Orders from
+# 3529 on pass the budget and are refused before any work.
 def _w_mib(order: int) -> float:
-    return 3.3e-5 * order ** 2 + 3.8e-8 * order ** 3
+    return 3.04e-5 * order ** 2 + 3.8e-8 * order ** 3
 
 
 def w_series(order: int) -> Series2:
@@ -363,15 +359,18 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
 #     Y: W_Y(i, j-1) + W_Z(j-2, i) + X_{m-j}[j-1][i-1] + Y_{m-j}[i-1][j-1]
 #        + Z_{m-j}[j-2][i-1], plus 1 at (1, 1, 1);
 #     Z: W_Z(i, j-1) + Y_{m-j}[j-1][i] + Z_{m-j}[i-1][j-1].
-# X and Y^T are read only together, as are Y and Z^T one v-degree apart, so
-# the prefix sums stored are those of A = X + Y^T, B = Y + v Z^T and Z.  A
-# window term reads row i; a lag term reads row j-1 of A or B or j-2 of Z of
-# the raw degree S_k = P_S[k] - P_S[k-1], built along i, then transposed.
-# Each is one add pass of the newer prefix row and one subtract pass of the
-# older.  X, Y, A and B vanish for i + j > m + 1 and Z for i + j > m, so row
-# a of degree k is stored for j <= k + s - a, capped at k (s = 1, or 0 for
-# Z), a shape that is its own transpose.  A nonzero term past the end of a
-# row raises AssertionError: a bound too tight fails rather than drop terms.
+# X, Y^T and Z one u-degree up are read only together (the window of X and
+# the lag of Y read row i-1 of Z where they read row i of X and Y^T), as are
+# Y and Z^T one v-degree apart, so the prefix sums stored are those of
+# A = X + Y^T + uZ, B = Y + v Z^T and Z.  A window term reads row i; a lag
+# term reads row j-1 of A or B of the raw degree S_k = P_S[k] - P_S[k-1],
+# built along i, then transposed.  Each is one add pass of the newer prefix
+# row and one subtract pass of the older.  X, Y, A and B vanish for
+# i + j > m + 1 and Z for i + j > m, so row a of degree k is stored for
+# j <= k + s - a, capped at k (s = 1, or 0 for Z), a shape that is its own
+# transpose; Z's row k, its column 0, is never written, so uZ drops it.  A
+# nonzero term past the end of a row raises AssertionError: a bound too
+# tight fails rather than drop terms.
 # ---------------------------------------------------------------------------
 
 
@@ -391,14 +390,15 @@ def _add_transposed(out: list, rows, shift: int = 0) -> None:
 class _Prefix:
     """Prefix sums P[k] = S_0 + ... + S_k of one series, one triangle per
     degree with rows as long as those of S_k: P[k][a][b] sums u^a v^b up to
-    q^k.  Row a of P[k] is last read at degree k + a + life; ``release(m)``
-    drops the rows whose last reader was m, and a later read of one raises
+    q^k.  Row a of P[k] is last read at degree k + a + 2 (by the lag of A or
+    B; Z's own window reads it last at k + a + 1); ``release(m)`` drops the
+    rows whose last reader was m, and a later read of one raises
     AssertionError."""
 
-    __slots__ = ("tri", "life")
+    __slots__ = ("tri",)
 
-    def __init__(self, life: int):
-        self.tri, self.life = [[[0]]], life
+    def __init__(self):
+        self.tri = [[[0]]]
 
     def row(self, k: int, a: int):
         if k < 0 or not 0 <= a <= k:
@@ -429,27 +429,24 @@ class _Prefix:
         self.tri.append(s)
 
     def release(self, m: int) -> None:
-        for k in range((m - self.life + 1) // 2, m - self.life + 1):
-            self.tri[k][m - self.life - k] = None
+        for k in range((m - 1) // 2, m - 1):
+            self.tri[k][m - 2 - k] = None
 
 
 def _pa4_degrees(order: int):
     """Yield the raw (X_m, Y_m, Z_m) triangles [i][j] for m = 1..order, each
     row over its support: j <= min(m, m+1-i) for X and Y, j <= m-i for Z."""
-    pa, pb = _Prefix(2), _Prefix(2)
-    pz = _Prefix(3)    # the raw Z_{m-j}[j-2] of Y reads P_Z[m-j-1][j-2]
+    pa, pb, pz = _Prefix(), _Prefix(), _Prefix()
     for m in range(1, order + 1):
         top = m - 1
         x, y, ylag, z, zlag = (_staircase(m, s) for s in (1, 1, 1, 0, 0))
         for i in range(1, m + 1):       # the window over 0 degrees is empty
             pa.add_diff(x[i], 1, i, top, top - i)
-            pz.add_diff(x[i], 1, i - 1, top, top - i)
             pb.add_diff(y[i], 1, i, top, top - i)
             pz.add_diff(z[i], 1, i, top, top - i)
         for j in range(1, m // 2 + 2):  # past it, every row is past its degree
             k = m - j
             pa.add_diff(ylag[j], 1, j - 1, k, k - 1)
-            pz.add_diff(ylag[j], 1, j - 2, k, k - 1)
             pb.add_diff(zlag[j], 0, j - 1, k, k - 1)
         _add_transposed(y, ylag)
         _add_transposed(z, zlag)
@@ -457,7 +454,10 @@ def _pa4_degrees(order: int):
             y[1][1] += 1
         for p in (pa, pb, pz):
             p.release(m)
-        a, b = [list(r) for r in x], [list(r) for r in y]
+        # uZ: row i-1 of Z is as long as row i of X; Z's row m, its column
+        # 0, is never written and is dropped
+        a = [list(x[0])] + [list(map(add, r, t)) for r, t in zip(x[1:], z)]
+        b = [list(r) for r in y]
         _add_transposed(a, y)
         _add_transposed(b, z, 1)
         pa.push(a)

@@ -234,9 +234,16 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_functional_route_invariant_exit_three(self, capsys, monkeypatch):
-        # a forcing term with a constant makes the 3-sided functional route
-        # put a width-1 polygon at area 0, which the series' width cap refuses
-        monkeypatch.setattr(cli.enumeration, "_W_FORCING", (1, 1, -2, 1))
+        # a u^1 block with a constant makes the 3-sided functional route put
+        # a width-1 polygon at area 0, which the series' width cap refuses
+        blocks = cli.enumeration._w_blocks
+
+        def constant_in_u1(n):
+            rows = blocks(n)
+            rows[1][0] = 1
+            return rows
+
+        monkeypatch.setattr(cli.enumeration, "_w_blocks", constant_in_u1)
         code, out, err = run(["enumerate", "--k", "3", "--method",
                               "functional", "--max-area", "10",
                               "--no-timestamp"], capsys)

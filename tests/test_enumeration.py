@@ -138,9 +138,16 @@ class TestWSeries:
             "65ab00a2e2d12fe39668b713c902bdae1221454a14bc87ede5dcaf448d1b41dd"
 
     def test_below_valuation_contribution_raises(self, monkeypatch):
-        # a forcing term with a constant, which q(1-q)^2 cannot have, puts a
+        # a u^1 block with a constant, which q/(1-q) cannot have, puts a
         # width-1 polygon at area 0, which the series' width cap refuses
-        monkeypatch.setattr(enumeration, "_W_FORCING", (1, 1, -2, 1))
+        blocks = enumeration._w_blocks
+
+        def constant_in_u1(n):
+            rows = blocks(n)
+            rows[1][0] = 1
+            return rows
+
+        monkeypatch.setattr(enumeration, "_w_blocks", constant_in_u1)
         with pytest.raises(ValueError, match="catalytic degree 1 exceeds "
                                              "area degree"):
             w_series(10)
@@ -299,6 +306,21 @@ class TestPa3:
             h = ([(-1) ** m, 0] + g)[:size]     # (-1)^m + q^2 g
             top = min(2 * m + 4, size)
             assert h[:top] == head(m, top), m
+
+    def test_short_closed_form_raises(self, monkeypatch):
+        # an expansion of R = (1-2q)/((1-q)^2 (1-2q+q^3)) that stops after
+        # five coefficients leaves the first partial sum short; the head's
+        # length check turns that into an AssertionError, not wrong counts
+        expand = enumeration._intpoly.expand_rational
+
+        def short_r(numer, denom, order):
+            s = expand(numer, denom, order)
+            return s[:5] if list(numer) == [1, -2] else s
+
+        monkeypatch.setattr(enumeration._intpoly, "expand_rational", short_r)
+        with pytest.raises(AssertionError,
+                           match=r"H'_49 has 56 of 100 coefficients"):
+            pa3_series(200)
 
     def test_memory_guard_before_any_work(self, monkeypatch):
         # the fitted estimate refuses orders from 88273 on, before the kernel
