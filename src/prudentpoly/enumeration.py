@@ -365,18 +365,19 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
 # A = X + Y^T + uZ, B = Y + v Z^T and Z.  A window term reads row i; a lag
 # term reads row j-1 of A or B of the raw degree S_k = P_S[k] - P_S[k-1],
 # built along i, then transposed.  Each is one add pass of the newer prefix
-# row and one subtract pass of the older.  X, Y, A and B vanish for
-# i + j > m + 1 and Z for i + j > m, so row a of degree k is stored for
-# j <= k + s - a, capped at k (s = 1, or 0 for Z), a shape that is its own
-# transpose; Z's row k, its column 0, is never written, so uZ drops it.  A
-# nonzero term past the end of a row raises AssertionError: a bound too
-# tight fails rather than drop terms.
+# row and one subtract pass of the older.  Every term has i, j >= 1, and X,
+# Y, A and B vanish for i + j > m + 1 and Z for i + j > m, so a triangle of
+# degree k is stored over i, j >= 1, i + j <= k + s (s = 1, or 0 for Z):
+# row r holds u^(r+1) v^(t+1) at t < k + s - 1 - r, a shape that is its own
+# transpose.  A nonzero term past the end of a row raises AssertionError: a
+# bound too tight fails rather than drop terms.
 # ---------------------------------------------------------------------------
 
 
 def _staircase(k: int, s: int) -> list:
-    """A zero triangle of degree k over its support."""
-    return [[0] * (min(k, k + s - a) + 1) for a in range(k + 1)]
+    """A zero triangle of degree k over its support: row r (i = r + 1)
+    holds j = 1 .. k + s - 1 - r."""
+    return [[0] * (k + s - 1 - r) for r in range(k)]
 
 
 def _add_transposed(out: list, rows, shift: int = 0) -> None:
@@ -389,19 +390,19 @@ def _add_transposed(out: list, rows, shift: int = 0) -> None:
 
 class _Prefix:
     """Prefix sums P[k] = S_0 + ... + S_k of one series, one triangle per
-    degree with rows as long as those of S_k: P[k][a][b] sums u^a v^b up to
-    q^k.  Row a of P[k] is last read at degree k + a + 2 (by the lag of A or
-    B; Z's own window reads it last at k + a + 1); ``release(m)`` drops the
-    rows whose last reader was m, and a later read of one raises
-    AssertionError."""
+    degree with rows as long as those of S_k: P[k][a][b] sums u^(a+1)
+    v^(b+1) up to q^k, and P[0] has no rows.  Row a of P[k] is last read at
+    degree k + a + 3 (by the lag of A or B; Z's own window reads it last at
+    k + a + 2); ``release(m)`` drops the rows whose last reader was m, and a
+    later read of one raises AssertionError."""
 
     __slots__ = ("tri",)
 
     def __init__(self):
-        self.tri = [[[0]]]
+        self.tri = [[]]
 
     def row(self, k: int, a: int):
-        if k < 0 or not 0 <= a <= k:
+        if a >= k:
             return ()
         r = self.tri[k][a]
         if r is None:
@@ -422,40 +423,38 @@ class _Prefix:
 
     def push(self, s: list) -> None:
         """Append P[m] = P[m-1] + S_m, m the next degree, in the rows of s."""
-        k = len(self.tri) - 1
-        for a, r in enumerate(s[:-1]):
-            p = self.row(k, a)
+        for r, p in zip(s, self.tri[-1]):
             r[:len(p)] = map(add, p, r)
         self.tri.append(s)
 
     def release(self, m: int) -> None:
-        for k in range((m - 1) // 2, m - 1):
-            self.tri[k][m - 2 - k] = None
+        for k in range((m - 1) // 2, m - 2):
+            self.tri[k][m - 3 - k] = None
 
 
 def _pa4_degrees(order: int):
-    """Yield the raw (X_m, Y_m, Z_m) triangles [i][j] for m = 1..order, each
-    row over its support: j <= min(m, m+1-i) for X and Y, j <= m-i for Z."""
+    """Yield the raw (X_m, Y_m, Z_m) triangles for m = 1..order, row r
+    holding [u^(r+1) v^(t+1)] at t: t < m - r for X and Y, t < m - 1 - r
+    for Z, whose last row is empty."""
     pa, pb, pz = _Prefix(), _Prefix(), _Prefix()
     for m in range(1, order + 1):
         top = m - 1
         x, y, ylag, z, zlag = (_staircase(m, s) for s in (1, 1, 1, 0, 0))
-        for i in range(1, m + 1):       # the window over 0 degrees is empty
-            pa.add_diff(x[i], 1, i, top, top - i)
-            pb.add_diff(y[i], 1, i, top, top - i)
-            pz.add_diff(z[i], 1, i, top, top - i)
-        for j in range(1, m // 2 + 2):  # past it, every row is past its degree
-            k = m - j
-            pa.add_diff(ylag[j], 1, j - 1, k, k - 1)
-            pb.add_diff(zlag[j], 0, j - 1, k, k - 1)
+        for r in range(m - 1):          # the m - 1 rows of P[m - 1]
+            pa.add_diff(x[r], 1, r, top, top - r - 1)
+            pb.add_diff(y[r], 1, r, top, top - r - 1)
+            pz.add_diff(z[r], 1, r, top, top - r - 1)
+        for r in range((m - 1) // 2):   # past it, every row is past its degree
+            k = m - r - 2               # lag v -> qv, j = r + 2
+            pa.add_diff(ylag[r + 1], 1, r, k, k - 1)
+            pb.add_diff(zlag[r + 1], 0, r, k, k - 1)
         _add_transposed(y, ylag)
         _add_transposed(z, zlag)
         if m == 1:
-            y[1][1] += 1
+            y[0][0] += 1
         for p in (pa, pb, pz):
             p.release(m)
-        # uZ: row i-1 of Z is as long as row i of X; Z's row m, its column
-        # 0, is never written and is dropped
+        # uZ: row r-1 of Z is as long as row r of X
         a = [list(x[0])] + [list(map(add, r, t)) for r, t in zip(x[1:], z)]
         b = [list(r) for r in y]
         _add_transposed(a, y)
@@ -469,14 +468,14 @@ def _pa4_degrees(order: int):
 # The solver's peak memory above the interpreter grows as n^3 stored prefix
 # coefficients of width about n bits.  The estimate below is fitted to the
 # peak RSS growth of ``pa4_series`` measured at orders 100 to 400 (within 6%,
-# within 3% from order 200 on; 469 MiB at 300, 1226 MiB at 400).  The
-# solution keeps every degree's triangles and builds three ``Series3`` from
-# them: its peak growth at orders 60 to 240 fits the same n^4 term with an
-# n^3 term of 5.2e-5 (within 4%, within 2% from order 100 on; 444 MiB at
-# 200, 769 MiB at 240).  Orders whose estimate passes the budget, from 468 on
-# for the counts and from 332 on for the solution, are refused before any
-# work.
-_PA4_SERIES_N3, _PA4_SOLUTION_N3 = 1.4e-5, 5.2e-5
+# within 3.5% from order 200 on, never below; 471 MiB at 300, 792 at 350).
+# The solution keeps every degree's triangles and builds three ``Series3``
+# from them: its peak growth at orders 100 to 260 fits the same n^4 term
+# with an n^3 term of 5.4e-5 (within 6%, within 2% from order 200 on; 444
+# MiB at 200, 799 MiB at 240).  Orders whose estimate passes the budget,
+# from 468 on for the counts and from 328 on for the solution, are refused
+# before any work.
+_PA4_SERIES_N3, _PA4_SOLUTION_N3 = 1.4e-5, 5.4e-5
 
 
 def _pa4_mib(order: int, n3: float = _PA4_SERIES_N3) -> float:
@@ -493,18 +492,17 @@ def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
 def _pa4_rows(tris, order: int) -> dict:
     """(i, j) -> q-row of one series, from its triangles of degrees 1..order.
 
-    Row i of every triangle from degree max(i, 1) on, padded with zeros to
-    length order + 1, is one column of the (i, j) rows; ``zip`` transposes
-    them.
+    Row i (stored row i - 1) of every triangle from degree i on, padded
+    with zeros to length order, holds one column of the (i, j) rows for
+    j = 1 .. order; ``zip`` transposes them.
     """
     blocks = {}
-    for i in range(order + 1):
-        lo = max(i, 1)
-        padded = (tri[i] + [0] * (order + 1 - len(tri[i]))
-                  for tri in tris[lo - 1:])
-        for j, col in enumerate(zip(*padded)):
+    for i in range(1, order + 1):
+        padded = (tri[i - 1] + [0] * (order - len(tri[i - 1]))
+                  for tri in tris[i - 1:])
+        for j, col in enumerate(zip(*padded), 1):
             if any(col):
-                blocks[(i, j)] = (0,) * lo + col
+                blocks[(i, j)] = (0,) * i + col
     return blocks
 
 

@@ -222,7 +222,7 @@ class TestErrors:
         def tight(k, s):
             tri = staircase(k, s)
             if s == 1 and k > 2:
-                tri[2].pop()
+                tri[1].pop()
             return tri
 
         monkeypatch.setattr(cli.enumeration, "_staircase", tight)

@@ -480,7 +480,7 @@ class TestPa4:
         def short(k, shape):
             tri = staircase(k, shape)
             if next(built) % 5 in tight and k > 2:
-                tri[2].pop()
+                tri[1].pop()
             return tri
 
         monkeypatch.setattr(enumeration, "_staircase", short)
