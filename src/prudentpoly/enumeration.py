@@ -7,8 +7,9 @@ Routes implemented:
   area-width series of counter-clockwise polygons ending one step west of
   the origin, one u-block W_k at a time from W_{k-1}:
   W_k = q W_{k-1}/(1-q) + q^k W_{k-1}/(1-2q+q^{k+1}), a running sum plus
-  one lagged division over the first n-2k+3 coefficients of W_{k-1}; then
-  2*(W(q,1) + q/(1-q) + q/(1-2q)).
+  one lagged division over the first n-2k+3 coefficients of W_{k-1}; the
+  counts 2*(W(q,1) + q/(1-q) + q/(1-2q)) add each block into one running
+  total as it comes, so the route keeps one block and one total.
 * 3-sided, ``theorem``: the explicit sum whose term m carries the product
   prod_{k=1}^{m-1} (1-q-q^k+q^{k+1}-q^{k+2})/(1-q-q^{k+1}); summed by
   Horner's rule from the innermost term outwards, all in exact integers.
@@ -151,8 +152,8 @@ def _w_divide(c, size: int, lag: int) -> list[int]:
     return f
 
 
-def _w_blocks(order: int) -> list[list[int]]:
-    """Solve W = F + G W(q,qu) one u-block at a time.
+def _w_blocks(order: int):
+    """Solve W = F + G W(q,qu) one u-block at a time: yield W_0 .. W_n.
 
     Times (1-2q)(1-q-qu), the equation's u^k block reads, with W_0 = 0,
         (1-q)(1-2q+q^{k+1}) W_k
@@ -163,28 +164,39 @@ def _w_blocks(order: int) -> list[list[int]]:
     the running sum of W_{k-1}, plus a lagged running sum (``_w_divide``)
     over the first n-2k+3 coefficients of W_{k-1}, read from degree k-2,
     one below its valuation, and added from degree 2k-2; it is empty for
-    k >= (n+3)/2.  The rows returned are full length, u^0 first, and
-    ``Series2`` checks that each block vanishes below its degree.
+    k >= (n+3)/2.  Each block is yielded full length, and only the one
+    before it is kept; the consumer checks that it vanishes below its
+    degree (``Series2`` in ``w_series``, the running total in
+    ``pa3_series``).
     """
     n = order
-    rows = [[0] * (n + 1), [0] + [1] * n]       # W_0 = 0, W_1 = q/(1-q)
+    yield [0] * (n + 1)                 # W_0 = 0
+    w = [0] + [1] * n                   # W_1 = q/(1-q)
+    yield w
     for k in range(2, n + 1):
-        w, size = rows[-1], max(n + 3 - 2 * k, 0)
+        size = max(n + 3 - 2 * k, 0)
         r = [0] * (n + 1)
         r[k - 1:] = accumulate(islice(w, k - 2, n))
         r[2 * k - 2:] = map(add, r[2 * k - 2:], _w_divide(
             islice(w, k - 2, k - 2 + size), size, k + 1))
-        rows.append(r)
-    return rows
+        w = r
+        yield w
 
 
-# The blocks hold about n^2/2 integers up to n bits wide.  The peak RSS
-# growth of ``pa3_series(n, "functional")``, measured in fresh processes,
-# was 12.25 / 68.9 / 197.25 / 424.9 / 1379.5 MiB at n = 500 / 1000 / 1500
-# / 2000 / 3072; the estimate below fits all five within 1%.  Orders from
-# 3529 on pass the budget and are refused before any work.
+# ``w_series`` keeps every block, about n^2/2 integers up to n bits wide:
+# its peak RSS growth in fresh processes was 10.25 / 61.0 / 179.6 / 393.75
+# / 731.1 / 1306.4 MiB at n = 500 / 1000 / 1500 / 2000 / 2500 / 3072, which
+# ``_w_mib`` fits within 2%.  The functional counts keep two blocks and the
+# total: 0.5 / 1.62 / 3.62 / 6.38 / 14.5 / 24.4 MiB at n = 1000 / 2000 /
+# 3072 / 4096 / 6144 / 8192, which ``_w_sum_mib`` fits within 4%.  Orders
+# from 3594 and from 76295 on pass the budget and are refused before any
+# block is solved (76295 would take hours: the time grows as n^3).
 def _w_mib(order: int) -> float:
-    return 3.04e-5 * order ** 2 + 3.8e-8 * order ** 3
+    return 2.2e-5 * order ** 2 + 3.8e-8 * order ** 3
+
+
+def _w_sum_mib(order: int) -> float:
+    return 3.5e-7 * order ** 2 + 1.4e-4 * order
 
 
 def w_series(order: int) -> Series2:
@@ -330,9 +342,16 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
         _check_order(order, _pa3_mib, "3-sided theorem")
         coeffs = _pa3_theorem_coeffs(order)
     elif method == "functional":
-        coeffs = (w_series(order).eval_catalytic()
-                  + expand_rational((0, 1), (1, -1), order)
-                  + expand_rational((0, 1), (1, -2), order)).scale(2).coeffs
+        _check_order(order, _w_sum_mib, "3-sided functional")
+        # q/(1-q) + q/(1-2q) + W(q,1); a short block would shrink the sum
+        total = _intpoly.expand_rational([0, 2, -3], [1, -3, 2], order)
+        for k, w in enumerate(_w_blocks(order)):
+            if len(w) != order + 1:
+                raise ValueError("each u-block must have order+1 coefficients")
+            if any(islice(w, k)):
+                raise ValueError(f"catalytic degree {k} exceeds area degree")
+            total = list(map(add, total, w))
+        coeffs = [2 * c for c in total]
     else:
         raise ValueError("method must be 'theorem' or 'functional'")
     return CountTable(3, coeffs[1:], method)

@@ -239,9 +239,8 @@ class TestErrors:
         blocks = cli.enumeration._w_blocks
 
         def constant_in_u1(n):
-            rows = blocks(n)
-            rows[1][0] = 1
-            return rows
+            for k, w in enumerate(blocks(n)):
+                yield [1] + w[1:] if k == 1 else w
 
         monkeypatch.setattr(cli.enumeration, "_w_blocks", constant_in_u1)
         code, out, err = run(["enumerate", "--k", "3", "--method",
@@ -307,7 +306,8 @@ class TestErrors:
         # own bound, catalytic degree <= area degree
         blocks = cli.enumeration._w_blocks
         monkeypatch.setattr(cli.enumeration, "_w_blocks",
-                            lambda n: blocks(n)[:5] + [[1] + [0] * n])
+                            lambda n: itertools.chain(itertools.islice(
+                                blocks(n), 5), [[1] + [0] * n]))
         code, out, err = run(["enumerate", "--k", "3", "--method",
                               "functional", "--max-area", "10",
                               "--no-timestamp"], capsys)
@@ -326,13 +326,13 @@ class TestErrors:
         assert "internal error: root leaves a residual" in err
 
     def test_four_sided_memory_guard_exit_two(self, capsys):
-        # the first order past the solver's memory budget is refused at once
+        # 468, the first order past the solver's memory budget, is refused
+        # at once; the order below passes the estimate
         e = cli.enumeration
-        cap = next(n for n in itertools.count(300)
-                   if e._pa4_mib(n + 1) > e._MAX_MIB)
+        assert e._pa4_mib(467) <= e._MAX_MIB
         t0 = time.monotonic()
-        code, out, err = run(["enumerate", "--k", "4", "--max-area",
-                              str(cap + 1), "--no-timestamp"], capsys)
+        code, out, err = run(["enumerate", "--k", "4", "--max-area", "468",
+                              "--no-timestamp"], capsys)
         assert time.monotonic() - t0 < 1
         assert code == 2
         assert out == ""
@@ -382,11 +382,13 @@ class TestErrors:
 
     def test_three_sided_functional_memory_guard_exit_two(self, capsys,
                                                           monkeypatch):
-        # area 4096 needs about 3 GiB on the functional route: refused
-        # before any block is solved (a call to the solver would be exit 3)
+        # area 76295, the first past the functional route's budget, is
+        # refused before any block is solved (a call to the solver would be
+        # exit 3); the area below passes the estimate
+        assert cli.enumeration._w_sum_mib(76294) <= cli.enumeration._MAX_MIB
         monkeypatch.setattr(cli.enumeration, "_w_blocks", None)
         code, out, err = run(["enumerate", "--k", "3", "--method",
-                              "functional", "--max-area", "4096",
+                              "functional", "--max-area", "76295",
                               "--no-timestamp"], capsys)
         assert code == 2
         assert out == ""
@@ -756,7 +758,8 @@ class TestResidualsAndFit:
 
 
 # The benchmark's tracer wraps library functions and the series constructors
-# by name; this run fails when a rename leaves the traced run broken.
+# by name; this run fails when a rename leaves the traced run broken.  The
+# 2-sided closed form is the CLI's one command that builds a series.
 TRACED_RUN = """
 import contextlib, io, json
 import tracing
@@ -764,8 +767,8 @@ tracer = tracing.Tracer()
 tracer.install()
 from prudentpoly import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["enumerate", "--k", "3", "--method", "functional",
-                     "--max-area", "10", "--no-timestamp"])
+    code = cli.main(["enumerate", "--k", "2", "--max-area", "10",
+                     "--no-timestamp"])
 print(json.dumps({"code": code, "layers": tracer.layer_metrics()}))
 """
 

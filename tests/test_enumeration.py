@@ -86,13 +86,12 @@ class TestPa2:
         assert all(t.count(n) == 2 ** n + 2 for n in range(1, 31))
 
     def test_memory_guard(self, monkeypatch):
-        # the first order past the budget is refused before any expansion,
-        # and a smaller budget reaches the guard too
-        cap = next(n for n in itertools.count(100000)
-                   if enumeration._pa2_mib(n + 1) > enumeration._MAX_MIB)
+        # orders from 125515 on are refused before any expansion, the order
+        # below passes the estimate, and a smaller budget reaches the guard
+        assert enumeration._pa2_mib(125514) <= enumeration._MAX_MIB
         monkeypatch.setattr(enumeration, "expand_rational", None)
-        with pytest.raises(DomainError, match=r"2-sided order \d+ needs"):
-            pa2_series(cap + 1)
+        with pytest.raises(DomainError, match=r"2-sided order 125515 needs"):
+            pa2_series(125515)
         monkeypatch.setattr(enumeration, "_MAX_MIB", 1)
         with pytest.raises(DomainError, match=r"order 5000 needs about 3 MiB"):
             pa2_series(5000)
@@ -139,30 +138,52 @@ class TestWSeries:
 
     def test_below_valuation_contribution_raises(self, monkeypatch):
         # a u^1 block with a constant, which q/(1-q) cannot have, puts a
-        # width-1 polygon at area 0, which the series' width cap refuses
+        # width-1 polygon at area 0, which the series' width cap refuses,
+        # and so does the functional route's running total
         blocks = enumeration._w_blocks
 
         def constant_in_u1(n):
-            rows = blocks(n)
-            rows[1][0] = 1
-            return rows
+            for k, w in enumerate(blocks(n)):
+                yield [1] + w[1:] if k == 1 else w
 
         monkeypatch.setattr(enumeration, "_w_blocks", constant_in_u1)
-        with pytest.raises(ValueError, match="catalytic degree 1 exceeds "
-                                             "area degree"):
-            w_series(10)
+        for solve in (w_series, lambda n: pa3_series(n, "functional")):
+            with pytest.raises(ValueError, match="catalytic degree 1 exceeds "
+                                                 "area degree"):
+                solve(10)
+
+    def test_short_block_raises(self, monkeypatch):
+        # a block one coefficient short would shrink the running total
+        # without an error; both consumers of the blocks refuse it
+        blocks = enumeration._w_blocks
+
+        def short_u3(n):
+            for k, w in enumerate(blocks(n)):
+                yield w[:-1] if k == 3 else w
+
+        monkeypatch.setattr(enumeration, "_w_blocks", short_u3)
+        for solve in (w_series, lambda n: pa3_series(n, "functional")):
+            with pytest.raises(ValueError, match="each u-block must have "
+                                                 r"order\+1 coefficients"):
+                solve(10)
 
     def test_memory_guard_before_any_work(self, monkeypatch):
-        # order 3072 stays within the budget; 4096 needs about 3 GiB and is
-        # refused before any block is solved
-        assert enumeration._w_mib(3072) < enumeration._MAX_MIB
+        # w_series keeps every block and is refused from order 3594 on; the
+        # functional counts keep one block and are refused from 76295 on;
+        # both before any block is solved, and the order below each passes
+        assert enumeration._w_mib(3593) <= enumeration._MAX_MIB
+        assert enumeration._w_sum_mib(76294) <= enumeration._MAX_MIB
 
         def unreached(order):
             raise AssertionError("the blocks were solved")
 
         monkeypatch.setattr(enumeration, "_w_blocks", unreached)
-        with pytest.raises(DomainError, match=r"order 4096 needs about \d+ MiB"):
-            pa3_series(4096, "functional")
+        with pytest.raises(DomainError,
+                           match=r"functional order 3594 needs about \d+ MiB"):
+            w_series(3594)
+        with pytest.raises(DomainError,
+                           match=r"functional order 76295 needs about \d+ MiB"):
+            pa3_series(76295, "functional")
 
 
 # integers of mixed sign and width: small ones, where a wrong sign or lag
@@ -348,6 +369,18 @@ class TestPa3:
             tracemalloc.stop()
         assert peak <= 0.46 * 2 ** 20, peak / 2 ** 20
 
+    def test_functional_route_frees_each_block(self):
+        # the functional route's traced peak at order 1024 is 0.52 MiB with
+        # one block kept at a time (CPython 3.11); keeping every block, as
+        # a Series2 does, read 70.2 MiB
+        tracemalloc.start()
+        try:
+            pa3_series(1024, "functional")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2 ** 20, peak / 2 ** 20
+
     def test_dual_route_agreement_order_1000(self):
         assert pa3_series(1000, "theorem").counts == \
             pa3_series(1000, "functional").counts
@@ -446,13 +479,22 @@ class TestPa4:
         text = ",".join(map(str, pa4_series(n).counts))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_memory_guard(self):
-        cap = next(n for n in itertools.count(300)
-                   if enumeration._pa4_mib(n + 1) > enumeration._MAX_MIB)
-        assert cap >= 300
-        for solve in (pa4_series, pa4_system_solution):
-            with pytest.raises(DomainError, match=r"needs about \d+ MiB"):
-                solve(cap + 1)
+    def test_memory_guard(self, monkeypatch):
+        # the counts are refused from order 468 on and the solution, which
+        # keeps every degree, from 328 on, before the solver runs; the
+        # order below each passes its estimate
+        assert enumeration._pa4_mib(467) <= enumeration._MAX_MIB
+        assert enumeration._pa4_mib(
+            327, enumeration._PA4_SOLUTION_N3) <= enumeration._MAX_MIB
+
+        def unreached(order):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(enumeration, "_pa4_degrees", unreached)
+        for solve, n in ((pa4_series, 468), (pa4_system_solution, 328)):
+            with pytest.raises(DomainError,
+                               match=rf"4-sided order {n} needs about \d+ MiB"):
+                solve(n)
 
     def test_solution_memory_guard_before_any_work(self, monkeypatch):
         # order 400 passes the counts' guard, but the solution keeps every
