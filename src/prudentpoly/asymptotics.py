@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import accumulate, count, islice, pairwise, repeat, tee
-from math import isqrt
+from math import isqrt, log10
 from operator import mul
 
 from mpmath import mp, mpc, mpf, mpmathify, matrix, lu_solve
@@ -861,14 +861,19 @@ def poles(k_max: int, dps: int = 40) -> list:
     z_k = 1/2 + delta_k with delta_k ~ 2^-(k+3).  The polynomial is positive
     at delta = 0 and negative at delta = 2^-(k+2) for every k, so the
     bracketing solver finds z_k in that bracket and never the trivial root
-    x = 1.
+    x = 1.  Both are formed to d >= dps digits that hold delta_k to
+    _GUARD_DPS digits, even where 1/2 + 2^-(k+2) rounds to 1/2 at dps.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    half = mpf(1) / 2
-    return [_root(lambda x, k=k: 1 - 2 * x + x ** (k + 2),
-                  half, half + mpf(2) ** -(k + 2), dps)
-            for k in range(1, k_max + 1)]
+
+    def root(k):
+        d = max(dps, int((k + 2) * log10(2)) + 1 + _GUARD_DPS)
+        with mp.workdps(d + _GUARD_DPS):
+            half = mpf(1) / 2
+            return _root(lambda x: 1 - 2 * x + x ** (k + 2),
+                         half, half + mpf(2) ** -(k + 2), d)
+    return [root(k) for k in range(1, k_max + 1)]
 
 
 def theta_root(dps: int = 40) -> mpf:

@@ -43,10 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, zip_longest
-from operator import add, lshift, neg, sub
+from operator import add, index, lshift, neg, sub
 
 from . import _intpoly
-from .series import FloatSeries1, Series1, Series2, Series3, expand_rational
+from .series import (FloatSeries1, Series1, Series2, Series3, _check_row,
+                     expand_rational)
 
 
 class DomainError(ValueError):
@@ -79,7 +80,7 @@ class CountTable:
     method: str
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(map(index, self.counts)))
         if self.k not in (2, 3, 4):
             raise ValueError("sidedness k must be 2, 3 or 4")
         if any(c < 0 for c in self.counts):
@@ -99,6 +100,14 @@ class CountTable:
         return self.counts[n - 1]
 
 
+# ``bargraph_series(n)`` keeps about n^2/2 integers up to n bits wide: its
+# peak RSS growth in fresh processes was 11.5 / 63.4 / 177.1 / 375.6 / 1205.1
+# MiB at n = 500 / 1000 / 1500 / 2000 / 3072, which the estimate below fits
+# within 2.2%.  Orders from 3702 on are refused before any work.
+def _bargraph_mib(order: int) -> float:
+    return 3.1e-5 * order ** 2 + 3.2e-8 * order ** 3
+
+
 def bargraph_series(order: int) -> Series2:
     """Area-width generating function B(q, u) of bargraphs.
 
@@ -107,8 +116,7 @@ def bargraph_series(order: int) -> Series2:
     (1-q), down to the first row that vanishes below the order.  The area
     series B(q, 1) = q/(1-2q) is ``eval_catalytic()`` of the result.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(order, _bargraph_mib, "bargraph")
     n = order
     rows = [[0] * (n + 1), [0] + [1] * n]       # u^0: none; u^1: q/(1-q)
     while any(rows[-1]):
@@ -346,10 +354,7 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
         # q/(1-q) + q/(1-2q) + W(q,1); a short block would shrink the sum
         total = _intpoly.expand_rational([0, 2, -3], [1, -3, 2], order)
         for k, w in enumerate(_w_blocks(order)):
-            if len(w) != order + 1:
-                raise ValueError("each u-block must have order+1 coefficients")
-            if any(islice(w, k)):
-                raise ValueError(f"catalytic degree {k} exceeds area degree")
+            _check_row("u", (k,), w, order)
             total = list(map(add, total, w))
         coeffs = [2 * c for c in total]
     else:
@@ -489,12 +494,12 @@ def _pa4_degrees(order: int):
 # peak RSS growth of ``pa4_series`` measured at orders 100 to 400 (within 6%,
 # within 3.5% from order 200 on, never below; 471 MiB at 300, 792 at 350).
 # The solution keeps every degree's triangles and builds three ``Series3``
-# from them: its peak growth at orders 100 to 260 fits the same n^4 term
-# with an n^3 term of 5.4e-5 (within 6%, within 2% from order 200 on; 444
-# MiB at 200, 799 MiB at 240).  Orders whose estimate passes the budget,
-# from 468 on for the counts and from 328 on for the solution, are refused
-# before any work.
-_PA4_SERIES_N3, _PA4_SOLUTION_N3 = 1.4e-5, 5.4e-5
+# from them, releasing each triangle once its rows are built: its peak
+# growth at orders 100 to 260 fits the same n^4 term with an n^3 term of
+# 4.7e-5 (within 4%, never below; 390 MiB at 200, 690 MiB at 240, 868 MiB
+# at 260).  Orders whose estimate passes the budget, from 468 on for the
+# counts and from 342 on for the solution, are refused before any work.
+_PA4_SERIES_N3, _PA4_SOLUTION_N3 = 1.4e-5, 4.7e-5
 
 
 def _pa4_mib(order: int, n3: float = _PA4_SERIES_N3) -> float:
@@ -504,25 +509,23 @@ def _pa4_mib(order: int, n3: float = _PA4_SERIES_N3) -> float:
 def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
     """The solution (X, Y, Z) of the trivariate system, to the order."""
     _check_order(order, lambda n: _pa4_mib(n, _PA4_SOLUTION_N3), "4-sided")
-    return tuple(Series3(order, _pa4_rows(tris, order))
-                 for tris in zip(*_pa4_degrees(order)))
+    series = [list(tris) for tris in zip(*_pa4_degrees(order))]
+    return tuple(Series3(order, _pa4_rows(tris)) for tris in series)
 
 
-def _pa4_rows(tris, order: int) -> dict:
-    """(i, j) -> q-row of one series, from its triangles of degrees 1..order.
+def _pa4_rows(tris: list):
+    """Yield ((i, j), q-row) of one series from its triangles of degrees
+    1, 2, ..., dropping each triangle from ``tris`` once read.
 
-    Row i (stored row i - 1) of every triangle from degree i on, padded
-    with zeros to length order, holds one column of the (i, j) rows for
-    j = 1 .. order; ``zip`` transposes them.
+    Row i (stored row i - 1) of every triangle from degree i on holds one
+    column of the (i, j) rows, j >= 1; ``zip_longest`` transposes them.
+    Only the ``Series3`` constructor converts, checks and drops zero rows.
     """
-    blocks = {}
-    for i in range(1, order + 1):
-        padded = (tri[i - 1] + [0] * (order - len(tri[i - 1]))
-                  for tri in tris[i - 1:])
-        for j, col in enumerate(zip(*padded), 1):
-            if any(col):
-                blocks[(i, j)] = (0,) * i + col
-    return blocks
+    for i in range(1, len(tris) + 1):
+        cols = zip_longest(*(tri[i - 1] for tri in tris[i - 1:]), fillvalue=0)
+        tris[i - 1] = None              # no later i reads degree i
+        for j, col in enumerate(cols, 1):
+            yield (i, j), (0,) * i + col
 
 
 def pa4_series(order: int) -> CountTable:

@@ -13,8 +13,10 @@ Three exact shapes, plus a fixed-precision scaled view:
 
 The three exact shapes are one implementation: a private base stores their
 q-rows by catalytic-degree tuple, () for ``Series1``, (i,) or (i, j), and
-holds the cap check and every operation they share, the truncated product
-and the valuation included.  All values are immutable after construction;
+holds every operation they share.  Only the constructor converts and checks
+its input: one integer rule, ``operator.index``, converts every exact value
+(a float raises TypeError, not a truncation) and one check, ``_check_row``,
+holds each row to order+1 coefficients and the cap.  Values are immutable;
 every operation returns a new series truncated to the smaller operand order.
 """
 from __future__ import annotations
@@ -39,9 +41,14 @@ def _check_arity(a, b, cls) -> None:
         )
 
 
-def _degree_text(key) -> str:
-    text = ",".join(map(str, key))
-    return text if len(key) == 1 else f"({text})"
+def _check_row(block: str, key, row, order: int) -> None:
+    """Refuse a row not order+1 long or nonzero below max(key), the cap."""
+    if len(row) != order + 1:
+        raise ValueError(f"each {block}-block must have order+1 coefficients")
+    if any(row[:max(key, default=0)]):
+        text = ",".join(map(str, key))
+        text = text if len(key) == 1 else f"({text})"
+        raise ValueError(f"catalytic degree {text} exceeds area degree")
 
 
 class _Catalytic:
@@ -63,16 +70,10 @@ class _Catalytic:
         self._order = order
         clean = {}
         for key, row in items:
-            top = max(key, default=0)
-            if top > order:
+            if max(key, default=0) > order:
                 continue
-            row = tuple(map(int, row))
-            if len(row) != order + 1:
-                raise ValueError(
-                    f"each {self._BLOCK}-block must have order+1 coefficients")
-            if any(row[:top]):
-                raise ValueError(
-                    f"catalytic degree {_degree_text(key)} exceeds area degree")
+            row = tuple(map(operator.index, row))
+            _check_row(self._BLOCK, key, row, order)
             if any(row):
                 clean[key] = row
         self._blocks = clean
@@ -161,9 +162,8 @@ class _Catalytic:
             if max(key) > n or dq > n:
                 continue
             row = (0,) * dq + row[:n + 1 - dq]
-            if check and any(row[:max(key)]):
-                raise ValueError(
-                    f"catalytic degree {_degree_text(key)} exceeds area degree")
+            if check:
+                _check_row(self._BLOCK, key, row, n)
             out.append((key, row))
         return self._built(n, out)
 
@@ -213,7 +213,8 @@ def expand_rational(numer, denom, order: int) -> Series1:
     so the expansion stays in Z.
     """
     return Series1(_intpoly.expand_rational(
-        [int(c) for c in numer], [int(c) for c in denom], order))
+        list(map(operator.index, numer)), list(map(operator.index, denom)),
+        order))
 
 
 class Series2(_Catalytic):
@@ -248,9 +249,10 @@ class Series3(_Catalytic):
     __slots__ = ()
     _BLOCK = "(u,v)"
 
-    def __init__(self, order: int, blocks: dict):
-        """blocks maps (i, j) to the q-row of u^i v^j."""
-        super().__init__(order, blocks.items())
+    def __init__(self, order: int, blocks):
+        """blocks maps (i, j) to the q-row of u^i v^j, or yields the pairs."""
+        super().__init__(order, blocks.items() if isinstance(blocks, dict)
+                         else blocks)
 
     @staticmethod
     def monomial(order: int, c: int, dq: int, du: int, dv: int) -> "Series3":
@@ -292,9 +294,9 @@ class FloatSeries1:
     __slots__ = ("mantissas", "scale_bits", "precision")
 
     def __init__(self, mantissas, scale_bits: int, precision: int):
-        self.mantissas = tuple(map(int, mantissas))
-        self.scale_bits = int(scale_bits)
-        self.precision = int(precision)
+        self.mantissas = tuple(map(operator.index, mantissas))
+        self.scale_bits = operator.index(scale_bits)
+        self.precision = operator.index(precision)
 
     @property
     def order(self) -> int:

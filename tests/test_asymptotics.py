@@ -371,6 +371,30 @@ class TestPoles:
             assert abs(1 - 2 * z + z ** (k + 2)) < 1e-30
         assert all(zs[i] > zs[i + 1] for i in range(len(zs) - 1))
 
+    @pytest.mark.parametrize("k", [52, 60, 200])
+    def test_poles_past_double_precision(self, k):
+        # 1/2 + 2^-(k+2) rounds to 1/2 in 53 bits, the caller's precision
+        # by default (this module sets 60 digits), from k = 52 on; z_k is
+        # checked against the fixed point x = (1 + x^(k+2))/2 from 1/2,
+        # iterated at 300 digits: to 40 digits, and delta_k = z_k - 1/2 to
+        # _GUARD_DPS digits
+        with mp.workprec(53):
+            z = asy.poles(k, dps=40)[-1]
+        with mp.workdps(300):
+            x = mpf(1) / 2
+            for _ in range(40):
+                x = (1 + x ** (k + 2)) / 2
+            assert abs(z - x) < mpf(10) ** -40
+            assert abs(z - x) < (x - mpf(1) / 2) * mpf(10) ** -asy._GUARD_DPS
+
+    def test_poles_bits_unchanged_to_51(self):
+        # sha256 of the exact mantissas and exponents of poles(51) before
+        # the bracket's precision was widened
+        bits = [(s, int(m), e) for s, m, e, _ in
+                (z._mpf_ for z in asy.poles(51))]
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == \
+            "59c213228ec71e133c085e119c9d5b51516c7c8422d7114fbaf0b1499562b046"
+
     def test_theta(self):
         th = asy.theta_root()
         assert mp.nstr(th, 5) == "0.56984"

@@ -77,6 +77,17 @@ class TestBargraphs:
         assert all(b.coeff(m, 0) == 0 for m in range(n + 1))
 
 
+    def test_memory_guard_before_any_work(self, monkeypatch):
+        # orders from 3702 on are refused before any row is built, and the
+        # order below passes the estimate
+        assert enumeration._bargraph_mib(3701) <= enumeration._MAX_MIB
+        monkeypatch.setattr(enumeration, "accumulate", None)
+        monkeypatch.setattr(enumeration, "Series2", None)
+        with pytest.raises(DomainError,
+                           match=r"bargraph order 3702 needs about \d+ MiB"):
+            bargraph_series(3702)
+
+
 class TestPa2:
     def test_closed_form(self):
         t = pa2_series(30)
@@ -481,17 +492,17 @@ class TestPa4:
 
     def test_memory_guard(self, monkeypatch):
         # the counts are refused from order 468 on and the solution, which
-        # keeps every degree, from 328 on, before the solver runs; the
+        # keeps every degree, from 342 on, before the solver runs; the
         # order below each passes its estimate
         assert enumeration._pa4_mib(467) <= enumeration._MAX_MIB
         assert enumeration._pa4_mib(
-            327, enumeration._PA4_SOLUTION_N3) <= enumeration._MAX_MIB
+            341, enumeration._PA4_SOLUTION_N3) <= enumeration._MAX_MIB
 
         def unreached(order):
             raise AssertionError("the solver ran")
 
         monkeypatch.setattr(enumeration, "_pa4_degrees", unreached)
-        for solve, n in ((pa4_series, 468), (pa4_system_solution, 328)):
+        for solve, n in ((pa4_series, 468), (pa4_system_solution, 342)):
             with pytest.raises(DomainError,
                                match=rf"4-sided order {n} needs about \d+ MiB"):
                 solve(n)
@@ -507,6 +518,53 @@ class TestPa4:
         monkeypatch.setattr(enumeration, "_pa4_degrees", unreached)
         with pytest.raises(DomainError, match=r"order 400 needs about \d+ MiB"):
             pa4_system_solution(400)
+
+    @pytest.mark.parametrize("n, digest", [
+        (30, "5326030aeae8cc99dcdde5fb6af805b2190edd0f63e0e81794f7ec76ba006721"),
+        (60, "cf334411fd44394b5f63e1136449f4bb71d78cdff90e6cc7bda2475403d94516"),
+    ])
+    def test_solution_blocks_digest(self, n, digest):
+        # sha256 of every (i, j) block of X, Y and Z, recorded from the
+        # route that built a dict of rows before the Series3 constructor
+        text = repr([sorted(s.blocks().items())
+                     for s in pa4_system_solution(n)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_term_past_the_cap_raises(self, monkeypatch):
+        # X of degree 2 given a term at u v^3, past the cap j <= 2: the
+        # Series3 constructor, the one check on the streamed rows, refuses it
+        degrees = enumeration._pa4_degrees
+
+        def past_cap(order):
+            for m, (x, y, z) in enumerate(degrees(order), 1):
+                if m == 2:
+                    x[0].append(1)          # row u^1 held v^1, v^2
+                yield x, y, z
+
+        monkeypatch.setattr(enumeration, "_pa4_degrees", past_cap)
+        with pytest.raises(ValueError, match=r"catalytic degree \(1,3\) "
+                                             "exceeds area degree"):
+            pa4_system_solution(6)
+
+    def test_degree_short_raises(self, monkeypatch):
+        # one degree too few makes every q-row one coefficient short
+        degrees = enumeration._pa4_degrees
+        monkeypatch.setattr(enumeration, "_pa4_degrees",
+                            lambda n: itertools.islice(degrees(n), n - 1))
+        with pytest.raises(ValueError, match=r"each \(u,v\)-block must have "
+                                             r"order\+1 coefficients"):
+            pa4_system_solution(6)
+
+    def test_rows_release_each_triangle_once_read(self):
+        # row i reads the triangles of degrees i and up, so degree i goes
+        # as soon as row i is reached
+        tris = [list(t) for t in zip(*enumeration._pa4_degrees(6))][1]
+        rows = enumeration._pa4_rows(tris)
+        next(rows)
+        assert tris[0] is None and None not in tris[1:]
+        for (i, j), _ in rows:
+            assert tris[:i] == [None] * i
+        assert tris == [None] * 6
 
     @pytest.mark.parametrize("tight, site", [
         ((3, 4), "add_diff"), ((0, 1, 2), "add_diff"),

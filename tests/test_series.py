@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import operator
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prudentpoly.enumeration import CountTable
 from prudentpoly.series import (
     FloatSeries1,
     Series1,
@@ -447,3 +449,34 @@ class TestMultiplicationReferences:
         a = _random_series2(sa)
         b = _random_series2(sb)
         assert a * b == _naive_mul2(a, b)
+
+
+# every exact constructor, holding one coefficient c, and how to read c back
+_EXACT = {
+    "Series1": lambda c: Series1((0, c)).coeffs[1],
+    "Series2": lambda c: Series2(1, [[0, 0], [0, c]]).coeff(1, 1),
+    "Series3": lambda c: Series3(1, {(1, 1): [0, c]}).coeff(1, 1, 1),
+    "CountTable": lambda c: CountTable(2, (c,), "closed-form").counts[0],
+    "expand_rational-numer":
+        lambda c: expand_rational((0, c), (1,), 1).coeffs[1],
+    # q/(1 - cq) = q + c q^2 + ...
+    "expand_rational-denom":
+        lambda c: expand_rational((0, 1), (1, -c), 2).coeffs[2],
+    "FloatSeries1": lambda c: FloatSeries1((0, c), 0, 40).mantissas[1],
+}
+
+
+class TestOneIntegerRule:
+    @pytest.mark.parametrize("make", _EXACT.values(), ids=_EXACT.keys())
+    @pytest.mark.parametrize("value", [1.9, 2.0])
+    def test_float_coefficient_raises(self, make, value):
+        # int() would truncate 1.9 to 1 without a word
+        with pytest.raises(TypeError):
+            make(value)
+
+    @pytest.mark.parametrize("make", _EXACT.values(), ids=_EXACT.keys())
+    @pytest.mark.parametrize("value, exact", [
+        (numpy.int64(3), 3), (True, 1)], ids=["int64", "bool"])
+    def test_integer_types_accepted(self, make, value, exact):
+        got = make(value)
+        assert got == exact and type(got) is int
