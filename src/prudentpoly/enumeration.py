@@ -25,7 +25,8 @@ Routes implemented:
   one lagged running sum for t, one subtraction, and 1/(1-2q) seeded with
   the closed form, itself one running sum.
 * 4-sided: the three trivariate functional equations coupling the
-  row/column-addition classes X, Y, Z, solved one q-degree at a time;
+  row/column-addition classes X, Y, Z, solved one anti-diagonal i + j of
+  catalytic degrees at a time, each (i, j) coefficient a whole q-series;
   returns 8*(X+Y+Z) at u=v=1.
 
 Every running sum of the two exact 3-sided routes is one self-feeding
@@ -42,7 +43,7 @@ variable x = 2q; it is a view of those counts, not a separate route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat, zip_longest
+from itertools import accumulate, chain, islice, repeat
 from operator import add, index, lshift, neg, sub
 
 from . import _intpoly
@@ -372,168 +373,114 @@ def pa3_series(order: int, method: str = "theorem") -> CountTable:
 # width is carried as u = width-1, which is where the asymmetric factors come
 # from.
 #
-# Every right-hand-side term carries a factor q, so [q^m] of X, Y and Z reads
-# only degrees below m, and the system is solved one degree at a time.  With
-# P_S[k] = S_0 + ... + S_k the prefix sums of a series S, 1/(1-q) after
-# u -> qu is a window over the last i degrees,
-#     W_S(a, b) = P_S[m-1][a][b] - P_S[m-1-i][a][b],
-# and v -> qv is a lag to degree m-j; indices out of range read 0.  The
-# coefficient of q^m u^i v^j is
-#     X: W_X(i, j-1) + W_Y(j-1, i) + W_Z(i-1, j-1);
-#     Y: W_Y(i, j-1) + W_Z(j-2, i) + X_{m-j}[j-1][i-1] + Y_{m-j}[i-1][j-1]
-#        + Z_{m-j}[j-2][i-1], plus 1 at (1, 1, 1);
-#     Z: W_Z(i, j-1) + Y_{m-j}[j-1][i] + Z_{m-j}[i-1][j-1].
-# X, Y^T and Z one u-degree up are read only together (the window of X and
-# the lag of Y read row i-1 of Z where they read row i of X and Y^T), as are
-# Y and Z^T one v-degree apart, so the prefix sums stored are those of
-# A = X + Y^T + uZ, B = Y + v Z^T and Z.  A window term reads row i; a lag
-# term reads row j-1 of A or B of the raw degree S_k = P_S[k] - P_S[k-1],
-# built along i, then transposed.  Each is one add pass of the newer prefix
-# row and one subtract pass of the older.  Every term has i, j >= 1, and X,
-# Y, A and B vanish for i + j > m + 1 and Z for i + j > m, so a triangle of
-# degree k is stored over i, j >= 1, i + j <= k + s (s = 1, or 0 for Z):
-# row r holds u^(r+1) v^(t+1) at t < k + s - 1 - r, a shape that is its own
-# transpose.  A nonzero term past the end of a row raises AssertionError: a
-# bound too tight fails rather than drop terms.
+# Write S_ij for the q-series of [u^i v^j] S.  After u -> qu, 1/(1-q) is a
+# factor W_i = q + ... + q^i, and v -> qv a factor q^j.  With
+#     A_ab = X_ab + Y_ba + Z_{a-1,b},    B_ab = Y_ab + Z_{b-1,a}
+# (X, Y^T and Z one u-degree up are read only together, as are Y and Z^T one
+# v-degree apart), the system reads, for i, j >= 1 and any index 0 reading 0,
+#     X_ij = W_i A_{i,j-1},
+#     Y_ij = W_i B_{i,j-1} + q^j A_{j-1,i-1} + [i=j=1] q,
+#     Z_ij = W_i Z_{i,j-1} + q^j B_{j-1,i}.
+# Every right-hand side reads pairs of smaller s = i + j only: the system is
+# solved one anti-diagonal s at a time, keeping A of diagonals s-1 and s-2
+# and B and Z of s-1.  X, Y, A and B of diagonal s start at q^(s-1) and Z at
+# q^s; each (i, j) series is stored as its coefficients of q^(s-1) .. q^n.
+# Then W_i is a running sum of the source, read one degree lower, less that
+# sum i entries behind, and q^j a slice add at offset j-2 (A of s-2) or j-1
+# (B of s-1).  X_i1 = Z_i1 = 0 and Y_i1 = 0 past the seed, so past s = 2 a
+# diagonal holds i = 1 .. s-2 (j >= 2) of X, Y, Z and B, and A its s-1
+# entries, A_{s-1,1} = Y_{1,s-1}.  Summed over a diagonal, A gives X and Y
+# of that diagonal and Z of the one before, so the counts are 8 times the
+# sum of every A.  A series short of q^n, or a Z term at q^(s-1), is a term
+# outside the support and raises AssertionError.
 # ---------------------------------------------------------------------------
 
 
-def _staircase(k: int, s: int) -> list:
-    """A zero triangle of degree k over its support: row r (i = r + 1)
-    holds j = 1 .. k + s - 1 - r."""
-    return [[0] * (k + s - 1 - r) for r in range(k)]
+def _window(f, i: int, size: int) -> list[int]:
+    """The ``size`` coefficients of W_i f, f stored from one degree lower:
+    a running sum of f less the same sum i entries behind."""
+    p = list(accumulate(islice(f, size)))
+    p[i:] = map(sub, p[i:], p)
+    return p
 
 
-def _add_transposed(out: list, rows, shift: int = 0) -> None:
-    """out[a][shift + b] += rows[b][a]; none may fall past out[a]'s end."""
-    for r, col in zip(out, zip_longest(*rows, fillvalue=0)):
-        r[shift:] = map(add, r[shift:], col)
-        if any(col[len(r) - shift:]):
-            raise AssertionError("a term fell outside the support")
+def _pa4_step(s: int, size: int, a2: list, a1: list, b1: list, z1: list):
+    """X, Y and Z of diagonal s >= 3, rows i = 1 .. s-2, from A of
+    diagonals s-2 and s-1 and B and Z of s-1; a pair past a kept diagonal's
+    rows reads 0."""
+    x, y, z = [], [], []
+    for i in range(1, s - 1):
+        j = s - i
+        x.append(_window(a1[i - 1], i, size))
+        r = _window(b1[i - 1], i, size) if i <= len(b1) else [0] * size
+        if j - 2 < len(a2):
+            r[j - 2:] = map(add, r[j - 2:], a2[j - 2])
+        y.append(r)
+        r = _window(z1[i - 1], i, size) if i <= len(z1) else [0] * size
+        if j - 2 < len(b1):
+            r[j - 1:] = map(add, r[j - 1:], b1[j - 2])
+        z.append(r)
+    return x, y, z
 
 
-class _Prefix:
-    """Prefix sums P[k] = S_0 + ... + S_k of one series, one triangle per
-    degree with rows as long as those of S_k: P[k][a][b] sums u^(a+1)
-    v^(b+1) up to q^k, and P[0] has no rows.  Row a of P[k] is last read at
-    degree k + a + 3 (by the lag of A or B; Z's own window reads it last at
-    k + a + 2); ``release(m)`` drops the rows whose last reader was m, and a
-    later read of one raises AssertionError."""
-
-    __slots__ = ("tri",)
-
-    def __init__(self):
-        self.tri = [[]]
-
-    def row(self, k: int, a: int):
-        if a >= k:
-            return ()
-        r = self.tri[k][a]
-        if r is None:
+def _pa4_diagonals(order: int):
+    """Yield (X, Y, Z, A) of diagonals s = 2 .. order+1, each a list of the
+    (i, s-i) series over i = 1, 2, ..., coefficients of q^(s-1) .. q^order."""
+    n = order
+    y = [[1] + [0] * (n - 1)]           # Y_11 = q
+    yield [], y, [], y
+    a2, a1, b1, z1 = [], y, y, []
+    for s in range(3, n + 2):
+        size = n + 2 - s
+        x, y, z = _pa4_step(s, size, a2, a1, b1, z1)
+        if any(len(r) != size for r in chain(x, y, z)) or any(r[0] for r in z):
             raise AssertionError(
-                f"row {a} of prefix degree {k} read after its release")
-        return r
-
-    def add_diff(self, out: list, shift: int, a: int, hi: int, lo: int) -> None:
-        """out[shift + t] += P[hi][a][t] - P[lo][a][t], lo < hi: two passes."""
-        r = self.row(hi, a)
-        out[shift:shift + len(r)] = map(add, out[shift:shift + len(r)], r)
-        t = self.row(lo, a)
-        if t:
-            out[shift:shift + len(t)] = map(sub, out[shift:shift + len(t)], t)
-        n = len(out) - shift
-        if len(r) > n and any(map(sub, r[n:], chain(t[n:], repeat(0)))):
-            raise AssertionError("a term fell outside the support")
-
-    def push(self, s: list) -> None:
-        """Append P[m] = P[m-1] + S_m, m the next degree, in the rows of s."""
-        for r, p in zip(s, self.tri[-1]):
-            r[:len(p)] = map(add, p, r)
-        self.tri.append(s)
-
-    def release(self, m: int) -> None:
-        for k in range((m - 1) // 2, m - 2):
-            self.tri[k][m - 3 - k] = None
+                f"a term of diagonal {s} fell outside the support")
+        a = [x[0], *(list(map(add, map(add, r, t), islice(w, 1, None)))
+                     for r, t, w in zip(x[1:], y[:0:-1], z1)), y[0]]
+        b = [y[0], *(list(map(add, r, islice(w, 1, None)))
+                     for r, w in zip(y[1:], reversed(z1)))]
+        yield x, y, z, a
+        a2, a1, b1, z1 = a1, a, b, z
 
 
-def _pa4_degrees(order: int):
-    """Yield the raw (X_m, Y_m, Z_m) triangles for m = 1..order, row r
-    holding [u^(r+1) v^(t+1)] at t: t < m - r for X and Y, t < m - 1 - r
-    for Z, whose last row is empty."""
-    pa, pb, pz = _Prefix(), _Prefix(), _Prefix()
-    for m in range(1, order + 1):
-        top = m - 1
-        x, y, ylag, z, zlag = (_staircase(m, s) for s in (1, 1, 1, 0, 0))
-        for r in range(m - 1):          # the m - 1 rows of P[m - 1]
-            pa.add_diff(x[r], 1, r, top, top - r - 1)
-            pb.add_diff(y[r], 1, r, top, top - r - 1)
-            pz.add_diff(z[r], 1, r, top, top - r - 1)
-        for r in range((m - 1) // 2):   # past it, every row is past its degree
-            k = m - r - 2               # lag v -> qv, j = r + 2
-            pa.add_diff(ylag[r + 1], 1, r, k, k - 1)
-            pb.add_diff(zlag[r + 1], 0, r, k, k - 1)
-        _add_transposed(y, ylag)
-        _add_transposed(z, zlag)
-        if m == 1:
-            y[0][0] += 1
-        for p in (pa, pb, pz):
-            p.release(m)
-        # uZ: row r-1 of Z is as long as row r of X
-        a = [list(x[0])] + [list(map(add, r, t)) for r, t in zip(x[1:], z)]
-        b = [list(r) for r in y]
-        _add_transposed(a, y)
-        _add_transposed(b, z, 1)
-        pa.push(a)
-        pb.push(b)
-        pz.push([list(r) for r in z])
-        yield x, y, z
+# ``pa4_series`` keeps three diagonals, about n^2 integers up to n bits wide:
+# its peak RSS growth in fresh processes was 1.5 / 6.0 / 16.1 / 32.9 / 90.6
+# / 189.4 / 341.0 / 556.4 MiB at n = 100 / 200 / 300 / 400 / 600 / 800 /
+# 1000 / 1200, which ``_pa4_mib`` fits within 18%, never below (within 7%
+# from n = 600 on).  The solution keeps every diagonal's X, Y and Z and
+# builds three dense ``Series3`` from them: 35.9 / 125.8 / 308.5 / 554.8 /
+# 1133.3 / 1705.3 / 2453.2 MiB at n = 100 / 150 / 200 / 240 / 300 / 340 /
+# 380, which ``_pa4_solution_mib`` fits within 2.2%, never below.  Orders
+# whose estimate passes the budget, from 1901 on for the counts and from 359
+# on for the solution, are refused before any work.  Time binds first: the
+# counts took 292 s at n = 1200, growing about as n^3.6, so order 1900
+# would take about half an hour.
+def _pa4_mib(order: int) -> float:
+    return 1.3e-4 * order ** 2 + 2.3e-7 * order ** 3
 
 
-# The solver's peak memory above the interpreter grows as n^3 stored prefix
-# coefficients of width about n bits.  The estimate below is fitted to the
-# peak RSS growth of ``pa4_series`` measured at orders 100 to 400 (within 6%,
-# within 3.5% from order 200 on, never below; 471 MiB at 300, 792 at 350).
-# The solution keeps every degree's triangles and builds three ``Series3``
-# from them, releasing each triangle once its rows are built: its peak
-# growth at orders 100 to 260 fits the same n^4 term with an n^3 term of
-# 4.7e-5 (within 4%, never below; 390 MiB at 200, 690 MiB at 240, 868 MiB
-# at 260).  Orders whose estimate passes the budget, from 468 on for the
-# counts and from 342 on for the solution, are refused before any work.
-_PA4_SERIES_N3, _PA4_SOLUTION_N3 = 1.4e-5, 4.7e-5
-
-
-def _pa4_mib(order: int, n3: float = _PA4_SERIES_N3) -> float:
-    return n3 * order ** 3 + 1.3e-8 * order ** 4
+def _pa4_solution_mib(order: int) -> float:
+    return 3.3e-5 * order ** 3 + 3.2e-8 * order ** 4
 
 
 def pa4_system_solution(order: int) -> tuple[Series3, Series3, Series3]:
     """The solution (X, Y, Z) of the trivariate system, to the order."""
-    _check_order(order, lambda n: _pa4_mib(n, _PA4_SOLUTION_N3), "4-sided")
-    series = [list(tris) for tris in zip(*_pa4_degrees(order))]
-    return tuple(Series3(order, _pa4_rows(tris)) for tris in series)
-
-
-def _pa4_rows(tris: list):
-    """Yield ((i, j), q-row) of one series from its triangles of degrees
-    1, 2, ..., dropping each triangle from ``tris`` once read.
-
-    Row i (stored row i - 1) of every triangle from degree i on holds one
-    column of the (i, j) rows, j >= 1; ``zip_longest`` transposes them.
-    Only the ``Series3`` constructor converts, checks and drops zero rows.
-    """
-    for i in range(1, len(tris) + 1):
-        cols = zip_longest(*(tri[i - 1] for tri in tris[i - 1:]), fillvalue=0)
-        tris[i - 1] = None              # no later i reads degree i
-        for j, col in enumerate(cols, 1):
-            yield (i, j), (0,) * i + col
+    _check_order(order, _pa4_solution_mib, "4-sided")
+    diagonals = [d[:3] for d in _pa4_diagonals(order)]
+    return tuple(Series3(order, (((i, s - i), chain(repeat(0, s - 1), r))
+                                 for s, rows in enumerate(series, 2)
+                                 for i, r in enumerate(rows, 1)))
+                 for series in zip(*diagonals))
 
 
 def pa4_series(order: int) -> CountTable:
-    """4-sided counts: 8*(X+Y+Z) at u=v=1, summed one degree at a time."""
+    """4-sided counts: 8*(X+Y+Z) at u=v=1, summed one diagonal at a time."""
     _check_order(order, _pa4_mib, "4-sided")
-    counts = [8 * sum(sum(map(sum, tri)) for tri in tris)
-              for tris in _pa4_degrees(order)]
-    return CountTable(4, counts, "functional")
+    total = [0] * (order + 1)
+    for s, (*_, a) in enumerate(_pa4_diagonals(order), 2):
+        total[s - 1:] = map(add, total[s - 1:], map(sum, zip(*a)))
+    return CountTable(4, [8 * c for c in total[1:]], "functional")
 
 
 def pa3_scaled_float(order: int, precision: int = 40) -> FloatSeries1:

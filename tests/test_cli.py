@@ -202,30 +202,37 @@ class TestErrors:
         assert "domain error" in err and "MiB" in err
 
     def test_broken_invariant_exit_three(self, capsys, monkeypatch):
-        # releasing the 4-sided solver's prefix rows one degree early makes it
-        # read a released row, which its guard reports
-        release = cli.enumeration._Prefix.release
-        monkeypatch.setattr(cli.enumeration._Prefix, "release",
-                            lambda self, m: release(self, m + 1))
+        # a term of the 4-sided solver's Z at q^(s-1), below its support on
+        # diagonal s = i + j, breaks the solver's invariant; its guard reports
+        step = cli.enumeration._pa4_step
+
+        def below(s, *kept):
+            x, y, z = step(s, *kept)
+            if s == 4:
+                z[0][0] = 1
+            return x, y, z
+
+        monkeypatch.setattr(cli.enumeration, "_pa4_step", below)
         code, out, err = run(["enumerate", "--k", "4", "--max-area", "5",
                               "--no-timestamp"], capsys)
         assert code == 3
         assert out == ""
-        assert "internal error" in err and "after its release" in err
+        assert "internal error" in err and "outside the support" in err
         assert "Traceback" not in err
 
     def test_support_bound_exit_three(self, capsys, monkeypatch):
-        # storing row 2 of the 4-sided solver's X and Y triangles one entry
-        # short of its support drops a nonzero term, which its guard reports
-        staircase = cli.enumeration._staircase
+        # storing row i = 2 of the 4-sided solver's X and Y one coefficient
+        # short of its support drops a term, which its guard reports
+        step = cli.enumeration._pa4_step
 
-        def tight(k, s):
-            tri = staircase(k, s)
-            if s == 1 and k > 2:
-                tri[1].pop()
-            return tri
+        def tight(s, *kept):
+            x, y, z = step(s, *kept)
+            if s >= 5:
+                x[1].pop()
+                y[1].pop()
+            return x, y, z
 
-        monkeypatch.setattr(cli.enumeration, "_staircase", tight)
+        monkeypatch.setattr(cli.enumeration, "_pa4_step", tight)
         code, out, err = run(["enumerate", "--k", "4", "--max-area", "12",
                               "--no-timestamp"], capsys)
         assert code == 3
@@ -326,12 +333,12 @@ class TestErrors:
         assert "internal error: root leaves a residual" in err
 
     def test_four_sided_memory_guard_exit_two(self, capsys):
-        # 468, the first order past the solver's memory budget, is refused
+        # 1901, the first order past the solver's memory budget, is refused
         # at once; the order below passes the estimate
         e = cli.enumeration
-        assert e._pa4_mib(467) <= e._MAX_MIB
+        assert e._pa4_mib(1900) <= e._MAX_MIB
         t0 = time.monotonic()
-        code, out, err = run(["enumerate", "--k", "4", "--max-area", "468",
+        code, out, err = run(["enumerate", "--k", "4", "--max-area", "1901",
                               "--no-timestamp"], capsys)
         assert time.monotonic() - t0 < 1
         assert code == 2

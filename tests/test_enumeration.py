@@ -40,7 +40,7 @@ def test_order_too_wide_for_a_float_refused(solve, digits, monkeypatch):
     # past the 4300 digits that str() prints, is refused by the same
     # budget, before any kernel runs
     for kernel in ("expand_rational", "_pa3_theorem_coeffs", "_w_blocks",
-                   "_pa4_degrees"):
+                   "_pa4_diagonals"):
         monkeypatch.setattr(enumeration, kernel, None)
     with pytest.raises(DomainError, match=r"order 2\^64 or more .* MiB"):
         solve(10 ** digits)
@@ -491,31 +491,30 @@ class TestPa4:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_memory_guard(self, monkeypatch):
-        # the counts are refused from order 468 on and the solution, which
-        # keeps every degree, from 342 on, before the solver runs; the
+        # the counts are refused from order 1901 on and the solution, which
+        # keeps every diagonal, from 359 on, before the solver runs; the
         # order below each passes its estimate
-        assert enumeration._pa4_mib(467) <= enumeration._MAX_MIB
-        assert enumeration._pa4_mib(
-            341, enumeration._PA4_SOLUTION_N3) <= enumeration._MAX_MIB
+        assert enumeration._pa4_mib(1900) <= enumeration._MAX_MIB
+        assert enumeration._pa4_solution_mib(358) <= enumeration._MAX_MIB
 
         def unreached(order):
             raise AssertionError("the solver ran")
 
-        monkeypatch.setattr(enumeration, "_pa4_degrees", unreached)
-        for solve, n in ((pa4_series, 468), (pa4_system_solution, 342)):
+        monkeypatch.setattr(enumeration, "_pa4_diagonals", unreached)
+        for solve, n in ((pa4_series, 1901), (pa4_system_solution, 359)):
             with pytest.raises(DomainError,
                                match=rf"4-sided order {n} needs about \d+ MiB"):
                 solve(n)
 
     def test_solution_memory_guard_before_any_work(self, monkeypatch):
         # order 400 passes the counts' guard, but the solution keeps every
-        # degree and needs more than the budget: refused before solving
+        # diagonal and needs more than the budget: refused before solving
         assert enumeration._pa4_mib(400) < enumeration._MAX_MIB
 
         def unreached(order):
             raise AssertionError("the solver ran")
 
-        monkeypatch.setattr(enumeration, "_pa4_degrees", unreached)
+        monkeypatch.setattr(enumeration, "_pa4_diagonals", unreached)
         with pytest.raises(DomainError, match=r"order 400 needs about \d+ MiB"):
             pa4_system_solution(400)
 
@@ -531,65 +530,64 @@ class TestPa4:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_term_past_the_cap_raises(self, monkeypatch):
-        # X of degree 2 given a term at u v^3, past the cap j <= 2: the
-        # Series3 constructor, the one check on the streamed rows, refuses it
-        degrees = enumeration._pa4_degrees
+        # Z of diagonal 4 given a term at q^3, past Z's cap i + j <= m: the
+        # check on every solved diagonal refuses it, for both entry points
+        step = enumeration._pa4_step
 
-        def past_cap(order):
-            for m, (x, y, z) in enumerate(degrees(order), 1):
-                if m == 2:
-                    x[0].append(1)          # row u^1 held v^1, v^2
-                yield x, y, z
+        def past_cap(s, *kept):
+            x, y, z = step(s, *kept)
+            if s == 4:
+                z[0][0] = 1                 # Z_13 held q^3 .. q^6
+            return x, y, z
 
-        monkeypatch.setattr(enumeration, "_pa4_degrees", past_cap)
-        with pytest.raises(ValueError, match=r"catalytic degree \(1,3\) "
-                                             "exceeds area degree"):
-            pa4_system_solution(6)
+        monkeypatch.setattr(enumeration, "_pa4_step", past_cap)
+        for solve in (pa4_series, pa4_system_solution):
+            with pytest.raises(AssertionError, match="a term of diagonal 4 "
+                                                     "fell outside the support"):
+                solve(6)
 
     def test_degree_short_raises(self, monkeypatch):
-        # one degree too few makes every q-row one coefficient short
-        degrees = enumeration._pa4_degrees
-        monkeypatch.setattr(enumeration, "_pa4_degrees",
-                            lambda n: itertools.islice(degrees(n), n - 1))
+        # solved one order short, every q-row is one coefficient short
+        diagonals = enumeration._pa4_diagonals
+        monkeypatch.setattr(enumeration, "_pa4_diagonals",
+                            lambda n: diagonals(n - 1))
         with pytest.raises(ValueError, match=r"each \(u,v\)-block must have "
                                              r"order\+1 coefficients"):
             pa4_system_solution(6)
 
-    def test_rows_release_each_triangle_once_read(self):
-        # row i reads the triangles of degrees i and up, so degree i goes
-        # as soon as row i is reached
-        tris = [list(t) for t in zip(*enumeration._pa4_degrees(6))][1]
-        rows = enumeration._pa4_rows(tris)
-        next(rows)
-        assert tris[0] is None and None not in tris[1:]
-        for (i, j), _ in rows:
-            assert tris[:i] == [None] * i
-        assert tris == [None] * 6
+    def test_solver_keeps_three_diagonals(self):
+        # the counts' traced peak at order 60 is 0.41 MiB with A of two
+        # diagonals and B and Z of one kept (CPython 3.11); the degree
+        # sweep that kept every prefix row read 3.0 MiB
+        tracemalloc.start()
+        try:
+            pa4_series(60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 2 ** 20, peak / 2 ** 20
 
-    @pytest.mark.parametrize("tight, site", [
-        ((3, 4), "add_diff"), ((0, 1, 2), "add_diff"),
-        ((1,), "_add_transposed")], ids=["Z", "X-Y", "Y"])
-    def test_support_one_short_raises(self, tight, site, monkeypatch):
-        # row 2 of some of the five triangles built each degree (X, Y, the
-        # lag of Y, Z, the lag of Z, in that order), one entry short, drops
-        # a nonzero term, which the solver reports instead of dropping it:
-        # a window term in add_diff, or a lag term in _add_transposed when
-        # only Y is short
-        staircase = enumeration._staircase
+    @pytest.mark.parametrize("tight", [(0, 1), (1,), (2,)],
+                             ids=["X-Y", "Y", "Z"])
+    def test_support_one_short_raises(self, tight, monkeypatch):
+        # row i = 2 of X and Y, of Y alone or of Z, one coefficient short
+        # from diagonal 5 on, drops a term, which the check on every solved
+        # diagonal reports instead of dropping it
+        step = enumeration._pa4_step
 
-        def short(k, shape):
-            tri = staircase(k, shape)
-            if next(built) % 5 in tight and k > 2:
-                tri[1].pop()
-            return tri
+        def short(s, *kept):
+            xyz = step(s, *kept)
+            if s >= 5:
+                for k in tight:
+                    xyz[k][1].pop()
+            return xyz
 
-        monkeypatch.setattr(enumeration, "_staircase", short)
+        monkeypatch.setattr(enumeration, "_pa4_step", short)
         for solve in (pa4_series, pa4_system_solution):
-            built = itertools.count()       # from the first degree on
             with pytest.raises(AssertionError,
                                match="outside the support") as info:
                 solve(12)
-            assert info.traceback[-1].name == site
+            assert info.traceback[-1].name == "_pa4_diagonals"
 
     def test_functional_equation_residuals_zero(self):
         n = 18
