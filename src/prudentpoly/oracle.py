@@ -33,7 +33,11 @@ from .enumeration import CountTable, DomainError
 _STEPS = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
 
 # A generous cap: area n needs a walk of length <= 2n+1 (perimeter <= 2n+2),
-# and the DFS over all prudent extensions grows ~2.5^length.
+# and each area costs about 5x the one before (two more steps).  Measured
+# pinned on a 2-core x86-64 host under CPython 3.11, one fresh process per
+# call: k = 4 took 0.53 / 2.3 / 11 s at areas 8 / 9 / 10 (x4.5, x4.7), the
+# boundary class 0.65 / 3.2 / 17 s (x4.9, x5.3), so area 12 takes about 4
+# and 8 minutes (extrapolated).
 _MAX_ORACLE_AREA = 12
 
 
@@ -190,11 +194,17 @@ def enumerate_prudent_polygons(
     Every walk of length >= 3 ending at a neighbor of the origin is tallied
     by area.
 
+    The parent prunes: it applies the length bound to each child before
+    the child's ray, exclusion and side tests, tallies a child beside the
+    origin itself, and recurses only into a child that can still close.
+    No memoisation and no symmetry is used, so every count is independent.
+
     No node builds or copies a container: the occupied vertices are flags
-    in one bytearray grid, the box and twice the running shoelace sum are
-    arguments of the recursion, and the side condition is compared against
-    the box inline.  ``classify_walk`` replays the same conditions
-    independently through ``LatticeWalk`` and ``SideMembership``.
+    in one bytearray grid, with each vertex's |x|+|y| in a second one, the
+    box and twice the running shoelace sum are arguments of the recursion,
+    and the side condition is compared against the box inline.
+    ``classify_walk`` replays the same conditions independently through
+    ``LatticeWalk`` and ``SideMembership``.
     """
     if k not in (2, 3, 4):
         raise ValueError("sidedness k must be 2, 3 or 4")
@@ -215,22 +225,27 @@ def enumerate_prudent_polygons(
     off = maxlen + 1
     width = 2 * off + 1
     occupied = bytearray(width * width)
+    # |x| + |y| of each vertex, at the same index as its flag
+    dist = bytearray(abs(i - off) + abs(j - off)
+                     for i in range(width) for j in range(width))
     steps = [(step, dx, dy, dx * width + dy) for step, (dx, dy) in _STEPS.items()]
 
     def rec(x, y, at, xmin, xmax, ymin, ymax, prev, length, twice_area):
-        if length >= 3 and abs(x) + abs(y) == 1:
-            area = abs(twice_area) // 2
-            if 1 <= area <= max_area:
-                tally[area] += 1
-        # No box bound is needed: the walk, closed by a Manhattan return to
-        # the origin, spans its w x h box, so length + |x| + |y| >= 2(w + h);
-        # a box with w + h - 1 > max_area already fails the length test,
-        # as 2(w + h) - 1 >= 2 max_area + 3 > maxlen.
-        if length >= maxlen or length + abs(x) + abs(y) - 1 > maxlen:
-            return
+        # Each child is a walk of `length` steps.  One at distance dd from
+        # the origin needs dd - 1 more steps to end beside it, so it can
+        # close only if dd <= budget; a child beside the origin always can,
+        # as no node is entered with length > maxlen.  No box bound is
+        # needed: the walk, closed by a Manhattan return to the origin,
+        # spans its w x h box, so length + dd >= 2(w + h); a box with
+        # w + h - 1 > max_area already fails the budget, as
+        # 2(w + h) - 1 >= 2 max_area + 3 > maxlen.
+        budget = maxlen + 1 - length
         for step, dx, dy, d in steps:
             nat = at + d
             if occupied[nat]:
+                continue
+            dd = dist[nat]
+            if dd > budget:
                 continue
             nx = x + dx
             ny = y + dy
@@ -261,12 +276,23 @@ def enumerate_prudent_polygons(
             if not (ny == nymax or nx == nxmax or (k >= 3 and nx == nxmin)
                     or (k == 4 and ny == nymin)):
                 continue
+            twice = twice_area + x * ny - nx * y
+            if dd == 1:
+                # a walk beside the origin closes a polygon (of area 0 at
+                # length 1); its children lie at distance 2, so it is
+                # extended only if it is shorter than maxlen by 2 or more,
+                # which by parity (length = dd mod 2) means shorter at all
+                area = abs(twice) // 2
+                if 1 <= area <= max_area:
+                    tally[area] += 1
+                if length >= maxlen:
+                    continue
             occupied[nat] = 1
             rec(nx, ny, nat, nxmin, nxmax, nymin, nymax, step, length + 1,
-                twice_area + x * ny - nx * y)
+                twice)
             occupied[nat] = 0
 
     origin = off * width + off
     occupied[origin] = 1
-    rec(0, 0, origin, 0, 0, 0, 0, None, 0, 0)
+    rec(0, 0, origin, 0, 0, 0, 0, None, 1, 0)
     return CountTable(k, tally[1:], "oracle")

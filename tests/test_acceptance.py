@@ -95,6 +95,14 @@ class TestCriterion3:
         report(f"3 (oracle == solver, n <= 8; q^5 fixed at 232 prudent / "
                f"736 boundary): PASS ({elapsed:.1f} s)")
 
+    def test_oracle_equivalence_four_sided_area_nine(self):
+        # the oracle is the one independent check on the 4-sided solver
+        t0 = time.monotonic()
+        assert enumerate_prudent_polygons(4, 9).counts == \
+            pa4_series(9).counts == PA4_FIXED_POINT + (7480,)
+        elapsed = time.monotonic() - t0
+        report(f"3 (oracle == solver, k = 4, n <= 9): PASS ({elapsed:.1f} s)")
+
 
 class TestCriterion4:
     def test_kappa0_and_closed_form_omega_coefficients(self):

@@ -220,6 +220,17 @@ class TestErrors:
         assert "internal error" in err and "outside the support" in err
         assert "Traceback" not in err
 
+    def test_oracle_invariant_exit_three(self, capsys, monkeypatch):
+        # a diagonal south step lets a prudent walk end inside its box;
+        # the search's invariant check reports it
+        monkeypatch.setitem(cli.oracle._STEPS, "S", (1, -1))
+        code, out, err = run(["oracle", "--k", "4", "--max-area", "4",
+                              "--no-timestamp"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err and "left the box boundary" in err
+        assert "Traceback" not in err
+
     def test_support_bound_exit_three(self, capsys, monkeypatch):
         # storing row i = 2 of the 4-sided solver's X and Y one coefficient
         # short of its support drops a term, which its guard reports

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from prudentpoly import oracle
 from prudentpoly.enumeration import pa2_series, pa3_series, pa4_series
 from prudentpoly.oracle import (
     LatticeWalk,
@@ -105,6 +106,13 @@ class TestEnumeration:
         # class behind the published 4-sided numbers (see README)
         t = enumerate_prudent_polygons(4, 6, walk_class="boundary")
         assert t.counts == (8, 24, 80, 248, 736, 2120)
+
+    def test_endpoint_off_the_box_boundary_raises(self, monkeypatch):
+        # a diagonal south step lets a prudent walk end inside its box,
+        # which the search's invariant check reports
+        monkeypatch.setitem(oracle._STEPS, "S", (1, -1))
+        with pytest.raises(AssertionError, match="left the box boundary"):
+            enumerate_prudent_polygons(4, 4)
 
     def test_resource_guard(self):
         with pytest.raises(ValueError):
