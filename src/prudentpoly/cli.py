@@ -57,18 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _digits(text: str) -> int:
-    try:
-        value = int(text)
-        if 1 <= value <= _MAX_DIGITS:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"digits must be a positive integer up to {_MAX_DIGITS} (got "
-        f"{text!r})")
-
-
 def _at_least(low: int, high: float = float("inf")):
     """An argparse type: an integer from low up to high."""
     def integer(text: str) -> int:
@@ -114,7 +102,7 @@ def _routes(text: str) -> list:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--digits", type=_digits, default=40,
+    p.add_argument("--digits", type=_at_least(1, _MAX_DIGITS), default=40,
                    help="working precision in significant digits")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")

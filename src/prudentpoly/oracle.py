@@ -32,6 +32,15 @@ from .enumeration import CountTable, DomainError
 
 _STEPS = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
 
+
+def _delta(step: str) -> tuple[int, int]:
+    """The (dx, dy) of a step, or ValueError for a letter that is none."""
+    try:
+        return _STEPS[step]
+    except KeyError:
+        raise ValueError(f"unknown step {step!r}") from None
+
+
 # A generous cap: area n needs a walk of length <= 2n+1 (perimeter <= 2n+2),
 # and each area costs about 5x the one before (two more steps).  Measured
 # pinned on a 2-core x86-64 host under CPython 3.11, one fresh process per
@@ -57,8 +66,7 @@ class SideMembership:
         return SideMembership(y == ymax, x == xmax, x == xmin, y == ymin)
 
     def allows(self, k: int) -> bool:
-        if k == 1:
-            return self.on_north
+        """The k-sided side condition, k = 2, 3 or 4."""
         if k == 2:
             return self.on_north or self.on_east
         if k == 3:
@@ -83,7 +91,7 @@ class LatticeWalk:
 
     def push(self, step: str) -> bool:
         """Append a step; returns False (and does nothing) if self-avoidance fails."""
-        dx, dy = _STEPS[step]
+        dx, dy = _delta(step)
         x, y = self.vertices[-1]
         nxt = (x + dx, y + dy)
         if nxt in self.occupied:
@@ -103,7 +111,7 @@ class LatticeWalk:
         Occupied vertices all lie inside the current box, so the scan stops
         at the box boundary.
         """
-        dx, dy = _STEPS[step]
+        dx, dy = _delta(step)
         x, y = self.vertices[-1]
         xmin, xmax, ymin, ymax = self.box
         x += dx
@@ -137,13 +145,11 @@ def classify_walk(steps: str) -> WalkClassification:
     if not steps:
         raise ValueError("walk must be nonempty")
     w = LatticeWalk()
-    sided = {1: True, 2: True, 3: True, 4: True}
+    sided = {2: True, 3: True, 4: True}
     excluded = False
     prudent = True
     prev = None
     for s in steps:
-        if s not in _STEPS:
-            raise ValueError(f"unknown step {s!r}")
         if prudent:
             prudent = w.step_is_prudent(s)
         # 3-sided exclusion is decided from the state *before* the step

@@ -29,6 +29,12 @@ from mpmath import mp, mpf
 import prudentpoly
 from prudentpoly import cli, enumeration
 
+from limits import KERNELS, LIMITS
+
+# every CLI route that reaches an exact solver's guard, and the solver's row
+GUARDED = {"-".join(a.lstrip("-") for a in route[:-1]): (route, limit)
+           for limit in LIMITS.values() for route in limit.cli}
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -185,21 +191,21 @@ class TestErrors:
         code, _, _ = run(["oracle", "--k", "2", "--max-area", "13"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["enumerate", "--k", "2", "--max-area"],
-        ["enumerate", "--k", "3", "--method", "functional", "--max-area"],
-        ["enumerate", "--k", "4", "--max-area"],
-        ["fit", "--k", "3", "--max-n"],
-        ["residuals", "--max-n"]],
-        ids=["k2", "k3-functional", "k4", "fit", "residuals"])
-    def test_order_too_wide_for_a_float_exit_two(self, argv, capsys):
-        # the memory estimates are floats; an order past their range is
-        # refused by the same budget
-        code, out, err = run(argv + [str(10 ** 400), "--no-timestamp"],
-                             capsys)
-        assert code == 2
-        assert out == ""
-        assert "domain error" in err and "MiB" in err
+    @pytest.mark.parametrize("route, limit", GUARDED.values(),
+                             ids=list(GUARDED))
+    def test_order_past_the_budget_exit_two(self, route, limit, capsys,
+                                            monkeypatch):
+        # the route's first refused order, and an order past a float's
+        # range, exit 2 at once, before any kernel runs (a call to one
+        # would be exit 3)
+        for kernel in KERNELS:
+            monkeypatch.setattr(cli.enumeration, kernel, None)
+        for order in (limit.first_refused, 10 ** 400):
+            with _time_limit(1):
+                code, out, err = run([*route, str(order), "--no-timestamp"],
+                                     capsys)
+            assert code == 2 and out == ""
+            assert "domain error" in err and "MiB" in err
 
     def test_broken_invariant_exit_three(self, capsys, monkeypatch):
         # a term of the 4-sided solver's Z at q^(s-1), below its support on
@@ -284,9 +290,11 @@ class TestErrors:
         (["gf-check", "--q", "0.25", "--methods", "taylor,bogus"],
          "--methods"),
         (["enumerate", "--k", "3", "--max-area", "0"], "--max-area"),
-        (["residuals", "--max-n", "20", "--min-n", "1"], "--min-n")],
+        (["residuals", "--max-n", "20", "--min-n", "1"], "--min-n"),
+        (["constants", "--digits", "10001"], "--digits: must be <= 10000"),
+        (["constants", "--digits", "x"], "--digits: invalid integer value")],
         ids=["q-not-a-number", "q-nan", "unknown-route", "max-area-0",
-             "min-n-1"])
+             "min-n-1", "digits-past-the-cap", "digits-not-an-integer"])
     def test_bad_input_is_usage_error(self, argv, option, capsys):
         code, out, err = run(argv + ["--no-timestamp"], capsys)
         assert code == 1 and out == ""
@@ -343,33 +351,6 @@ class TestErrors:
         assert out == ""
         assert "internal error: root leaves a residual" in err
 
-    def test_four_sided_memory_guard_exit_two(self, capsys):
-        # 1901, the first order past the solver's memory budget, is refused
-        # at once; the order below passes the estimate
-        e = cli.enumeration
-        assert e._pa4_mib(1900) <= e._MAX_MIB
-        t0 = time.monotonic()
-        code, out, err = run(["enumerate", "--k", "4", "--max-area", "1901",
-                              "--no-timestamp"], capsys)
-        assert time.monotonic() - t0 < 1
-        assert code == 2
-        assert out == ""
-        assert "domain error" in err and "MiB" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["enumerate", "--k", "2", "--max-area", "10000000000"],
-        ["fit", "--k", "2", "--max-n", "10000000000"]], ids=["enumerate", "fit"])
-    def test_two_sided_memory_guard_exit_two(self, argv, capsys, monkeypatch):
-        # the closed form's two expansions would need about 13 PB: refused
-        # before any expansion (a call to one would be exit 3)
-        monkeypatch.setattr(cli.enumeration, "expand_rational", None)
-        t0 = time.monotonic()
-        code, out, err = run(argv + ["--no-timestamp"], capsys)
-        assert time.monotonic() - t0 < 1
-        assert code == 2
-        assert out == ""
-        assert "domain error: 2-sided order" in err and "MiB" in err
-
     @pytest.mark.parametrize("harmonics", ["1001", "1000000000"])
     def test_harmonics_past_the_cap_is_usage_error(self, harmonics, capsys):
         # a billion harmonics would take days; 1001 is one past the cap
@@ -379,38 +360,6 @@ class TestErrors:
         assert code == 1 and out == ""
         assert ("argument --harmonics: must be <= 1000 "
                 f"(got '{harmonics}')") in err
-
-    @pytest.mark.parametrize("argv", [
-        ["enumerate", "--k", "3", "--max-area", "200000"],
-        ["residuals", "--max-n", "200000"]], ids=["enumerate", "residuals"])
-    def test_three_sided_theorem_memory_guard_exit_two(self, argv, capsys,
-                                                       monkeypatch):
-        # order 200000 needs about 10 GiB on the theorem route (and hours):
-        # refused before the kernel runs (a call to it would be exit 3)
-        def unreached(order):
-            raise AssertionError("the theorem kernel ran")
-
-        monkeypatch.setattr(cli.enumeration, "_pa3_theorem_coeffs", unreached)
-        t0 = time.monotonic()
-        code, out, err = run(argv + ["--no-timestamp"], capsys)
-        assert time.monotonic() - t0 < 1
-        assert code == 2
-        assert out == ""
-        assert "domain error" in err and "MiB" in err
-
-    def test_three_sided_functional_memory_guard_exit_two(self, capsys,
-                                                          monkeypatch):
-        # area 76295, the first past the functional route's budget, is
-        # refused before any block is solved (a call to the solver would be
-        # exit 3); the area below passes the estimate
-        assert cli.enumeration._w_sum_mib(76294) <= cli.enumeration._MAX_MIB
-        monkeypatch.setattr(cli.enumeration, "_w_blocks", None)
-        code, out, err = run(["enumerate", "--k", "3", "--method",
-                              "functional", "--max-area", "76295",
-                              "--no-timestamp"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "domain error" in err and "MiB" in err
 
 
 # sha256 of `constants --harmonics 3 --digits 100 --no-timestamp`, recorded
@@ -466,7 +415,8 @@ class TestEnvPrecision:
         code, out, err = run(["constants", "--digits", "0",
                               "--no-timestamp"], capsys)
         assert code == 1 and out == ""
-        assert "positive integer" in err
+        assert "argument --digits: must be >= 1 (got '0')" in err
+
 
 
 # sha256 of the stdout of each command with --no-timestamp.  The four

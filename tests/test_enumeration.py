@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -23,6 +26,8 @@ from prudentpoly.enumeration import (
 from prudentpoly import enumeration
 from prudentpoly.series import Series1, Series2, expand_rational
 
+from limits import KERNELS, LIMITS
+
 PA3_FIRST_TEN = (6, 10, 20, 42, 92, 204, 454, 1010, 2242, 4962)
 
 # the trivariate fixed point (and the brute-force oracle) both give these;
@@ -30,20 +35,32 @@ PA3_FIRST_TEN = (6, 10, 20, 42, 92, 204, 454, 1010, 2242, 4962)
 PA4_FIXED_POINT = (8, 16, 40, 96, 232, 560, 1336, 3176)
 
 
-@pytest.mark.parametrize("solve", [
-    pa2_series, pa3_series, lambda n: pa3_series(n, "functional"),
-    pa4_series, pa4_system_solution],
-    ids=["pa2", "pa3-theorem", "pa3-functional", "pa4", "pa4-solution"])
-@pytest.mark.parametrize("digits", [400, 5000])
-def test_order_too_wide_for_a_float_refused(solve, digits, monkeypatch):
-    # the memory estimates are floats; an order past their range, even one
-    # past the 4300 digits that str() prints, is refused by the same
-    # budget, before any kernel runs
-    for kernel in ("expand_rational", "_pa3_theorem_coeffs", "_w_blocks",
-                   "_pa4_diagonals"):
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=list(LIMITS))
+def test_size_limit(limit, monkeypatch):
+    # the order below the first refused one passes its estimate; that one,
+    # and orders past a float's range and past the 4300 digits str() prints,
+    # are refused before any kernel runs, and so is order 0
+    estimate = getattr(enumeration, limit.estimate)
+    assert estimate(limit.first_refused - 1) <= enumeration._MAX_MIB
+    for kernel in KERNELS:
         monkeypatch.setattr(enumeration, kernel, None)
-    with pytest.raises(DomainError, match=r"order 2\^64 or more .* MiB"):
-        solve(10 ** digits)
+    for order in (limit.first_refused, 10 ** 400, 10 ** 5000):
+        shown = order if order < 2 ** 64 else "2^64 or more"
+        with pytest.raises(DomainError, match=re.escape(
+                f"{limit.solver} order {shown} needs about ") + r"\S+ MiB"):
+            limit.solve(order)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        limit.solve(0)
+
+
+def test_every_guard_has_a_size_limit():
+    # the estimates enumeration passes to _check_order are the table's, so
+    # an exact entry point cannot ship without a pinned first order
+    tree = ast.parse(inspect.getsource(enumeration))
+    guarded = {node.args[1].id for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_check_order"}
+    assert guarded == {limit.estimate for limit in LIMITS.values()}
 
 
 class TestBargraphs:
@@ -77,17 +94,6 @@ class TestBargraphs:
         assert all(b.coeff(m, 0) == 0 for m in range(n + 1))
 
 
-    def test_memory_guard_before_any_work(self, monkeypatch):
-        # orders from 3702 on are refused before any row is built, and the
-        # order below passes the estimate
-        assert enumeration._bargraph_mib(3701) <= enumeration._MAX_MIB
-        monkeypatch.setattr(enumeration, "accumulate", None)
-        monkeypatch.setattr(enumeration, "Series2", None)
-        with pytest.raises(DomainError,
-                           match=r"bargraph order 3702 needs about \d+ MiB"):
-            bargraph_series(3702)
-
-
 class TestPa2:
     def test_closed_form(self):
         t = pa2_series(30)
@@ -97,12 +103,7 @@ class TestPa2:
         assert all(t.count(n) == 2 ** n + 2 for n in range(1, 31))
 
     def test_memory_guard(self, monkeypatch):
-        # orders from 125515 on are refused before any expansion, the order
-        # below passes the estimate, and a smaller budget reaches the guard
-        assert enumeration._pa2_mib(125514) <= enumeration._MAX_MIB
-        monkeypatch.setattr(enumeration, "expand_rational", None)
-        with pytest.raises(DomainError, match=r"2-sided order 125515 needs"):
-            pa2_series(125515)
+        # a smaller budget reaches the guard at a smaller order
         monkeypatch.setattr(enumeration, "_MAX_MIB", 1)
         with pytest.raises(DomainError, match=r"order 5000 needs about 3 MiB"):
             pa2_series(5000)
@@ -177,24 +178,6 @@ class TestWSeries:
             with pytest.raises(ValueError, match="each u-block must have "
                                                  r"order\+1 coefficients"):
                 solve(10)
-
-    def test_memory_guard_before_any_work(self, monkeypatch):
-        # w_series keeps every block and is refused from order 3594 on; the
-        # functional counts keep one block and are refused from 76295 on;
-        # both before any block is solved, and the order below each passes
-        assert enumeration._w_mib(3593) <= enumeration._MAX_MIB
-        assert enumeration._w_sum_mib(76294) <= enumeration._MAX_MIB
-
-        def unreached(order):
-            raise AssertionError("the blocks were solved")
-
-        monkeypatch.setattr(enumeration, "_w_blocks", unreached)
-        with pytest.raises(DomainError,
-                           match=r"functional order 3594 needs about \d+ MiB"):
-            w_series(3594)
-        with pytest.raises(DomainError,
-                           match=r"functional order 76295 needs about \d+ MiB"):
-            pa3_series(76295, "functional")
 
 
 # integers of mixed sign and width: small ones, where a wrong sign or lag
@@ -354,19 +337,6 @@ class TestPa3:
                            match=r"H'_49 has 56 of 100 coefficients"):
             pa3_series(200)
 
-    def test_memory_guard_before_any_work(self, monkeypatch):
-        # the fitted estimate refuses orders from 88273 on, before the kernel
-        # runs; the order below passes it
-        assert enumeration._pa3_mib(88272) <= enumeration._MAX_MIB
-
-        def unreached(order):
-            raise AssertionError("the theorem kernel ran")
-
-        monkeypatch.setattr(enumeration, "_pa3_theorem_coeffs", unreached)
-        with pytest.raises(DomainError,
-                           match=r"theorem order 88273 needs about \d+ MiB"):
-            pa3_series(88273)
-
     def test_kernel_frees_each_step(self):
         # the kernel's traced peak at order 1024 is 0.433 MiB with every
         # step's lists freed when the step ends (CPython 3.11); one kept
@@ -457,13 +427,6 @@ class TestPa3:
         # the method is checked before the order
         with pytest.raises(ValueError, match="method must be"):
             pa3_series(0, "magic")
-        # every series entry point refuses order 0 before any work
-        for call in (lambda: pa3_series(0), lambda: pa3_series(0, "functional"),
-                     lambda: w_series(0), lambda: pa4_series(0),
-                     lambda: pa4_system_solution(0),
-                     lambda: bargraph_series(0), lambda: pa2_series(0)):
-            with pytest.raises(ValueError, match="order must be >= 1"):
-                call()
 
 
 class TestPa4:
@@ -490,31 +453,11 @@ class TestPa4:
         text = ",".join(map(str, pa4_series(n).counts))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_memory_guard(self, monkeypatch):
-        # the counts are refused from order 1901 on and the solution, which
-        # keeps every diagonal, from 359 on, before the solver runs; the
-        # order below each passes its estimate
-        assert enumeration._pa4_mib(1900) <= enumeration._MAX_MIB
-        assert enumeration._pa4_solution_mib(358) <= enumeration._MAX_MIB
-
-        def unreached(order):
-            raise AssertionError("the solver ran")
-
-        monkeypatch.setattr(enumeration, "_pa4_diagonals", unreached)
-        for solve, n in ((pa4_series, 1901), (pa4_system_solution, 359)):
-            with pytest.raises(DomainError,
-                               match=rf"4-sided order {n} needs about \d+ MiB"):
-                solve(n)
-
     def test_solution_memory_guard_before_any_work(self, monkeypatch):
         # order 400 passes the counts' guard, but the solution keeps every
         # diagonal and needs more than the budget: refused before solving
         assert enumeration._pa4_mib(400) < enumeration._MAX_MIB
-
-        def unreached(order):
-            raise AssertionError("the solver ran")
-
-        monkeypatch.setattr(enumeration, "_pa4_diagonals", unreached)
+        monkeypatch.setattr(enumeration, "_pa4_diagonals", None)
         with pytest.raises(DomainError, match=r"order 400 needs about \d+ MiB"):
             pa4_system_solution(400)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 
 import pytest
@@ -50,6 +51,13 @@ class TestClassify:
             classify_walk("")
         with pytest.raises(ValueError, match="unknown step"):
             classify_walk("X")
+
+    def test_unknown_step_rejected_by_the_walk(self):
+        # every replay reads a step through one lookup
+        with pytest.raises(ValueError, match="unknown step 'X'"):
+            LatticeWalk("EX")
+        with pytest.raises(ValueError, match="unknown step 'X'"):
+            polygon_area("ENX")
 
 
 class TestArea:
@@ -113,6 +121,29 @@ class TestEnumeration:
         monkeypatch.setitem(oracle._STEPS, "S", (1, -1))
         with pytest.raises(AssertionError, match="left the box boundary"):
             enumerate_prudent_polygons(4, 4)
+
+    @pytest.mark.parametrize("walk_class, nodes", [
+        ("prudent", (11063, 19293, 33069)),
+        ("boundary", (13473, 25167, 47189))], ids=["prudent", "boundary"])
+    def test_search_work_at_area_six(self, walk_class, nodes):
+        # the nodes the search enters for k = 2, 3, 4, counted as calls of
+        # its recursion: a weaker pruning rule gives the same counts from
+        # more nodes, and this fails
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "rec" and \
+                    frame.f_code.co_filename == oracle.__file__:
+                entered[-1] += 1
+
+        for k in (2, 3, 4):
+            entered.append(0)
+            sys.setprofile(profile)
+            try:
+                enumerate_prudent_polygons(k, 6, walk_class=walk_class)
+            finally:
+                sys.setprofile(None)
+        assert tuple(entered) == nodes
 
     def test_resource_guard(self):
         with pytest.raises(ValueError):
