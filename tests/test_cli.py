@@ -32,8 +32,8 @@ from prudentpoly import cli, enumeration
 from limits import KERNELS, LIMITS
 
 # every CLI route that reaches an exact solver's guard, and the solver's row
-GUARDED = {"-".join(a.lstrip("-") for a in route[:-1]): (route, limit)
-           for limit in LIMITS.values() for route in limit.cli}
+GUARDED = {name: (route, limit)
+           for limit in LIMITS.values() for name, route in limit.cli.items()}
 
 
 def run(argv, capsys):
@@ -191,21 +191,59 @@ class TestErrors:
         code, _, _ = run(["oracle", "--k", "2", "--max-area", "13"], capsys)
         assert code == 2
 
+    @staticmethod
+    def refused(argv, capsys, monkeypatch):
+        # exit 2 at once, before any kernel runs (a call to one would be
+        # exit 3); returns stderr
+        for kernel in KERNELS:
+            monkeypatch.setattr(cli.enumeration, kernel, None)
+        with _time_limit(1):
+            code, out, err = run([*argv, "--no-timestamp"], capsys)
+        assert code == 2 and out == ""
+        assert "domain error" in err and "MiB" in err
+        return err
+
     @pytest.mark.parametrize("route, limit", GUARDED.values(),
                              ids=list(GUARDED))
     def test_order_past_the_budget_exit_two(self, route, limit, capsys,
                                             monkeypatch):
-        # the route's first refused order, and an order past a float's
-        # range, exit 2 at once, before any kernel runs (a call to one
-        # would be exit 3)
-        for kernel in KERNELS:
-            monkeypatch.setattr(cli.enumeration, kernel, None)
-        for order in (limit.first_refused, 10 ** 400):
-            with _time_limit(1):
-                code, out, err = run([*route, str(order), "--no-timestamp"],
-                                     capsys)
-            assert code == 2 and out == ""
-            assert "domain error" in err and "MiB" in err
+        self.refused([*route, str(limit.first_refused)], capsys, monkeypatch)
+
+    @pytest.mark.parametrize("route", [r for r, _ in GUARDED.values()],
+                             ids=list(GUARDED))
+    def test_order_too_wide_for_a_float_exit_two(self, route, capsys,
+                                                 monkeypatch):
+        # the memory estimates are floats; an order past their range is
+        # refused by the same budget
+        self.refused([*route, str(10 ** 400)], capsys, monkeypatch)
+
+    @pytest.mark.parametrize("route", ["k2", "fit-k2"],
+                             ids=["enumerate", "fit"])
+    def test_two_sided_memory_guard_exit_two(self, route, capsys,
+                                             monkeypatch):
+        # the closed form's two expansions would need about 13 PB
+        err = self.refused([*GUARDED[route][0], "10000000000"], capsys,
+                           monkeypatch)
+        assert "domain error: 2-sided order 10000000000" in err
+
+    @pytest.mark.parametrize("route", ["k3", "residuals"],
+                             ids=["enumerate", "residuals"])
+    def test_three_sided_theorem_memory_guard_exit_two(self, route, capsys,
+                                                       monkeypatch):
+        # order 200000 needs about 10 GiB on the theorem route (and hours)
+        err = self.refused([*GUARDED[route][0], "200000"], capsys,
+                           monkeypatch)
+        assert "3-sided theorem order 200000" in err
+
+    def test_three_sided_functional_memory_guard_exit_two(self, capsys,
+                                                          monkeypatch):
+        err = self.refused([*GUARDED["k3-functional"][0], "200000"], capsys,
+                           monkeypatch)
+        assert "3-sided functional order 200000" in err
+
+    def test_four_sided_memory_guard_exit_two(self, capsys, monkeypatch):
+        err = self.refused([*GUARDED["k4"][0], "10000"], capsys, monkeypatch)
+        assert "4-sided order 10000" in err
 
     def test_broken_invariant_exit_three(self, capsys, monkeypatch):
         # a term of the 4-sided solver's Z at q^(s-1), below its support on

@@ -35,22 +35,33 @@ PA3_FIRST_TEN = (6, 10, 20, 42, 92, 204, 454, 1010, 2242, 4962)
 PA4_FIXED_POINT = (8, 16, 40, 96, 232, 560, 1336, 3176)
 
 
-@pytest.mark.parametrize("limit", LIMITS.values(), ids=list(LIMITS))
-def test_size_limit(limit, monkeypatch):
-    # the order below the first refused one passes its estimate; that one,
-    # and orders past a float's range and past the 4300 digits str() prints,
-    # are refused before any kernel runs, and so is order 0
-    estimate = getattr(enumeration, limit.estimate)
-    assert estimate(limit.first_refused - 1) <= enumeration._MAX_MIB
+def assert_refused(limit, order, monkeypatch):
+    # refused by the row's guard before any kernel runs: each is None
     for kernel in KERNELS:
         monkeypatch.setattr(enumeration, kernel, None)
-    for order in (limit.first_refused, 10 ** 400, 10 ** 5000):
-        shown = order if order < 2 ** 64 else "2^64 or more"
-        with pytest.raises(DomainError, match=re.escape(
-                f"{limit.solver} order {shown} needs about ") + r"\S+ MiB"):
-            limit.solve(order)
+    shown = order if order < 2 ** 64 else "2^64 or more"
+    with pytest.raises(DomainError, match=re.escape(
+            f"{limit.solver} order {shown} needs about ") + r"\S+ MiB"):
+        limit.solve(order)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=list(LIMITS))
+def test_size_limit(limit, monkeypatch):
+    # the order below the first refused one passes its estimate; that one
+    # is refused before any kernel runs, and so is order 0
+    estimate = getattr(enumeration, limit.estimate)
+    assert estimate(limit.first_refused - 1) <= enumeration._MAX_MIB
+    assert_refused(limit, limit.first_refused, monkeypatch)
     with pytest.raises(ValueError, match="order must be >= 1"):
         limit.solve(0)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=list(LIMITS))
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_order_too_wide_for_a_float_refused(limit, digits, monkeypatch):
+    # the memory estimates are floats; an order past their range, even one
+    # past the 4300 digits that str() prints, is refused by the same budget
+    assert_refused(limit, 10 ** digits, monkeypatch)
 
 
 def test_every_guard_has_a_size_limit():
@@ -337,6 +348,11 @@ class TestPa3:
                            match=r"H'_49 has 56 of 100 coefficients"):
             pa3_series(200)
 
+    def test_memory_guard_before_any_work(self, monkeypatch):
+        # an order far past the first refused one, yet within a float's
+        # range, is refused by the same guard
+        assert_refused(LIMITS["pa3-theorem"], 200000, monkeypatch)
+
     def test_kernel_frees_each_step(self):
         # the kernel's traced peak at order 1024 is 0.433 MiB with every
         # step's lists freed when the step ends (CPython 3.11); one kept
@@ -452,6 +468,12 @@ class TestPa4:
         # sha256 of the counts from the sweep solver that preceded this one
         text = ",".join(map(str, pa4_series(n).counts))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_memory_guard(self, monkeypatch):
+        # an order far past both first refused ones, yet within a float's
+        # range, is refused by the counts' guard and by the solution's
+        for row in ("pa4", "pa4-solution"):
+            assert_refused(LIMITS[row], 10000, monkeypatch)
 
     def test_solution_memory_guard_before_any_work(self, monkeypatch):
         # order 400 passes the counts' guard, but the solution keeps every
