@@ -324,6 +324,8 @@ class BaseQuantities:
 
     @_derived
     def log_q(self):
+        if self.q == 0:
+            raise DomainError("log(1/q) needs q != 0")
         return mp.log(1 / self.q)
 
     @_derived
@@ -407,6 +409,8 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40) -> list:
     (quz;q)oo truncated at z^{nu_max}, then divides by each factor
     (1 - v q^j z) via the geometric recurrence.  Requires |q| < 1.
     """
+    if nu_max < 0:
+        raise ValueError("nu_max must be >= 0")
     with mp.workdps(dps + _GUARD_DPS):
         q = mpmathify(q)
         if abs(q) >= 1:
@@ -742,8 +746,10 @@ GF_ROUTES = {"taylor": _gf_taylor, "meromorphic": _gf_meromorphic,
 def h_direct(j: int, t, q, v, dps: int = 40):
     """h_j(t) = q^-2 sum_{nu>=1} (v q^j)^nu / (1 + t q^{-nu-2}).
 
-    Converges for every t > 0 (the denominator eventually grows like
-    t q^{-nu}); this is the route usable at large t.
+    For t > 0 and 0 < |q| < 1 the denominator grows like t q^{-nu}, so the
+    terms behave like (q^2/t) (v q^{j+1})^nu: the sum converges for every
+    t > 0 exactly when |v q^{j+1}| < 1, and DomainError is raised before
+    the first term otherwise.  This is the route usable at large t.
     """
     with mp.workdps(dps + _GUARD_DPS):
         t = mpmathify(t)
@@ -751,6 +757,13 @@ def h_direct(j: int, t, q, v, dps: int = 40):
         v = mpmathify(v)
         if not t > 0:
             raise DomainError("h_j direct sum needs t > 0")
+        if not 0 < abs(q) < 1:
+            raise DomainError(
+                f"h_j direct sum needs 0 < |q| < 1 (got |q| = {abs(q)})")
+        ratio = abs(v * q ** (j + 1))
+        if ratio >= 1:
+            raise DomainError(f"h_j direct sum diverges: it needs "
+                              f"|v q^(j+1)| < 1 (got {mp.nstr(ratio, 8)})")
         base = v * q ** j
         terms = (power / (1 + t / q_nu)      # (v q^j)^nu, q^{nu+2}
                  for power, q_nu in zip(_powers(base, base),
@@ -764,18 +777,26 @@ def h_representation(j: int, t, q, v, dps: int = 40):
     h_j(t) = (-1)^j v q^{3 gamma - 2j - 2}/log(1/q) t^{j-gamma}
              Pi(log_{1/q} t) + q^-2 sum_r (-1)^r v q^{j-3r}/(1-v q^{j-r}) t^r.
 
-    The r-sum contracts like |t|/q^2, so t must stay well inside q^2.
+    The r-sum contracts like |t|/q^2, so t must stay well inside q^2.  It
+    needs 0 < |q| < 1, and gamma off the integers, the poles of p_0.
     """
     with mp.workdps(dps + _GUARD_DPS):
         t = mpmathify(t)
         q = mpmathify(q)
         v = mpmathify(v)
+        if not 0 < abs(q) < 1:
+            raise DomainError(
+                f"representation needs 0 < |q| < 1 (got |q| = {abs(q)})")
         if not 0 < t < q ** -3:
             raise DomainError("representation stated for 0 < t < q^-3")
         if abs(t) >= mpf("0.9") * q ** 2:
             raise DomainError("representation r-sum needs |t| < q^2 to contract")
         log_q = mp.log(1 / q)
         gamma = mp.log(v) / log_q
+        if mp.isint(gamma):
+            raise DomainError(
+                f"representation needs gamma = log(v)/log(1/q) off the "
+                f"integers, the poles of p_0 = pi/sin(pi gamma) (got {gamma})")
         sing = ((-1) ** j * v * q ** (3 * gamma - 2 * j - 2) / log_q
                 * t ** (j - gamma)
                 * _pi_sum(mp.log(t) / log_q, gamma, log_q, dps))
@@ -1099,13 +1120,26 @@ def _scaled_counts(counts):
     raise TypeError("counts must be a CountTable or FloatSeries1")
 
 
+def _uncovered(u0, u1) -> DomainError:
+    return DomainError(f"residual table does not cover u in [{u0}, {u1}]")
+
+
+def _ends(u_range) -> tuple:
+    """The window's ends u0, u1; no table covers an end that is not
+    finite."""
+    u0, u1 = u_range
+    if not (mp.isfinite(u0) and mp.isfinite(u1)):
+        raise _uncovered(u0, u1)
+    return u0, u1
+
+
 def _window(table: ResidualTable, u_range, k: int) -> tuple:
     """(rows, logs, phases): the rows (n, residual) with 2^u0 <= n <= 2^u1,
     and _prime_table's log n and e^{2 i k pi log2 n} up to the last of them,
     in units of 2^-(prec+32).  The first and the last sample, their log2 n
     taken from the table, must lie within 0.01 of the window's ends."""
     u0, u1 = u_range
-    uncovered = DomainError(f"residual table does not cover u in [{u0}, {u1}]")
+    uncovered = _uncovered(u0, u1)
     lo, hi = int(mp.ceil(mpf(2) ** u0)), int(mp.floor(mpf(2) ** u1))
     pts = [(n, r) for n, _, r in table.rows if lo <= n <= hi]
     if not pts:
@@ -1130,7 +1164,7 @@ def fourier_extract(table: ResidualTable, k: int, u_range) -> mpc:
     the steps and the window's length, and one rounding to the working
     precision ends it.
     """
-    u0, u1 = u_range
+    u0, u1 = _ends(u_range)
     if u1 - u0 < 2 or abs((u1 - u0) - round(u1 - u0)) > 1e-12:
         raise DomainError("u-window must span an integer number of periods, >= 2")
     with mp.workdps(table.precision + _GUARD_DPS):
@@ -1162,7 +1196,7 @@ def fourier_extract_detrended(table: ResidualTable, k: int, u_range) -> mpc:
     e^{2 i k pi u} from _prime_table and 2^-u as 1/n, which is what it is
     at u = log2 n, all on integers in units of 2^-(prec+32).
     """
-    u0, u1 = u_range
+    u0, u1 = _ends(u_range)
     if k < 1:
         raise DomainError(f"the detrended fit needs a harmonic k >= 1 (got {k})")
     if u1 - u0 < 2:

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from prudentpoly.enumeration import pa3_series
+from prudentpoly.enumeration import pa3_series, pa4_series
+from prudentpoly.oracle import enumerate_prudent_polygons
 from prudentpoly.series import FloatSeries1, Series1
 
 
@@ -21,3 +22,15 @@ def float_counts_4096(exact_counts_4096):
     # pa3_scaled_float(4096, precision=40), from the shared exact counts
     return FloatSeries1.from_series1(
         Series1((0,) + exact_counts_4096.counts), 40)
+
+
+@pytest.fixture(scope="session")
+def four_sided_counts_150():
+    return pa4_series(150)
+
+
+@pytest.fixture(scope="session")
+def four_sided_oracle_area_9():
+    # the brute-force k = 4 prudent search to area 9; its first 8 counts are
+    # the search to area 8
+    return enumerate_prudent_polygons(4, 9)

@@ -78,12 +78,14 @@ class TestCriterion2:
 
 
 class TestCriterion3:
-    def test_oracle_equivalence_all_k(self):
+    def test_oracle_equivalence_all_k(self, four_sided_oracle_area_9):
         t0 = time.monotonic()
         series = {2: pa2_series(8), 3: pa3_series(8, "theorem"), 4: pa4_series(8)}
-        for k in (2, 3, 4):
+        for k in (2, 3):
             brute = enumerate_prudent_polygons(k, 8)
             assert brute.counts == series[k].counts, k
+        # the k = 4 search to area 8: the first 8 counts of the one to area 9
+        assert four_sided_oracle_area_9.counts[:8] == series[4].counts
         # the q^5 question, resolved on both readings:
         assert series[4].count(5) == 232 == \
             enumerate_prudent_polygons(4, 5).count(5)
@@ -95,10 +97,11 @@ class TestCriterion3:
         report(f"3 (oracle == solver, n <= 8; q^5 fixed at 232 prudent / "
                f"736 boundary): PASS ({elapsed:.1f} s)")
 
-    def test_oracle_equivalence_four_sided_area_nine(self):
+    def test_oracle_equivalence_four_sided_area_nine(
+            self, four_sided_oracle_area_9):
         # the oracle is the one independent check on the 4-sided solver
         t0 = time.monotonic()
-        assert enumerate_prudent_polygons(4, 9).counts == \
+        assert four_sided_oracle_area_9.counts == \
             pa4_series(9).counts == PA4_FIXED_POINT + (7480,)
         elapsed = time.monotonic() - t0
         report(f"3 (oracle == solver, k = 4, n <= 9): PASS ({elapsed:.1f} s)")
@@ -269,13 +272,13 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_exponent_fits(self):
+    def test_exponent_fits(self, four_sided_counts_150):
         t0 = time.monotonic()
         counts = pa3_scaled_float(2000, precision=40)
         fit3 = asy.exponent_fit(counts)
         target = mp.log(3) / mp.log(2)
         assert abs(fit3 - target) <= mpf("0.05")
-        fit4 = asy.exponent_fit(pa4_series(150), dps=30)
+        fit4 = asy.exponent_fit(four_sided_counts_150, dps=30)
         report(f"8 (3-sided fit {mp.nstr(fit3, 6)} = log2(3) +/- 0.05: PASS; "
                f"4-sided fit {mp.nstr(fit4, 6)} emitted for comparison with "
                f"the conjectured 1+log2(3) = 2.585, not asserted; "

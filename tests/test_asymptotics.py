@@ -62,15 +62,6 @@ class TestPochhammer:
             asy.pochhammer(mpf(1) / 2, mpf(1) / 2)
         assert mp.nstr(val, 8) == "-0.18109782"
 
-    def test_doubling_insensitive(self):
-        a = asy.pochhammer(mpf(1) / 3, mpf(1) / 2, dps=40)
-        b = at_scale(2, asy.pochhammer, mpf(1) / 3, mpf(1) / 2, dps=40)
-        assert abs(a - b) < 1e-40
-
-    def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            asy.pochhammer(mpf("0.5"), mpf("0.95"))
-
 
 class TestDnu:
     @pytest.mark.parametrize("q", ["0.4", "0.45", "0.5"])
@@ -135,10 +126,6 @@ class TestMittagLeffler:
         assert close(lhs, 1 / (1 - z), 1e-40)
         assert close(rhs, 1 / (1 - z), 1e-35)
 
-    def test_pole_guard(self):
-        with pytest.raises(DomainError):
-            asy.mittag_leffler_check(mpf(1) / 3, mpf(1) / 2, mpf(2) + mpf(10) ** -8)
-
     def test_q_zero_has_the_single_pole_one(self):
         # (z;0)oo = 1 - z: the pole scan stops after q^0 = 1
         a, z = mpf("0.3"), mpf("0.5")
@@ -180,14 +167,6 @@ class TestGfRoutes:
     def test_small_q_limit(self):
         for method in ("taylor", "meromorphic"):
             assert abs(asy.gf_eval(mpf(10) ** -8, method)) < 1e-6
-
-    def test_domain_errors_name_constraint(self):
-        with pytest.raises(DomainError, match="1/2"):
-            asy.gf_eval(mpf("0.5"), "taylor")
-        with pytest.raises(DomainError, match="slit"):
-            asy.gf_eval(mpf("0.52"), "meromorphic")
-        with pytest.raises(DomainError, match="0.2"):
-            asy.gf_eval(mpf("0.2"), "singular")
 
     @pytest.mark.parametrize("method, calls", [
         ("meromorphic", 2), ("singular", 6), ("doublesum", 4)])
@@ -261,10 +240,6 @@ class TestSingularAndRegularSeries:
             b = asy.pi_eval(w + 1, mpf("0.49"))
             assert close(a, b, 1e-40)
 
-    def test_v_domain_guard(self):
-        with pytest.raises(DomainError):
-            asy.V_eval(mpf("0.1"))
-
 
 class TestHj:
     @pytest.mark.parametrize("q", ["0.5", "0.49"])
@@ -296,9 +271,19 @@ class TestHj:
         values = [abs(asy.h_direct(1, mpf(10) ** -e, q, v)) for e in (3, 4, 5, 6)]
         assert all(v < 13 for v in values)
 
-    def test_representation_contraction_guard(self):
-        with pytest.raises(DomainError):
-            asy.h_representation(0, mpf("0.5"), mpf(1) / 2, mpf(3) / 2)
+    @pytest.mark.parametrize("j, q, v, match", [
+        (1, 0, "1.5", r"needs 0 < \|q\| < 1"),
+        (1, 2, "1.5", r"needs 0 < \|q\| < 1"),
+        (-1, "0.5", "1.5", r"diverges: it needs \|v q\^\(j\+1\)\| < 1"),
+        (1, "0.9", "1.5", r"diverges: it needs \|v q\^\(j\+1\)\| < 1"),
+    ], ids=["q-0", "q-2", "j-minus-1", "q-0.9"])
+    def test_direct_divergent_sum_fails_at_once(self, j, q, v, match):
+        # the terms behave like (q^2/t) (v q^{j+1})^nu; each of these ran to
+        # the term cap for seconds, or divided by zero, before it was refused
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=match):
+            asy.h_direct(j, mpf("0.05"), mpf(q), mpf(v))
+        assert time.perf_counter() - start < 1
 
 
 class TestKappa:
@@ -687,13 +672,45 @@ with mp.workdps(80):
      "CountTable or FloatSeries1"),
     (asy.fourier_extract_detrended, (SHORT_TABLE, 1, (1, 3)), DomainError,
      "not enough samples"),
+    (asy.pochhammer, (mpf("0.5"), mpf("0.95")), DomainError,
+     r"q-Pochhammer needs \|q\| <= 0.9"),
+    (asy.gf_eval, (mpf("0.5"), "taylor"), DomainError,
+     r"taylor route requires \|q\| < 1/2"),
+    (asy.gf_eval, (mpf("0.2"), "singular"), DomainError,
+     r"need \|1-2q\| <= 0.2"),
+    (asy.V_eval, (mpf("0.1"),), DomainError, r"need \|1-2q\| <= 0.2"),
+    (asy.h_representation, (0, mpf("0.5"), mpf(1) / 2, mpf(3) / 2),
+     DomainError, r"needs \|t\| < q\^2 to contract"),
+    (asy.mittag_leffler_check, (mpf(1) / 3, mpf(1) / 2, 2 + mpf(10) ** -8),
+     DomainError, r"z within 1e-6 of the pole q\^-1"),
+    (asy.pi_eval, (mpf("0.1"), 0), DomainError, r"log\(1/q\) needs q != 0"),
+    (asy.h_representation, (1, mpf("0.05"), 0, mpf(3) / 2), DomainError,
+     r"representation needs 0 < \|q\| < 1"),
+    (asy.h_representation, (1, mpf("0.05"), 1, mpf(3) / 2), DomainError,
+     r"representation needs 0 < \|q\| < 1"),
+    (asy.h_representation, (1, mpf("0.05"), mpf(1) / 2, 1), DomainError,
+     r"gamma = log\(v\)/log\(1/q\) off the integers"),
+    (asy.d_nu_by_series_division, (-1, mpf("0.4")), ValueError,
+     "nu_max must be >= 0"),
+    (asy.fourier_extract, (SHORT_TABLE, 1, (2, float("inf"))), DomainError,
+     "does not cover u in"),
+    (asy.fourier_extract, (SHORT_TABLE, 1, (2, mp.nan)), DomainError,
+     "does not cover u in"),
+    (asy.fourier_extract_detrended, (SHORT_TABLE, 1, (2, mp.inf)),
+     DomainError, "does not cover u in"),
+    (asy.fourier_extract_detrended, (SHORT_TABLE, 1, (2, float("nan"))),
+     DomainError, "does not cover u in"),
 ], ids=["meromorphic-0.55", "meromorphic-complex-modulus", "meromorphic-0.5",
         "meromorphic-slit", "doublesum-0.3", "doublesum-0.5",
         "doublesum-complex", "fourier-samples", "detrended-periods",
         "fit-order", "fit-zero-count", "h-direct-t-0", "h-representation-t-0",
         "meromorphic-pole-distance", "pi-harmonics-grow", "singular-0.52",
         "d-nu-negative", "d-nu-method", "mittag-leffler-a", "gf-method",
-        "poles-0", "counts-list", "detrended-samples"])
+        "poles-0", "counts-list", "detrended-samples", "pochhammer-0.95",
+        "taylor-0.5", "singular-0.2", "V-0.1", "h-representation-contraction",
+        "mittag-leffler-pole", "pi-q-0", "h-representation-q-0",
+        "h-representation-q-1", "h-representation-v-1", "series-division-nu-max",
+        "fourier-inf", "fourier-nan", "detrended-inf", "detrended-nan"])
 def test_raise_site(call, args, error, match):
     with pytest.raises(error, match=match):
         call(*args)
@@ -874,43 +891,13 @@ class TestTruncationDoubling:
         assert len(made) == 3
 
 
-
-class TestCrossPrecision:
-    """A value asked for at 30 digits agrees with the same value at 60."""
-
-    SECTOR = mpf(1) / 2 + mpf("0.03") * mp.expjpi(mpf(1) / 3)
-
-    @staticmethod
-    def value(name, dps, q):
-        if name == "kappa(1)":
-            return asy.kappa(1, dps=dps)
-        if name in ("U_eval", "V_eval"):
-            return getattr(asy, name)(q, dps=dps)
-        return asy.gf_eval(q, name, dps=dps)
-
-    # at q = 0.45 by name; then the points whose term loops step through
-    # the most powers of q
-    @pytest.mark.parametrize("name, q", [
-        *[pytest.param(name, mpf("0.45"), id=name)
-          for name in ("taylor", "meromorphic", "doublesum", "singular",
-                       "kappa(1)", "U_eval", "V_eval")],
-        pytest.param("meromorphic", mpc("0.4", "0.05"),
-                     id="meromorphic-0.4+0.05i"),
-        pytest.param("meromorphic", SECTOR, id="meromorphic-sector"),
-        pytest.param("singular", SECTOR, id="singular-sector"),
-        pytest.param("V_eval", SECTOR, id="V_eval-sector"),
-        pytest.param("doublesum", mpf("0.49"), id="doublesum-0.49")])
-    def test_dps_30_agrees_with_dps_60(self, name, q):
-        low, high = self.value(name, 30, q), self.value(name, 60, q)
-        assert abs(low - high) <= mpf(10) ** -30 * abs(high)
-
-
 # Inputs of the contract table, made at 100 digits: both precisions of a
 # check read the same numbers, which mpmath does not round on the way in.
 with mp.workdps(100):
     _HALF = mpf(1) / 2
     _SECTOR = _HALF + mpf("0.03") * mp.expjpi(mpf(1) / 3)
     _TINY, _TINY_C = mpf("1e-30"), mpc("1e-30", "1e-30")
+    _Q45 = mpf("0.45")
     _Z3 = asy.poles(3, dps=100)[2]
     # |1-2q+q^5| is about 1.6e-34 at the first, past the 30-digit pole
     # guard 10^-35, and 1.6e-40 at the second, inside it
@@ -973,6 +960,10 @@ class TestContracts:
         "pochhammer-1e-30(1+i)": _call(asy.pochhammer, mpf(1) / 3, _TINY_C),
         "pochhammer-near-zero": _call(asy.pochhammer, *_NEAR_ZERO),
         "pochhammer-near-zero-half": _call(asy.pochhammer, *_NEAR_ZERO_HALF),
+        "taylor-0.45": _call(asy.gf_eval, _Q45, "taylor"),
+        "meromorphic-0.45": _call(asy.gf_eval, _Q45, "meromorphic"),
+        "meromorphic-0.4+0.05i":
+            _call(asy.gf_eval, mpc("0.4", "0.05"), "meromorphic"),
         "meromorphic-sector": _call(asy.gf_eval, _SECTOR, "meromorphic"),
         "meromorphic-0.5499i":
             _call(asy.gf_eval, mpc(0, "0.5499"), "meromorphic"),
@@ -981,9 +972,14 @@ class TestContracts:
         "meromorphic-off-pole": _call(asy.gf_eval, _OFF_POLE, "meromorphic"),
         "meromorphic-at-pole": _call(asy.gf_eval, _AT_POLE, "meromorphic"),
         "doublesum-0.36": _call(asy.gf_eval, mpf("0.36"), "doublesum"),
+        "doublesum-0.45": _call(asy.gf_eval, _Q45, "doublesum"),
         "doublesum-0.49": _call(asy.gf_eval, mpf("0.49"), "doublesum"),
+        "singular-0.45": _call(asy.gf_eval, _Q45, "singular"),
+        "singular-sector": _call(asy.gf_eval, _SECTOR, "singular"),
+        "U_eval-0.45": _call(asy.U_eval, _Q45),
         "U_eval-sector": _call(asy.U_eval, _SECTOR),
         "U_eval-off-pole": _call(asy.U_eval, _OFF_POLE),
+        "V_eval-0.45": _call(asy.V_eval, _Q45),
         "V_eval-sector": _call(asy.V_eval, _SECTOR),
         "V_eval-off-pole": _call(asy.V_eval, _OFF_POLE),
         "kappa0": _call(asy.kappa, 0),
@@ -1013,8 +1009,8 @@ class TestContracts:
             _call(_extracted, asy.fourier_extract_detrended),
     }
     REFUSED_AT_30 = {"meromorphic-at-pole"}
-    RUNS = {"meromorphic": "gf_eval", "doublesum": "gf_eval",
-            "kappa0": "kappa"}
+    RUNS = {"taylor": "gf_eval", "meromorphic": "gf_eval",
+            "doublesum": "gf_eval", "singular": "gf_eval", "kappa0": "kappa"}
     EXEMPT = {
         "BaseQuantities": "a record, checked through base_quantities",
         "ResidualTable": "a record, checked through residuals and the "

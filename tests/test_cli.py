@@ -62,9 +62,9 @@ class TestEnumerate:
         code, out, _ = run(["enumerate", "--k", "3", "--max-area", "10",
                             "--no-timestamp"], capsys)
         assert code == 0
-        rows = [line for line in out.splitlines() if not line.startswith("#")]
-        assert rows[0] == "n,count"
-        assert [r.split(",")[1] for r in rows[1:]] == \
+        _, columns, rows = _parse_output(out, "csv")
+        assert columns == ["n", "count"]
+        assert [r[1] for r in rows] == \
             ["6", "10", "20", "42", "92", "204", "454", "1010", "2242", "4962"]
 
     def test_big_integers_full_decimal(self, capsys):
@@ -536,9 +536,8 @@ class TestGfCheck:
         code, out, err = run(["gf-check", "--q", "0", "--methods",
                               "taylor,meromorphic", "--no-timestamp"], capsys)
         assert code == 0, err
-        rows = dict(line.split(",", 1) for line in out.splitlines()
-                    if not line.startswith("#"))
-        assert rows["taylor"] == rows["meromorphic"] == "0.0,0.0"
+        rows = {name: (re, im) for name, re, im in _parse_output(out, "csv")[2]}
+        assert rows["taylor"] == rows["meromorphic"] == ("0.0", "0.0")
 
     def test_q_parsed_at_working_precision(self, capsys):
         # PA(q) = 6q + 10q^2 + O(q^3); q parsed at the caller's 15 digits
@@ -548,9 +547,8 @@ class TestGfCheck:
                                 "taylor,meromorphic", "--no-timestamp"],
                                capsys)
         assert code == 0
-        rows = dict(line.split(",", 1) for line in out.splitlines()
-                    if not line.startswith("#"))
-        expected = "6.000000000000000000000000000010000000000e-30,0.0"
+        rows = {name: (re, im) for name, re, im in _parse_output(out, "csv")[2]}
+        expected = ("6.000000000000000000000000000010000000000e-30", "0.0")
         assert rows["taylor"] == rows["meromorphic"] == expected
 
     def test_route_pair(self, capsys):
@@ -605,10 +603,9 @@ class TestGfCheckExitCodes:
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         if code == 0:
-            rows = list(csv.reader(line for line in out.getvalue().splitlines()
-                                   if not line.startswith("#")))
-            assert rows[0] == ["name", "re", "im"]
-            assert [r[0] for r in rows[1:]] == [
+            _, columns, rows = _parse_output(out.getvalue(), "csv")
+            assert columns == ["name", "re", "im"]
+            assert [r[0] for r in rows] == [
                 *methods.split(","), "difference", "abs_difference"]
 
 
@@ -642,14 +639,13 @@ class TestResidualsExitCodes:
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         if code == 0:
-            rows = list(csv.reader(line for line in out.getvalue().splitlines()
-                                   if not line.startswith("#")))
-            assert rows[0] == ["n", "log2_n", "scaled_count", "residual"]
-            assert [int(r[0]) for r in rows[1:]] == list(
+            _, columns, rows = _parse_output(out.getvalue(), "csv")
+            assert columns == ["n", "log2_n", "scaled_count", "residual"]
+            assert [int(r[0]) for r in rows] == list(
                 range(int(min_n), int(max_n) + 1))
             # one unit in the last printed digit, at most the 15th
             shown = min(int(digits), 15)
-            for n, log2_n, *_ in rows[1:]:
+            for n, log2_n, *_ in rows:
                 exact = math.log2(int(n))
                 unit = 10.0 ** (math.floor(math.log10(exact)) + 1 - shown)
                 assert abs(float(log2_n) - exact) <= unit
@@ -751,16 +747,16 @@ class TestResidualsAndFit:
                             "--min-n", "30", "--digits", "25",
                             "--no-timestamp"], capsys)
         assert code == 0
-        rows = [l for l in out.splitlines() if not l.startswith("#")]
-        assert rows[0] == "n,log2_n,scaled_count,residual"
-        assert len(rows) == 1 + 11
+        _, columns, rows = _parse_output(out, "csv")
+        assert columns == ["n", "log2_n", "scaled_count", "residual"]
+        assert len(rows) == 11
 
     def test_fit_two_sided(self, capsys):
         code, out, _ = run(["fit", "--k", "2", "--max-n", "64",
                             "--no-timestamp"], capsys)
         assert code == 0
-        row = [l for l in out.splitlines() if not l.startswith("#")][1]
-        assert abs(float(row.split(",")[2])) < 0.01
+        row = _parse_output(out, "csv")[2][0]
+        assert abs(float(row[2])) < 0.01
 
 
 # The benchmark's tracer wraps library functions and the series constructors
