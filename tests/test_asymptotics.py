@@ -278,8 +278,8 @@ class TestHj:
         (1, "0.9", "1.5", r"diverges: it needs \|v q\^\(j\+1\)\| < 1"),
     ], ids=["q-0", "q-2", "j-minus-1", "q-0.9"])
     def test_direct_divergent_sum_fails_at_once(self, j, q, v, match):
-        # the terms behave like (q^2/t) (v q^{j+1})^nu; each of these ran to
-        # the term cap for seconds, or divided by zero, before it was refused
+        # the terms behave like (q^2/t) (v q^{j+1})^nu; without the guard
+        # these divide by zero or run to the term cap, for seconds
         start = time.perf_counter()
         with pytest.raises(DomainError, match=match):
             asy.h_direct(j, mpf("0.05"), mpf(q), mpf(v))
