@@ -62,6 +62,11 @@ class TestPochhammer:
             asy.pochhammer(mpf(1) / 2, mpf(1) / 2)
         assert mp.nstr(val, 8) == "-0.18109782"
 
+    def test_doubling_insensitive(self):
+        a = asy.pochhammer(mpf(1) / 3, mpf(1) / 2, dps=40)
+        b = at_scale(2, asy.pochhammer, mpf(1) / 3, mpf(1) / 2, dps=40)
+        assert abs(a - b) < 1e-40
+
 
 class TestDnu:
     @pytest.mark.parametrize("q", ["0.4", "0.45", "0.5"])
@@ -889,6 +894,33 @@ class TestTruncationDoubling:
         monkeypatch.setattr(asy, "pochhammer", counted)
         at_scale(2, asy.kappa, 1, dps=40)
         assert len(made) == 3
+
+
+class TestCrossPrecision:
+    """A value asked for at 30 digits agrees with the same value at 60.
+
+    The other points of this check are rows of TestContracts, which
+    compares 30 digits with 80 at twice the truncation length."""
+
+    SECTOR = mpf(1) / 2 + mpf("0.03") * mp.expjpi(mpf(1) / 3)
+
+    @staticmethod
+    def value(name, dps, q):
+        if name == "kappa(1)":
+            return asy.kappa(1, dps=dps)
+        if name == "V_eval":
+            return asy.V_eval(q, dps=dps)
+        return asy.gf_eval(q, name, dps=dps)
+
+    # the points whose term loops step through the most powers of q
+    @pytest.mark.parametrize("name, q", [
+        pytest.param("kappa(1)", mpf("0.45"), id="kappa(1)"),
+        pytest.param("meromorphic", SECTOR, id="meromorphic-sector"),
+        pytest.param("V_eval", SECTOR, id="V_eval-sector"),
+        pytest.param("doublesum", mpf("0.49"), id="doublesum-0.49")])
+    def test_dps_30_agrees_with_dps_60(self, name, q):
+        low, high = self.value(name, 30, q), self.value(name, 60, q)
+        assert abs(low - high) <= mpf(10) ** -30 * abs(high)
 
 
 # Inputs of the contract table, made at 100 digits: both precisions of a
