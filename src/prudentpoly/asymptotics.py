@@ -82,6 +82,38 @@ def _eps(dps: int) -> mpf:
     return mpf(10) ** (-(dps + 5))
 
 
+def _check_dps(dps: int) -> int:
+    """dps, the digits a public callable is asked for; below 1 it raises
+    ValueError."""
+    if dps < 1:
+        raise ValueError(f"dps must be >= 1 (got {dps})")
+    return dps
+
+
+def _working(dps: int):
+    """The working precision of a public evaluator asked for dps digits,
+    dps + _GUARD_DPS; dps below 1 raises ValueError."""
+    return mp.workdps(_check_dps(dps) + _GUARD_DPS)
+
+
+def _point(x, name: str):
+    """x converted to an mpf or mpc; a value that is not finite raises
+    DomainError before any work."""
+    x = mpmathify(x)
+    if not mp.isfinite(x):
+        raise DomainError(f"{name} must be finite (got {x})")
+    return x
+
+
+def _too_slow(log_rate, dps: int) -> bool:
+    """Whether terms that shrink by the factor e^log_rate per step need
+    more than _MAX_TERMS of them, at the truncation scale, to fall by
+    10^-(dps+5): true for a factor of 1 or more and for a NaN factor, so a
+    loop can refuse before its first term."""
+    return not (_TRUNCATION_SCALE * (dps + 5) * mp.log(10)
+                <= -log_rate * _MAX_TERMS)
+
+
 def _stop_rule(dps: int, min_terms: int = 1, limit=None):
     """The truncation rule of every adaptive loop, as a per-term callback.
 
@@ -255,9 +287,8 @@ def pochhammer(x, q, dps: int = 40):
     a zero keeps its digits.  The loop stops by the truncation rule on
     |t_{j+1}|^2 against (10^-(dps+5) (1-|q|))^2, in units of 2^-2bits.
     """
-    with mp.workdps(dps + _GUARD_DPS):
-        x = mpmathify(x)
-        q = mpmathify(q)
+    with _working(dps):
+        x, q = _point(x, "x"), _point(q, "q")
         q_abs = abs(q)
         if q_abs > mpf("0.9"):
             raise DomainError(
@@ -367,8 +398,8 @@ class BaseQuantities:
 def base_quantities(q, dps: int = 40) -> BaseQuantities:
     """The record of q at ``dps`` digits; only q = 1, the pole of u and v,
     is refused here."""
-    with mp.workdps(dps + _GUARD_DPS):
-        q = mpmathify(q)
+    with _working(dps):
+        q = _point(q, "q")
         if q == 1:
             raise DomainError("u and v have a pole at q = 1")
         w = 1 - q + q * q
@@ -391,7 +422,7 @@ def d_nu(nu: int, q, dps: int = 40, method: str = "recurrence"):
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    with mp.workdps(dps + _GUARD_DPS):
+    with _working(dps):
         b = base_quantities(q, dps=dps)
         if method == "recurrence":
             return next(islice(_ratios(b.v, b.u, b.q), nu, None))[0]
@@ -411,10 +442,16 @@ def d_nu_by_series_division(nu_max: int, q, dps: int = 40) -> list:
     """
     if nu_max < 0:
         raise ValueError("nu_max must be >= 0")
-    with mp.workdps(dps + _GUARD_DPS):
-        q = mpmathify(q)
+    with _working(dps):
+        q = _point(q, "q")
         if abs(q) >= 1:
             raise DomainError(f"the z-factors need |q| < 1 (got |q| = {abs(q)})")
+        # both loops step their z-factors by q
+        if _too_slow(mp.log(abs(q)), dps):
+            raise DomainError(
+                f"the z-factors shrink by |q| = {mp.nstr(abs(q), 8)} per "
+                f"step: they do not reach 10^-{dps + 5} within {_MAX_TERMS} "
+                "terms")
         b = base_quantities(q, dps=dps)
         co = [mp.zero] * (nu_max + 1)
         co[0] = mp.one
@@ -439,10 +476,8 @@ def mittag_leffler_check(a, q, z, dps: int = 40):
     sum_j prod_{m<=j}[(a-q^m)/(1-q^m)] * z q^j/(1 - z q^j).  Valid for
     |a| < 1, |q| < 1, z away from the poles q^-j.
     """
-    with mp.workdps(dps + _GUARD_DPS):
-        a = mpmathify(a)
-        q = mpmathify(q)
-        z = mpmathify(z)
+    with _working(dps):
+        a, q, z = _point(a, "a"), _point(q, "q"), _point(z, "z")
         if abs(a) >= 1:
             raise DomainError("the expansion requires |a| < 1")
         if abs(q) >= 1:
@@ -502,8 +537,8 @@ def gf_eval(q, method: str = "taylor", dps: int = 40):
     """
     if method not in GF_ROUTES:
         raise ValueError(f"method must be one of {', '.join(GF_ROUTES)}")
-    with mp.workdps(dps + _GUARD_DPS):
-        return GF_ROUTES[method](mpmathify(q), dps)
+    with _working(dps):
+        return GF_ROUTES[method](_point(q, "q"), dps)
 
 
 def _gf_taylor(q, dps):
@@ -653,7 +688,7 @@ def _near_half(q, dps) -> BaseQuantities:
 def U_eval(q, dps: int = 40):
     """Singular series U(q) = v q^{3 gamma - 2}/log(1/q) *
     (-t/q;q)oo / (-a t/q^2;q)oo with t = 1-2q."""
-    with mp.workdps(dps + _GUARD_DPS):
+    with _working(dps):
         return _u_value(_near_half(q, dps))
 
 
@@ -667,7 +702,7 @@ def _u_value(b: BaseQuantities):
 def V_eval(q, dps: int = 40):
     """Regular series V(q): the pole term plus the contiguous
     q-hypergeometric r-sum in (-a t/q^2)."""
-    with mp.workdps(dps + _GUARD_DPS):
+    with _working(dps):
         return _v_sum(_near_half(q, dps))
 
 
@@ -699,9 +734,10 @@ def pi_eval(w, q, dps: int = 40):
     close to 1 that the rule would need more than _MAX_TERMS harmonics,
     DomainError is raised before the first one.
     """
-    with mp.workdps(dps + _GUARD_DPS):
+    with _working(dps):
+        w = _point(w, "w")
         b = base_quantities(q, dps=dps)
-        return _pi_sum(mpmathify(w), b.gamma, b.log_q, dps)
+        return _pi_sum(w, b.gamma, b.log_q, dps)
 
 
 def _pi_sum(w, gamma, log_q, dps):
@@ -709,7 +745,7 @@ def _pi_sum(w, gamma, log_q, dps):
     # the harmonics shrink by rho per step; they reach 10^-(dps+5) after
     # about (dps+5) log(10)/(-log rho) of them, times the scale
     log_rho = 2 * mp.pi * (abs(w.imag) - mp.pi * (1 / log_q).real)
-    if _TRUNCATION_SCALE * (dps + 5) * mp.log(10) > -log_rho * _MAX_TERMS:
+    if _too_slow(log_rho, dps):
         raise DomainError(
             f"Pi(w) harmonics change by a factor {mp.nstr(mp.exp(log_rho), 8)}"
             f" per step: they do not reach 10^-{dps + 5} within {_MAX_TERMS} "
@@ -751,10 +787,8 @@ def h_direct(j: int, t, q, v, dps: int = 40):
     t > 0 exactly when |v q^{j+1}| < 1, and DomainError is raised before
     the first term otherwise.  This is the route usable at large t.
     """
-    with mp.workdps(dps + _GUARD_DPS):
-        t = mpmathify(t)
-        q = mpmathify(q)
-        v = mpmathify(v)
+    with _working(dps):
+        t, q, v = _point(t, "t"), _point(q, "q"), _point(v, "v")
         if not t > 0:
             raise DomainError("h_j direct sum needs t > 0")
         if not 0 < abs(q) < 1:
@@ -764,6 +798,11 @@ def h_direct(j: int, t, q, v, dps: int = 40):
         if ratio >= 1:
             raise DomainError(f"h_j direct sum diverges: it needs "
                               f"|v q^(j+1)| < 1 (got {mp.nstr(ratio, 8)})")
+        if _too_slow(mp.log(ratio), dps):
+            raise DomainError(
+                f"h_j direct sum terms shrink by |v q^(j+1)| = "
+                f"{mp.nstr(ratio, 8)} per step: they do not reach "
+                f"10^-{dps + 5} within {_MAX_TERMS} terms")
         base = v * q ** j
         terms = (power / (1 + t / q_nu)      # (v q^j)^nu, q^{nu+2}
                  for power, q_nu in zip(_powers(base, base),
@@ -778,12 +817,17 @@ def h_representation(j: int, t, q, v, dps: int = 40):
              Pi(log_{1/q} t) + q^-2 sum_r (-1)^r v q^{j-3r}/(1-v q^{j-r}) t^r.
 
     The r-sum contracts like |t|/q^2, so t must stay well inside q^2.  It
-    needs 0 < |q| < 1, and gamma off the integers, the poles of p_0.
+    needs 0 < |q| < 1, and a finite gamma more than 10^-dps off the
+    integers, the poles of p_0.
+
+    Near an integer m, p_0 and the r-sum term at r = j - m both grow like
+    1/d, d the distance of gamma from m, and cancel; each carries a
+    rounding error of relative size 10^-prec/d, so the sum loses about
+    2 log10(1/d) digits.  Half the guard digits absorb that far; past it
+    the working precision is widened by the rest.
     """
-    with mp.workdps(dps + _GUARD_DPS):
-        t = mpmathify(t)
-        q = mpmathify(q)
-        v = mpmathify(v)
+    with _working(dps):
+        t, q, v = _point(t, "t"), _point(q, "q"), _point(v, "v")
         if not 0 < abs(q) < 1:
             raise DomainError(
                 f"representation needs 0 < |q| < 1 (got |q| = {abs(q)})")
@@ -791,12 +835,21 @@ def h_representation(j: int, t, q, v, dps: int = 40):
             raise DomainError("representation stated for 0 < t < q^-3")
         if abs(t) >= mpf("0.9") * q ** 2:
             raise DomainError("representation r-sum needs |t| < q^2 to contract")
-        log_q = mp.log(1 / q)
-        gamma = mp.log(v) / log_q
-        if mp.isint(gamma):
+        gamma = mp.log(v) / mp.log(1 / q)
+        if not mp.isfinite(gamma):
+            raise DomainError(
+                f"representation needs a finite gamma = log(v)/log(1/q) "
+                f"(got {gamma})")
+        d = abs(gamma - mp.nint(mp.re(gamma)))
+        if d <= mpf(10) ** -dps:
             raise DomainError(
                 f"representation needs gamma = log(v)/log(1/q) off the "
-                f"integers, the poles of p_0 = pi/sin(pi gamma) (got {gamma})")
+                f"integers, the poles of p_0 = pi/sin(pi gamma), by more "
+                f"than 10^-{dps} (got {gamma})")
+        lost = int(mp.ceil(-2 * mp.log10(d)))
+    with mp.workdps(dps + _GUARD_DPS + max(0, lost - _GUARD_DPS // 2)):
+        log_q = mp.log(1 / q)
+        gamma = mp.log(v) / log_q
         sing = ((-1) ** j * v * q ** (3 * gamma - 2 * j - 2) / log_q
                 * t ** (j - gamma)
                 * _pi_sum(mp.log(t) / log_q, gamma, log_q, dps))
@@ -827,7 +880,7 @@ def kappa(k: int, dps: int = 40):
 
     kappa_0 is real and returned so; kappa_{-k} is the conjugate of kappa_k.
     """
-    with mp.workdps(dps + _GUARD_DPS):
+    with _working(dps):
         prod = _kappa_product(dps, _TRUNCATION_SCALE)
         g = mp.log(3) / mp.log(2)
         arg_sin = mp.pi * g + 2j * k * mp.pi ** 2 / mp.log(2)
@@ -858,7 +911,7 @@ def oscillation_amplitude(dps: int = 40):
     kappa(u) is the root of kappa' bracketed within 1/4 of one of them.
     The readings differ by at most 2 sum_{k>=2} |kappa_k| (~2e-16).
     """
-    with mp.workdps(dps + _GUARD_DPS):
+    with _working(dps):
         ks, stop = [kappa(1, dps=dps)], _stop_rule(dps)
         while not stop(_norm(ks[-1] / ks[0])):
             ks.append(kappa(len(ks) + 1, dps=dps))
@@ -887,6 +940,7 @@ def poles(k_max: int, dps: int = 40) -> list:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_dps(dps)
 
     def root(k):
         d = max(dps, int((k + 2) * log10(2)) + 1 + _GUARD_DPS)
@@ -899,7 +953,7 @@ def poles(k_max: int, dps: int = 40) -> list:
 
 def theta_root(dps: int = 40) -> mpf:
     """The unique real root of 1 - 2x + x^2 - x^3 (~0.56984)."""
-    return _root(lambda x: 1 - 2 * x + x * x - x ** 3, 0, 1, dps)
+    return _root(lambda x: 1 - 2 * x + x * x - x ** 3, 0, 1, _check_dps(dps))
 
 
 def _root(f, lo, hi, dps: int) -> mpf:
@@ -943,7 +997,7 @@ def omega_coefficients(terms: int = 5, dps: int = 40) -> dict:
         raise DomainError(
             f"only {OMEGA_MAX_TERMS} expansion terms are available; deriving "
             "higher ones needs symbolic q-Pochhammer derivatives")
-    with mp.workdps(dps + _GUARD_DPS):
+    with _working(dps):
         out = {key: mpf(text) for key, text in OMEGA_PRINTED.items()
                if key[0] < terms}
         if terms >= 1:
@@ -1071,6 +1125,7 @@ def residuals(max_n: int, terms: int = 5, dps: int = 40,
     """
     if not 2 <= min_n <= max_n:
         raise ValueError("residuals need 2 <= min_n <= max_n")
+    _check_dps(dps)
     if counts is None:
         counts = pa3_series(max_n, "theorem")
     if isinstance(counts, CountTable) and counts.k != 3:
@@ -1245,6 +1300,7 @@ def exponent_fit(counts, dps: int = 40) -> mpf:
     in natural logs, so each row takes one mp.log, of its scaled count,
     and log n from _prime_table; each column keeps its own binary exponent.
     """
+    _check_dps(dps)
     _, n_max, scaled = _scaled_counts(counts)
     lo = max(2, n_max // 2)
     if n_max - lo < 7:

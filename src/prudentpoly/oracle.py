@@ -130,9 +130,6 @@ class WalkClassification:
     sidedness: dict
     excluded_3sided: bool
 
-    def is_k_sided(self, k: int) -> bool:
-        return self.sidedness[k]
-
 
 def classify_walk(steps: str) -> WalkClassification:
     """Replay a walk and classify it.

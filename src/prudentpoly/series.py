@@ -22,15 +22,9 @@ every operation returns a new series truncated to the smaller operand order.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from mpmath import mp, mpf
 
 from . import _intpoly
-
-
-@lru_cache(maxsize=64)
-def _zero_row(order: int) -> tuple[int, ...]:
-    return (0,) * (order + 1)
 
 
 def _check_arity(a, b, cls) -> None:
@@ -95,11 +89,6 @@ class _Catalytic:
     def zero(cls, order: int):
         return cls._built(order, ())
 
-    def valuation(self) -> int:
-        """Lowest q-degree of any nonzero coefficient; order+1 for zero."""
-        return min((next(n for n, c in enumerate(r) if c)   # rows are nonzero
-                    for r in self._blocks.values()), default=self._order + 1)
-
     def truncate(self, order: int):
         if order >= self._order:
             return self
@@ -120,7 +109,7 @@ class _Catalytic:
     def _combine(self, other, op):
         _check_arity(self, other, type(self))
         n = min(self._order, other._order)
-        out, zero = dict(self.truncate(n)._blocks), _zero_row(n)
+        out, zero = dict(self.truncate(n)._blocks), (0,) * (n + 1)
         for key, row in other.truncate(n)._blocks.items():
             out[key] = tuple(map(op, out.get(key, zero), row))
         return self._built(n, out.items())
@@ -134,13 +123,13 @@ class _Catalytic:
     def _product(self, other):
         """The truncated product; a Series1 factor's () keeps the degrees."""
         n, out = min(self._order, other._order), {}
+        zero = (0,) * (n + 1)
         for ka, a in self._blocks.items():
             for kb, b in other._blocks.items():
                 key = tuple(map(operator.add, ka, kb)) if kb else ka
                 if max(key, default=0) <= n:    # else zero up to n, by the cap
                     row = _intpoly.mul(list(a), list(b), n)
-                    out[key] = tuple(map(operator.add,
-                                         out.get(key, _zero_row(n)), row))
+                    out[key] = tuple(map(operator.add, out.get(key, zero), row))
         return self._built(n, out.items())
 
     def __mul__(self, other):
@@ -197,10 +186,7 @@ class Series1(_Catalytic):
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return self._blocks.get(()) or _zero_row(self._order)
-
-    def coeff(self, n: int) -> int:
-        return self.coeffs[n]
+        return self._blocks.get(()) or (0,) * (self._order + 1)
 
     def scale(self, k: int) -> "Series1":
         return Series1(tuple(k * c for c in self.coeffs))
@@ -230,9 +216,6 @@ class Series2(_Catalytic):
     def coeff(self, n: int, i: int) -> int:
         row = self._blocks.get((i,))
         return row[n] if row is not None and n <= self._order else 0
-
-    def u_valuation(self) -> int:
-        return min((i for (i,) in self._blocks), default=self._order + 1)
 
     def mul_monomial(self, dq: int = 0, du: int = 0) -> "Series2":
         """Multiply by q^dq u^du, dropping terms past the order."""

@@ -1,10 +1,29 @@
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 from prudentpoly.enumeration import pa3_series, pa4_series
 from prudentpoly.oracle import enumerate_prudent_polygons
 from prudentpoly.series import FloatSeries1, Series1
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError, which cli.main does not map, once time is up: a
+    guard that stops working fails its test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the run took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -13,10 +13,8 @@ import itertools
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
-import time
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -29,6 +27,7 @@ from mpmath import mp, mpf
 import prudentpoly
 from prudentpoly import cli, enumeration
 
+from conftest import time_limit
 from limits import KERNELS, LIMITS
 
 # every CLI route that reaches an exact solver's guard, and the solver's row
@@ -40,21 +39,6 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-@contextlib.contextmanager
-def _time_limit(seconds: float):
-    """Raise TimeoutError, which cli.main does not map, once time is up."""
-    def expire(signum, frame):
-        raise TimeoutError(f"the run took over {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestEnumerate:
@@ -179,10 +163,9 @@ class TestErrors:
         # at q = 0.52 the harmonics of Pi(w) do not decay; at 0.55 + 1e-9i
         # they shrink by 1 - 1.4e-7 per step, and the truncation rule would
         # need billions of them
-        t0 = time.monotonic()
-        code, out, err = run(["gf-check", "--q", q, "--methods",
-                              "singular,taylor", "--no-timestamp"], capsys)
-        assert time.monotonic() - t0 < 5
+        with time_limit(5):
+            code, out, err = run(["gf-check", "--q", q, "--methods",
+                                  "singular,taylor", "--no-timestamp"], capsys)
         assert code == 2
         assert out == ""
         assert "Pi(w) harmonics" in err
@@ -197,7 +180,7 @@ class TestErrors:
         # exit 3); returns stderr
         for kernel in KERNELS:
             monkeypatch.setattr(cli.enumeration, kernel, None)
-        with _time_limit(1):
+        with time_limit(1):
             code, out, err = run([*argv, "--no-timestamp"], capsys)
         assert code == 2 and out == ""
         assert "domain error" in err and "MiB" in err
@@ -392,7 +375,7 @@ class TestErrors:
     @pytest.mark.parametrize("harmonics", ["1001", "1000000000"])
     def test_harmonics_past_the_cap_is_usage_error(self, harmonics, capsys):
         # a billion harmonics would take days; 1001 is one past the cap
-        with _time_limit(1):
+        with time_limit(1):
             code, out, err = run(["constants", "--harmonics", harmonics,
                                   "--no-timestamp"], capsys)
         assert code == 1 and out == ""
@@ -707,7 +690,7 @@ class TestOtherCommandsExitCodes:
                 mock.patch.object(cli.oracle, "_MAX_ORACLE_AREA", 3), \
                 mock.patch.object(cli.asymptotics, "TAYLOR_MAX_TERMS", 400), \
                 contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err), _time_limit(10):
+                contextlib.redirect_stderr(err), time_limit(10):
             code = cli.main(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()

@@ -22,18 +22,18 @@ class TestClassify:
         c = classify_walk("ESW")
         assert c.is_prudent
         assert c.excluded_3sided
-        assert c.is_k_sided(4)
-        assert not c.is_k_sided(3)
+        assert c.sidedness[4]
+        assert not c.sidedness[3]
 
     def test_two_sided_unit_cell(self):
         c = classify_walk("ENW")
         assert c.is_prudent
-        assert c.is_k_sided(2) and c.is_k_sided(3) and c.is_k_sided(4)
+        assert c.sidedness[2] and c.sidedness[3] and c.sidedness[4]
 
     def test_clockwise_column_is_three_sided_only(self):
         c = classify_walk("SWN")
         assert c.is_prudent
-        assert c.is_k_sided(3) and not c.is_k_sided(2)
+        assert c.sidedness[3] and not c.sidedness[2]
 
     def test_imprudent_walk_flagged(self):
         # E,N,N,W,S steps toward the occupied origin on the last step's ray
@@ -182,7 +182,7 @@ class TestClassifierAgainstSearch:
                 if area > 4:
                     continue
                 for k in (2, 3, 4):
-                    if c.is_k_sided(k):
+                    if c.sidedness[k]:
                         tallies[k][area] += 1
         for k in (2, 3, 4):
             expected = enumerate_prudent_polygons(k, 4).counts
